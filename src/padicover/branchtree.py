@@ -157,9 +157,9 @@ def build_branch_tree(points, ctx=None):
     for label, x in pts:
         if x.val() < 0:
             raise ValueError(f"marked point {label} has negative valuation")
-        if x.coeffs in seen:
+        if x in seen:
             raise ValueError(f"marked points must be distinct ({label} repeats)")
-        seen.add(x.coeffs)
+        seen.add(x)
 
     root_groups = _group(pts, Fraction(0))
     if len(root_groups) < 2:

@@ -14,7 +14,11 @@ Input files are JSON.  Exact mode describes a cover by its critical divisor::
                                   {"x": "0", "m": 2}, {"x": "-1", "m": 2}]}
 
 ("x" may also be a list of e rational strings — coefficients over the
-pi-power basis.)  Formula mode skips the field entirely and names the branch
+pi-power basis, pi = p**(1/e).)  The input's e only sets that format: the
+arithmetic has no fixed ramification index.  The ``e`` that ``verify``
+reports is the least ramification index over which the cover and every
+blow-up radius are defined, the lcm of the input's e and the denominators of
+the radii in the oracle's stages.  Formula mode skips the field entirely and names the branch
 points with their fiber profiles; a colliding pair carries the valuation of
 the difference::
 
@@ -46,7 +50,7 @@ from .classifier import (
     pair_excess,
 )
 from .cover import branch_data, branch_label, cover_from_json
-from .field import NotRepresentable, fmt_rat, parse_rat
+from .field import fmt_rat, parse_rat
 from .kpoly import sub as kpoly_sub
 from .oracle import (
     NonTermination,
@@ -187,9 +191,9 @@ def _newton_doc(cover):
 
 def _branch_tree_doc(cover):
     data = branch_data(cover)
-    values = [bp.value for bp in data.branch]
+    points = [(branch_label(bp.value), bp.value) for bp in data.branch]
     try:
-        return build_branch_tree(values).to_json()
+        return build_branch_tree(points).to_json()
     except AllPointsCoalesce as exc:
         return {"error": str(exc)}
 
@@ -415,31 +419,6 @@ def _cmd_example8(args):
     return 0
 
 
-def _iter_showcase():
-    yield ("good", classify_formula(5, _showcase_specs()), *_single_model_tail(None))
-    for collide, cases in (
-        ("0", (("far", 1), ("critical", 5), ("near", 7))),
-        ("1", (("far", 1), ("critical", Fraction(5, 2)), ("near", 3))),
-    ):
-        for tag, eps in cases:
-            classification = classify_formula(5, _showcase_specs(collide, eps))
-            for j, model in enumerate(classification.models):
-                suffix = "" if len(classification.models) == 1 else "-" + "ab"[j]
-                yield (
-                    f"collide{collide}-{tag}{suffix}",
-                    classification,
-                    model,
-                    collide,
-                    Fraction(eps),
-                    j,
-                )
-
-
-def _single_model_tail(_):
-    # companion values for the good-star entry of the showcase iterator
-    return (None, None, 0)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -496,8 +475,6 @@ _ADVICE = {
     "no collision threshold exists for this pair",
     AllPointsCoalesce: "apply a coordinate change spreading the branch values "
     "over at least two residue classes, then retry",
-    NotRepresentable: "the needed valuations leave the declared value group; "
-    "rerun with a larger e",
 }
 
 
@@ -523,7 +500,7 @@ def main(argv=None):
     except InvalidProfile as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 3
-    except (ClassifierError, OracleError, AllPointsCoalesce, NotRepresentable) as exc:
+    except (ClassifierError, OracleError, AllPointsCoalesce) as exc:
         advice = ""
         for kind, text in _ADVICE.items():
             if isinstance(exc, kind):

@@ -52,9 +52,9 @@ class CriticalDivisor:
         for x, m in self.points:
             if m < 2:
                 raise InvalidDivisor(f"multiplicity {m} < 2 at {x!r}")
-            if x.coeffs in seen:
+            if x in seen:
                 raise InvalidDivisor(f"repeated critical point {x!r}")
-            seen.add(x.coeffs)
+            seen.add(x)
             total += m - 1
         if total != self.p - 1:
             raise InvalidDivisor(
@@ -176,14 +176,13 @@ def branch_data(cover):
     order = []
     for x, m in cover.critical.points:
         lam = cover.value_at(x)
-        key = lam.coeffs
-        if key not in groups:
-            groups[key] = (lam, [])
-            order.append(key)
-        groups[key][1].append(m)
+        if lam not in groups:
+            groups[lam] = []
+            order.append(lam)
+        groups[lam].append(m)
     branch = []
-    for key in order:
-        lam, mults = groups[key]
+    for lam in order:
+        mults = groups[lam]
         ramified = sum(mults)
         if ramified > cover.ctx.p:
             raise InvalidDivisor(
@@ -226,20 +225,26 @@ class NormalizationResult:
     status: str
 
 
+def _integer_root(n, p):
+    """The exact p-th root of an integer n >= 1, or None (Newton's method)."""
+    r = 1 << -(-n.bit_length() // p)  # r**p > n
+    while True:
+        s = ((p - 1) * r + n // r ** (p - 1)) // p
+        if s >= r:
+            return r if r**p == n else None
+        r = s
+
+
 def _rational_pth_root(q, p):
     """Exact p-th root of a Fraction, or None (p odd here, so signs pass through)."""
     q = Fraction(q)
     if q == 0:
         return Fraction(0)
-    sign = -1 if q < 0 else 1
-    num, den = abs(q.numerator), q.denominator
-    rn = round(num ** (1.0 / p))
-    rd = round(den ** (1.0 / p))
-    for cn in (rn - 1, rn, rn + 1):
-        for cd in (rd - 1, rd, rd + 1):
-            if cn > 0 and cd > 0 and cn**p == num and cd**p == den:
-                return Fraction(sign * cn, cd)
-    return None
+    rn = _integer_root(abs(q.numerator), p)
+    rd = _integer_root(q.denominator, p)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn if q > 0 else -rn, rd)
 
 
 def _apply_change(cover, x_shift, x_scale, t_shift, t_scale):
@@ -322,9 +327,9 @@ def normalize(cover, strict=False):
         # never extends the field silently)
         units.sort(key=lambda u: u.to_strings())
         for u in units:
-            if any(c != 0 for c in u.coeffs[1:]):
+            if u.n != 1:
                 continue
-            root = _rational_pth_root(u.coeffs[0], ctx.p)
+            root = _rational_pth_root(u.terms[0][1], ctx.p)
             if root is not None:
                 x_scale = ctx.from_rational(root)
                 t_scale = u

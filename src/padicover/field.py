@@ -1,22 +1,30 @@
-"""Exact arithmetic in a totally ramified extension of the p-adic rationals.
+"""Exact arithmetic in the tower of totally ramified extensions Q_p(p**(1/N)).
 
-Elements of K = Q_p(pi), pi**e == p, are represented *exactly* as vectors of
-``e`` rationals (c_0, ..., c_{e-1}), standing for sum(c_i * pi**i).  All
-arithmetic is done with :class:`fractions.Fraction`, so there is no precision
-to manage and no rounding anywhere.  The valuation is normalized so that
-v(p) = 1 and hence v(pi) = 1/e; the value group is (1/e)Z.
+An element is a finite sum  sum(c * p**(k/N))  of rationals c times powers of
+one root p**(1/N), the roots chosen compatibly (p**(1/N) is the M-th power of
+p**(1/(M*N))), so every rational exponent is available and no ramification
+index has to be fixed in advance.  Each element keeps its own N, the least
+its exponents need, and only its nonzero terms, 0 <= k < N; a product folds
+p**(k/N) with k >= N into a factor p.  All arithmetic is done with
+:class:`fractions.Fraction`, so there is no precision to manage and no
+rounding anywhere.  The valuation is normalized so that v(p) = 1.
 
-Because v_p(c_i) + i/e has denominator-e fractional part exactly i/e, the
-terms of a nonzero element have pairwise distinct valuations, the minimum in
-the valuation formula is attained exactly once, and no cancellation can hide
-it.  This is what makes the vector representation a faithful model of the
-complete field for every question asked here.
+X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
+distinct valuations v_p(c) + k/N (their fractional parts k/N differ), the
+minimum in the valuation formula is attained exactly once, and no
+cancellation can hide it.  The representation with least N is unique.  This
+is what makes the sparse form a faithful model of the complete field for
+every question asked here.
+
+A :class:`FieldContext` fixes p, and a ramification index e that is only the
+input and output format: vectors of e rationals over pi = p**(1/e).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -25,22 +33,6 @@ class DivisionByZero(ZeroDivisionError):
 
 class NegativeValuation(ValueError):
     """Residue asked of an element outside the valuation ring."""
-
-
-class NotRepresentable(ValueError):
-    """A valuation does not lie in the value group (1/e)Z.
-
-    Carries ``needed_e``: the least enlargement of e (a multiple of the
-    current one) whose value group contains the offending rational.
-    """
-
-    def __init__(self, q, current_e, needed_e):
-        self.q = q
-        self.current_e = current_e
-        self.needed_e = needed_e
-        super().__init__(
-            f"valuation {q} is not in (1/{current_e})Z; enlarge e to {needed_e}"
-        )
 
 
 def _is_prime(n):
@@ -59,6 +51,11 @@ def vp(q, p):
     q = Fraction(q)
     if q == 0:
         return None
+    return _vp(q, p)
+
+
+def _vp(q, p):
+    # q a nonzero Fraction
     n, d = q.numerator, q.denominator
     k = 0
     while n % p == 0:
@@ -81,7 +78,7 @@ class Valuation:
     __slots__ = ("q",)
 
     def __init__(self, q=None):
-        self.q = None if q is None else Fraction(q)
+        self.q = q if q is None or type(q) is Fraction else Fraction(q)
 
     @classmethod
     def infinite(cls):
@@ -92,30 +89,31 @@ class Valuation:
         return self.q is None
 
     def _coerce(self, other):
+        # the rational another value or number stands for (None: infinity)
         if isinstance(other, Valuation):
-            return other
-        return Valuation(other)
+            return other.q
+        return other if isinstance(other, (int, Fraction)) else Fraction(other)
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            q = self._coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.q == other.q
+        return self.q == q
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if self.q is None:
-            return False
-        if other.q is None:
-            return True
-        return self.q < other.q
+        q = self._coerce(other)
+        return self.q is not None and (q is None or self.q < q)
+
+    def __gt__(self, other):
+        q = self._coerce(other)
+        return q is not None and (self.q is None or self.q > q)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.q is None or other.q is None:
+        q = self._coerce(other)
+        if self.q is None or q is None:
             return Valuation.infinite()
-        return Valuation(self.q + other.q)
+        return Valuation(self.q + q)
 
     __radd__ = __add__
 
@@ -152,10 +150,11 @@ def parse_rat(s):
 
 
 class FieldContext:
-    """The field K = Q_p(pi) with pi**e == p.
+    """The tower over Q_p, with a ramification index e for the dense format.
 
-    Holds p (prime) and e (ramification index of the chosen extension) and
-    acts as element factory.  Contexts with the same (p, e) are
+    Holds p (prime) and acts as element factory.  Arithmetic never depends
+    on e: it only fixes how elements are read and printed, as vectors of e
+    rationals over pi = p**(1/e).  Contexts with the same (p, e) are
     interchangeable.
     """
 
@@ -190,165 +189,125 @@ class FieldContext:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coefficients, got {len(cs)}")
-        cs += [Fraction(0)] * (self.e - len(cs))
-        return Element(self, tuple(cs))
+        return _reduced(self, self.e, [(i, c) for i, c in enumerate(cs) if c])
 
     def from_rational(self, q):
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return Element(self, 1, ((0, q),) if q else ())
 
     def zero(self):
-        return self.from_rational(0)
+        return Element(self, 1, ())
 
     def one(self):
-        return self.from_rational(1)
+        return Element(self, 1, ((0, Fraction(1)),))
 
     def pi(self):
-        """The uniformizer of this context (p itself when e == 1)."""
+        """The uniformizer p**(1/e) of the dense format (p itself when e == 1)."""
         return self.uniformizer_power(Fraction(1, self.e))
 
     def uniformizer_power(self, q):
-        """The canonical element p**a * pi**b of valuation q = a + b/e.
-
-        Raises NotRepresentable when q*e is not an integer, with the least
-        sufficient enlargement of e attached.
-        """
+        """The canonical element p**q of valuation q, for any rational q."""
         q = Fraction(q)
-        t = q * self.e
-        if t.denominator != 1:
-            needed = self.e * t.denominator
-            raise NotRepresentable(q, self.e, needed)
-        t = t.numerator
-        b = t % self.e
-        a = (t - b) // self.e
-        coeffs = [Fraction(0)] * self.e
-        coeffs[b] = Fraction(self.p) ** a
-        return Element(self, tuple(coeffs))
+        a, k = divmod(q.numerator, q.denominator)
+        return Element(self, q.denominator, ((k, Fraction(self.p) ** a),))
 
     def element_from_strings(self, strings):
         return self.element([parse_rat(s) for s in strings])
 
-    # -- moving to a bigger field --------------------------------------
-
     def enlarged(self, new_e):
+        """The context whose dense format has e' = new_e, a multiple of e."""
         new_e = int(new_e)
         if new_e % self.e != 0:
             raise ValueError(f"new e {new_e} must be a multiple of {self.e}")
         return FieldContext(self.p, new_e)
 
-    def embed(self, x, new_ctx):
-        """Re-express x in a context with e' a multiple of e (same p)."""
-        if new_ctx.p != self.p:
-            raise ValueError("cannot embed between different primes")
-        if new_ctx.e % self.e != 0:
-            raise ValueError(f"e'={new_ctx.e} is not a multiple of e={self.e}")
-        k = new_ctx.e // self.e
-        coeffs = [Fraction(0)] * new_ctx.e
-        for i, c in enumerate(x.coeffs):
-            coeffs[i * k] = c
-        return Element(new_ctx, tuple(coeffs))
 
-
-def _poly_divmod_q(a, b):
-    # divmod in Q[X]; a, b are lists of Fractions, b != 0
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
+def _reduced(ctx, n, terms):
+    """Element from sorted nonzero terms (k, c) over p**(1/n), with n made least."""
+    g = n
+    for k, _ in terms:
+        if g == 1:
             break
-        c = a[-1] / lb
-        k = len(a) - 1 - db
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[i + k] -= c * bi
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
+        g = gcd(g, k)
+    if g > 1:
+        n //= g
+        terms = [(k // g, c) for k, c in terms]
+    return Element(ctx, n, tuple(terms))
 
 
-def _poly_xgcd_q(a, b):
-    # extended euclid in Q[X]: returns (g, s, t) with s*a + t*b = g
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-
-    def _mul(u, v):
-        out = [Fraction(0)] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] += ui * vj
-        return out or [Fraction(0)]
-
-    def _sub(u, v):
-        out = [Fraction(0)] * max(len(u), len(v))
-        for i, ui in enumerate(u):
-            out[i] += ui
-        for i, vi in enumerate(v):
-            out[i] -= vi
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
-    while any(r1):
-        q, r = _poly_divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1))
-        t0, t1 = t1, _sub(t0, _mul(q, t1))
-    return r0, s0, t0
+def _combine(x, y, negate):
+    """x + y, or x - y when negate."""
+    if x.n == 1 and y.n == 1:
+        if not y.terms:
+            return x
+        c = -y.terms[0][1] if negate else y.terms[0][1]
+        if x.terms:
+            c = x.terms[0][1] + c
+        return Element(x.ctx, 1, ((0, c),) if c else ())
+    n = lcm(x.n, y.n)
+    sx, sy = n // x.n, n // y.n
+    acc = {k * sx: c for k, c in x.terms}
+    for k, c in y.terms:
+        k *= sy
+        if negate:
+            c = -c
+        acc[k] = acc[k] + c if k in acc else c
+    return _reduced(x.ctx, n, sorted(kc for kc in acc.items() if kc[1]))
 
 
 class Element:
-    """An exact element of K, as coefficients over the basis 1, pi, ..., pi**(e-1)."""
+    """An exact element of the tower: the sum of c * p**(k/n) over its terms.
 
-    __slots__ = ("ctx", "coeffs")
+    ``terms`` is a tuple of pairs (k, c), sorted by k, with 0 <= k < n and
+    every c a nonzero Fraction; ``n`` is the least denominator the exponents
+    need (1 for a rational).  Both are canonical, so equality compares them.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "n", "terms")
+
+    def __init__(self, ctx, n, terms):
         self.ctx = ctx
-        self.coeffs = coeffs  # tuple of Fractions, length e
+        self.n = n
+        self.terms = terms
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms
 
     def is_unit(self):
         return self.val() == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (
+            self.n == other.n
+            and self.terms == other.terms
+            and self.ctx.p == other.ctx.p
+        )
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.n, self.terms))
 
     # -- valuation and residue ------------------------------------------
 
     def val(self):
-        """The valuation: min over i of v_p(c_i) + i/e (infinite for 0).
+        """The valuation: min over terms of v_p(c) + k/n (infinite for 0).
 
         The minimum is attained exactly once because the fractional parts
-        i/e are pairwise distinct for 0 <= i < e.
+        k/n are pairwise distinct for 0 <= k < n.
         """
+        p, n = self.ctx.p, self.n
         best = None
-        p, e = self.ctx.p, self.ctx.e
-        for i, c in enumerate(self.coeffs):
-            k = vp(c, p)
-            if k is None:
-                continue
-            v = Fraction(k) + Fraction(i, e)
+        for k, c in self.terms:
+            v = _vp(c, p) * n + k
             if best is None or v < best:
                 best = v
-        return Valuation.infinite() if best is None else Valuation(best)
+        return Valuation.infinite() if best is None else Valuation(Fraction(best, n))
 
     def residue(self):
         """Image in F_p = residue field, for elements of valuation >= 0."""
@@ -357,8 +316,8 @@ class Element:
             raise NegativeValuation(f"element has valuation {v} < 0")
         if v > 0:
             return 0
-        # only the i = 0 coefficient can have valuation exactly 0
-        c = self.coeffs[0]
+        # only the k = 0 term can have valuation exactly 0
+        c = self.terms[0][1]
         p = self.ctx.p
         num = c.numerator % p
         den = c.denominator % p
@@ -367,75 +326,85 @@ class Element:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other):
+        if isinstance(other, Element):
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
+                raise ValueError("elements belong to different field contexts")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.from_rational(other)
-        if not isinstance(other, Element):
-            raise TypeError(f"cannot combine Element with {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise ValueError("elements belong to different field contexts")
-        return other
+        raise TypeError(f"cannot combine Element with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._check(other)
-        return Element(
-            self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _combine(self, self._check(other), False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.ctx, tuple(-a for a in self.coeffs))
+        return Element(self.ctx, self.n, tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other):
-        other = self._check(other)
-        return Element(
-            self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _combine(self, self._check(other), True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._check(other)
-        e, p = self.ctx.e, self.ctx.p
-        if e == 1:
-            return Element(self.ctx, (self.coeffs[0] * other.coeffs[0],))
-        # convolution, then fold pi**(e+k) = p * pi**k
-        out = [Fraction(0)] * e
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k >= e:
-                    out[k - e] += a * b * p
-                else:
-                    out[k] += a * b
-        return Element(self.ctx, tuple(out))
+        a, b, ctx = self.terms, other.terms, self.ctx
+        if not a or not b:
+            return ctx.zero()
+        if self.n == 1 and other.n == 1:
+            return Element(ctx, 1, ((0, a[0][1] * b[0][1]),))
+        p = ctx.p
+        n = lcm(self.n, other.n)
+        sa, sb = n // self.n, n // other.n
+        acc = {}
+        for i, c in a:
+            for j, d in b:
+                k, cd = i * sa + j * sb, c * d
+                if k >= n:
+                    k, cd = k - n, cd * p
+                acc[k] = acc[k] + cd if k in acc else cd
+        return _reduced(ctx, n, sorted(kc for kc in acc.items() if kc[1]))
 
     __rmul__ = __mul__
 
     def scale(self, q):
-        """Multiply by a plain rational (cheap path, no convolution)."""
+        """Multiply by a plain rational (cheap path, exponents unchanged)."""
         q = Fraction(q)
-        return Element(self.ctx, tuple(c * q for c in self.coeffs))
+        if not q:
+            return self.ctx.zero()
+        return Element(self.ctx, self.n, tuple((k, c * q) for k, c in self.terms))
 
     def inverse(self):
-        if self.is_zero():
+        terms, n, p = self.terms, self.n, self.ctx.p
+        if not terms:
             raise DivisionByZero("inverse of zero")
-        e, p = self.ctx.e, self.ctx.p
-        if e == 1:
-            return Element(self.ctx, (1 / self.coeffs[0],))
-        # invert modulo the minimal polynomial X**e - p via extended euclid
-        modulus = [Fraction(-p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
-        g, s, _ = _poly_xgcd_q(list(self.coeffs), modulus)
-        # X**e - p is irreducible (Eisenstein), so g is a nonzero constant
-        c = g[0]
-        inv = [si / c for si in s]
-        inv += [Fraction(0)] * (e - len(inv))
-        return Element(self.ctx, tuple(inv[:e]))
+        if len(terms) == 1:
+            ((k, c),) = terms
+            if k == 0:
+                return Element(self.ctx, n, ((0, 1 / c),))
+            return Element(self.ctx, n, ((n - k, 1 / (c * p)),))
+        # solve x * y = 1 by Gauss-Jordan; row i of the matrix of x over the
+        # basis p**(j/n) is the coefficient of p**(i/n) in x * p**(j/n)
+        a = [Fraction(0)] * n
+        for k, c in terms:
+            a[k] = c
+        rows = [
+            [a[i - j] if j <= i else a[i - j + n] * p for j in range(n)] + [Fraction(i == 0)]
+            for i in range(n)
+        ]
+        for col in range(n):
+            # the matrix is invertible because x != 0 in a field
+            pivot = next(r for r in range(col, n) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            top = [v / rows[col][col] for v in rows[col]]
+            rows[col] = top
+            for r in range(n):
+                f = rows[r][col]
+                if r != col and f:
+                    rows[r] = [v - f * w for v, w in zip(rows[r], top)]
+        return _reduced(self.ctx, n, [(k, row[n]) for k, row in enumerate(rows) if row[n]])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -462,20 +431,27 @@ class Element:
     # -- presentation ----------------------------------------------------
 
     def to_strings(self):
-        return [fmt_rat(c) for c in self.coeffs]
+        """The dense format: e rationals, the coefficients of pi**i."""
+        e = self.ctx.e
+        if e % self.n:
+            raise ValueError(f"{self!r} is not in Q_{self.ctx.p}(p^(1/{e}))")
+        out = ["0"] * e
+        for k, c in self.terms:
+            out[k * (e // self.n)] = fmt_rat(c)
+        return out
 
     def __repr__(self):
-        e = self.ctx.e
-        if e == 1 or all(c == 0 for c in self.coeffs[1:]):
-            return fmt_rat(self.coeffs[0])
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        if self.n == 1:
+            return fmt_rat(self.terms[0][1]) if self.terms else "0"
+        e, parts = self.ctx.e, []
+        for k, c in self.terms:
+            if k == 0:
+                parts.append(fmt_rat(c))
                 continue
-            if i == 0:
-                terms.append(fmt_rat(c))
-            elif i == 1:
-                terms.append(f"({fmt_rat(c)})*pi")
+            if e % self.n:
+                power = f"p^({k}/{self.n})"
             else:
-                terms.append(f"({fmt_rat(c)})*pi^{i}")
-        return " + ".join(terms) if terms else "0"
+                i = k * (e // self.n)
+                power = "pi" if i == 1 else f"pi^{i}"
+            parts.append(f"({fmt_rat(c)})*{power}")
+        return " + ".join(parts)

@@ -140,8 +140,8 @@ def antiderivative(f):
 
 def translate(f, b):
     """f(X + b) by Horner; cheap when b is a field element of small support."""
-    if not f:
-        return []
+    if not f or not b:
+        return trim(f)
     ctx = f[0].ctx
     out = [f[-1]]
     for c in reversed(f[:-1]):
@@ -185,10 +185,8 @@ def primitive(f, ctx):
     """(f / u, v) where u is the canonical uniformizer power of content valuation v.
 
     The result has content valuation exactly 0, so it reduces to a nonzero
-    polynomial mod the maximal ideal.  Raises NotRepresentable (from the
-    field layer) when the content valuation is not in the value group —
-    cannot happen for polynomials whose coefficients are honest elements —
-    and ZeroPolynomial for the zero polynomial.
+    polynomial mod the maximal ideal.  Raises ZeroPolynomial for the zero
+    polynomial.
     """
     if not f:
         raise ZeroPolynomial("zero polynomial has no primitive part")

@@ -14,7 +14,13 @@ different mathematics.
 Conventions.  A "track" is a pair (label, branch value); its carried
 polynomial V always has content 0, so its reduction is a nonzero polynomial
 over F_p whose degree equals the number of fiber points (with multiplicity)
-in the current closed disc.  Every blow-up is centered at an F_p-rational
+in the current closed disc.  A track also carries the critical points of its
+fiber that lie in the disc, in the disc's coordinate: a fiber point of
+multiplicity m >= 2 is exactly such a critical point of index m, so the
+distinct points in a disc are the Newton root count less the sum of (m - 1)
+over the critical points inside it, and no gcd over the field is needed.
+Radii are arbitrary rationals (the field layer has no fixed e), so one pass
+separates everything.  Every blow-up is centered at an F_p-rational
 residue; a repeated residual root outside F_p is reported as an error rather
 than silently mishandled (ResidualRootOutsideFp) — it cannot arise for
 covers whose critical points are rational.
@@ -24,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import fppoly, kpoly, newton
-from .cover import Cover, CriticalDivisor, branch_data, branch_label
+from .cover import branch_data, branch_label
 from .dualgraph import DualGraphPair, VerticalMap
-from .field import FieldContext, NotRepresentable, fmt_rat
+from .field import fmt_rat
 
 
 class OracleError(Exception):
@@ -75,6 +82,7 @@ class _Node:
         "parent",
         "thickness",
         "tracks",
+        "points",
         "m",
         "down_rep",
         "down_radius",
@@ -83,11 +91,12 @@ class _Node:
         "kind",
     )
 
-    def __init__(self, name, parent, thickness, tracks, m, down_rep, down_radius):
+    def __init__(self, name, parent, thickness, tracks, points, m, down_rep, down_radius):
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
         self.tracks = tracks  # label -> primitive kpoly coefficients
+        self.points = points  # label -> ((x, m), ...) critical points in the disc
         self.m = m  # local degree of the cover on this disc
         self.down_rep = down_rep  # a branch value inside the image disc
         self.down_radius = down_radius  # Fraction, radius of the image disc
@@ -147,7 +156,7 @@ class OracleResult:
     model: DualGraphPair
     stages: tuple
     blowups: int
-    e: int  # ramification index the computation finally ran at
+    e: int  # lcm of the cover's e and the denominators of the stage radii
     labels: tuple
 
     def trace_json(self):
@@ -182,15 +191,18 @@ def fundamental_model(cover, tracks=None):
     state = ModelState(cover, tracks)
     p = cover.ctx.p
     beta = cover.beta_list()
-    carried = {}
+    critical = [(x, m, cover.value_at(x)) for x, m in cover.critical.points]
+    carried, points = {}, {}
     for label, lam in tracks:
         if lam.val() < 0:
             raise NotIntegralCover(f"branch value {label} is not integral")
         prim, content = kpoly.primitive(kpoly.sub(beta, [lam]), cover.ctx)
-        assert content == 0, "beta - lambda is monic integral, content must be 0"
+        if content != 0:
+            raise OracleError(f"fiber {label}: beta - lambda has content {content}, not 0")
         carried[label] = prim
+        points[label] = tuple((x, m) for x, m, value in critical if value == lam)
     rep = state.track_values[min(state.track_values)]
-    root = _Node("C", None, None, carried, p, rep, Fraction(0))
+    root = _Node("C", None, None, carried, points, p, rep, Fraction(0))
     root.marks.append(("inf", p))
     state.nodes["C"] = root
     return state
@@ -205,29 +217,37 @@ class BlowUpStep:
     """Result of a single explicit blow-up at a rational residue."""
 
     tracks: dict  # label -> carried polynomial on the child disc
+    points: dict  # label -> critical points in the child disc, its coordinate
     nu: Fraction
     m: int
     k: int
     participants: tuple
 
 
-def _distinct_in_disc(g):
-    """Distinct roots of strictly positive valuation, by squarefree count."""
+def _repeated(points, lift):
+    """Sum of (m - 1) over the critical points in the open disc at lift."""
+    return sum(m - 1 for x, m in points if (x - lift).val() > 0)
+
+
+def _distinct_in_disc(g, points, lift):
+    """Distinct roots of strictly positive valuation, and all of them.
+
+    ``g`` is a track translated to ``lift``, ``points`` the track's critical
+    points before the translation.
+    """
     total = newton.positive_root_count(g)
-    if total == 0:
-        return 0, 0
-    repeated = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
-    return total - repeated, total
+    return total - _repeated(points, lift), total
 
 
-def blow_up(ctx, tracks, residue, nu=None):
+def blow_up(ctx, tracks, points, residue, nu=None):
     """Blow up the unit disc at an F_p-rational residue, rescaling every track.
 
-    ``tracks`` maps labels to primitive polynomials on the current disc; the
-    residue must be a root of at least one of their reductions (CenterNotRoot
-    otherwise).  When ``nu`` is omitted the increment is the smallest radius
-    at which anything separates, read off the Newton polygons.  Only the
-    tracks with points at the residue are carried into the child.
+    ``tracks`` maps labels to primitive polynomials on the current disc and
+    ``points`` to their critical points; the residue must be a root of at
+    least one of the reductions (CenterNotRoot otherwise).  When ``nu`` is
+    omitted the increment is the smallest radius at which anything separates,
+    read off the Newton polygons.  Only the tracks with points at the residue
+    are carried into the child, with the critical points inside it.
     """
     p = ctx.p
     wbar = residue % p
@@ -246,8 +266,12 @@ def blow_up(ctx, tracks, residue, nu=None):
     for label in sorted(mults):
         g = kpoly.translate(tracks[label], lift)
         shifted[label] = g
-        distinct, total = _distinct_in_disc(g)
-        assert total == mults[label], "polygon count disagrees with residual multiplicity"
+        distinct, total = _distinct_in_disc(g, points[label], lift)
+        if total != mults[label]:
+            raise OracleError(
+                f"fiber {label} at residue {wbar}: {total} roots in the disc by the "
+                f"Newton polygon, {mults[label]} by the residual multiplicity"
+            )
         k += distinct
         v = newton.min_positive_root_valuation(g)
         if v is not None and (best is None or v < best):
@@ -267,13 +291,19 @@ def blow_up(ctx, tracks, residue, nu=None):
     nu = Fraction(nu)
     if nu <= 0:
         raise ValueError("blow-up increment must be positive")
-    scale = ctx.uniformizer_power(nu)  # may raise NotRepresentable
-    carried = {}
+    scale, unscale = ctx.uniformizer_power(nu), ctx.uniformizer_power(-nu)
+    carried, inside = {}, {}
     for label in sorted(mults):
         prim, content = kpoly.primitive(kpoly.scale_arg(shifted[label], scale), ctx)
-        assert content == m * nu, "image radius increment must be m * nu"
+        if content != m * nu:
+            raise OracleError(
+                f"fiber {label} at residue {wbar}: image radius increment {content}, "
+                f"not m * nu = {m * nu}"
+            )
         carried[label] = prim
-    return BlowUpStep(carried, nu, m, k, tuple(sorted(mults)))
+        moved = [(x - lift, mx) for x, mx in points[label]]
+        inside[label] = tuple((d * unscale, mx) for d, mx in moved if d.val() >= nu)
+    return BlowUpStep(carried, inside, nu, m, k, tuple(sorted(mults)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +364,7 @@ def _set_kind(node, ctx):
 def separate_fibers(cover, tracks=None, max_stages=2048):
     """Blow up until every fiber point sits alone, and return the full state.
 
-    Raises NotRepresentable when a required radius falls outside the value
-    group (callers enlarge the field and retry — see run_oracle), and
-    NonTermination if the stage budget is exhausted.
+    Raises NonTermination if the stage budget is exhausted.
     """
     state = fundamental_model(cover, tracks)
     ctx = state.ctx
@@ -352,16 +380,16 @@ def separate_fibers(cover, tracks=None, max_stages=2048):
         }
         for wbar in sorted(table):
             parts = table[wbar]
-            distinct_total = 0
-            for label in sorted(parts):
-                g = kpoly.translate(node.tracks[label], ctx.from_rational(Fraction(wbar)))
-                distinct, _total = _distinct_in_disc(g)
-                distinct_total += distinct
+            # a residual root of multiplicity t is t fiber points in the disc
+            lift = ctx.from_rational(Fraction(wbar))
+            distinct_total = sum(
+                t - _repeated(node.points[label], lift) for label, t in parts.items()
+            )
             if distinct_total == 1:
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            step = blow_up(ctx, node.tracks, wbar, None)
+            step = blow_up(ctx, node.tracks, node.points, wbar, None)
             state.blowups += 1
             if state.blowups > max_stages:
                 raise NonTermination(
@@ -374,6 +402,7 @@ def separate_fibers(cover, tracks=None, max_stages=2048):
                 node.name,
                 step.nu,
                 step.tracks,
+                step.points,
                 step.m,
                 rep,
                 node.down_radius + step.m * step.nu,
@@ -429,7 +458,10 @@ def _contract(state):
         if node.marks or len(node.children) != 1:
             continue
         child = state.nodes[node.children[0]]
-        assert child.m == node.m, "local degree must be constant along a chain"
+        if child.m != node.m:
+            raise OracleError(
+                f"local degree {node.m} on {name} but {child.m} on its only child"
+            )
         child.thickness = child.thickness + node.thickness
         child.parent = node.parent
         parent = state.nodes[node.parent]
@@ -578,42 +610,23 @@ def assemble_model(state):
 
 
 # ---------------------------------------------------------------------------
-# the retry harness
+# the whole run
 
 
-def _embed_cover(cover, tracks, new_e):
-    old = cover.ctx
-    ctx = old.enlarged(new_e)
-    beta = [old.embed(c, ctx) for c in cover.beta_list()]
-    points = tuple((old.embed(x, ctx), m) for x, m in cover.critical.points)
-    embedded = Cover.from_beta(beta, CriticalDivisor(points, ctx.p), ctx)
-    return embedded, [(label, old.embed(lam, ctx)) for label, lam in tracks]
+def run_oracle(cover, max_stages=2048):
+    """Separate all fibers in one pass and assemble the model.
 
-
-def run_oracle(cover, max_stages=2048, max_enlargements=8):
-    """Separate all fibers, enlarging the field whenever a radius demands it.
-
-    Labels are fixed once, from the cover as given, so they stay comparable
-    with the classifier's even after the computation moves to a bigger field.
+    Labels are fixed from the cover as given, so they stay comparable with
+    the classifier's.  The reported e is the least ramification index over
+    which the cover and every blow-up radius are defined.
     """
     tracks = _default_tracks(cover)
-    labels = tuple(label for label, _ in tracks)
-    current, current_tracks = cover, tracks
-    for _ in range(max_enlargements + 1):
-        try:
-            state = separate_fibers(current, current_tracks, max_stages)
-        except NotRepresentable as exc:
-            current, current_tracks = _embed_cover(current, current_tracks, exc.needed_e)
-            continue
-        model = assemble_model(state)
-        return OracleResult(
-            model=model,
-            stages=tuple(state.stages),
-            blowups=state.blowups,
-            e=state.ctx.e,
-            labels=labels,
-        )
-    raise OracleError(
-        f"field enlarged {max_enlargements} times without all radii becoming "
-        f"representable; giving up"
+    state = separate_fibers(cover, tracks, max_stages)
+    model = assemble_model(state)
+    return OracleResult(
+        model=model,
+        stages=tuple(state.stages),
+        blowups=state.blowups,
+        e=lcm(cover.ctx.e, *(stage.nu.denominator for stage in state.stages)),
+        labels=tuple(label for label, _ in tracks),
     )

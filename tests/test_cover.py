@@ -9,6 +9,7 @@ from padicover.cover import (
     InvalidDivisor,
     NeedsExtension,
     NotEnoughBranchPoints,
+    _rational_pth_root,
     branch_data,
     cover_from_json,
     from_critical_divisor,
@@ -168,6 +169,13 @@ def test_normalize_rescales_pth_power_to_one():
     assert sorted(bp.profile for bp in branch_data(res.cover).branch) == sorted(
         bp.profile for bp in branch_data(c).branch
     )
+
+
+def test_rational_pth_root_is_exact_beyond_float_range():
+    assert _rational_pth_root(Fraction(7**400), 5) == 7**80
+    assert _rational_pth_root(Fraction(-(3**500), 2**50), 5) == Fraction(-(3**100), 2**10)
+    assert _rational_pth_root(Fraction(7**400 + 1), 5) is None
+    assert _rational_pth_root(Fraction(32, 243), 5) == Fraction(2, 3)
 
 
 def test_normalize_single_branch_value():

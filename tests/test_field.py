@@ -8,7 +8,6 @@ from padicover.field import (
     DivisionByZero,
     FieldContext,
     NegativeValuation,
-    NotRepresentable,
     Valuation,
     fmt_rat,
     parse_rat,
@@ -101,28 +100,37 @@ def test_residue_is_ring_homomorphism():
 
 
 def test_uniformizer_power_exact():
+    # every rational is a valuation, whatever the context's e
     K = FieldContext(5, 4)
     for num in range(-8, 9):
-        q = Fraction(num, 4)
-        u = K.uniformizer_power(q)
-        assert u.val() == q
-    with pytest.raises(NotRepresentable) as info:
-        K.uniformizer_power(Fraction(1, 6))
-    assert info.value.needed_e == 12
-    # the advice names the smallest multiple of e that works
-    assert "enlarge e to 12" in str(info.value)
+        for den in (1, 4, 6, 35):
+            q = Fraction(num, den)
+            u = K.uniformizer_power(q)
+            assert u.val() == q
+            assert u * K.uniformizer_power(-q) == K.one()
+    assert K.uniformizer_power(Fraction(1, 6)) ** 6 == K.from_rational(5)
+    assert K.uniformizer_power(Fraction(3, 4)) == K.pi() ** 3
+
+
+def _spread(strings, k):
+    """A dense vector over pi as one over a k-th root of pi."""
+    out = ["0"] * (k * len(strings))
+    out[::k] = strings
+    return out
 
 
 def test_embedding_preserves_arithmetic():
+    # the e = 2 vector spread over e' = 6 names the same element
     K = FieldContext(5, 2)
     L = K.enlarged(6)
     rng = random.Random(11)
     for _ in range(100):
         x, y = random_element(rng, K), random_element(rng, K)
-        ex, ey = K.embed(x, L), K.embed(y, L)
-        assert ex.val() == x.val()
-        assert K.embed(x * y, L) == ex * ey
-        assert K.embed(x + y, L) == ex + ey
+        lx = L.element_from_strings(_spread(x.to_strings(), 3))
+        ly = L.element_from_strings(_spread(y.to_strings(), 3))
+        assert lx == x and lx.val() == x.val()
+        assert (lx * ly).to_strings() == _spread((x * y).to_strings(), 3)
+        assert (lx + ly).to_strings() == _spread((x + y).to_strings(), 3)
     with pytest.raises(ValueError):
         K.enlarged(5)
 
@@ -158,3 +166,35 @@ def test_pow_matches_repeated_mul():
     assert x**0 == K.one()
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inverse()
+
+
+# sparse elements mixing the denominators N of their exponents
+MIXED = FieldContext(5, 12)
+
+
+@st.composite
+def mixed_elements(draw):
+    x = MIXED.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        q = Fraction(draw(st.integers(-2 * n, 3 * n)), n)
+        c = draw(st.fractions(min_value=-60, max_value=60, max_denominator=30))
+        x = x + MIXED.uniformizer_power(q).scale(c)
+    return x
+
+
+@given(mixed_elements(), mixed_elements())
+def test_mixed_denominators_valuation_is_multiplicative(x, y):
+    assert (x * y).val() == x.val() + y.val()
+
+
+@given(mixed_elements())
+def test_mixed_denominators_inverse(x):
+    if x.is_zero():
+        return
+    assert x * x.inverse() == MIXED.one()
+
+
+@given(mixed_elements())
+def test_mixed_denominators_dense_roundtrip(x):
+    assert MIXED.element_from_strings(x.to_strings()) == x

@@ -1,9 +1,11 @@
 """Blow-up engine: agreement with the classifier and its failure modes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from padicover import kpoly, newton, oracle, planted
 from padicover.classifier import classify_cover
 from padicover.cover import from_critical_divisor
 from padicover.field import FieldContext
@@ -11,6 +13,7 @@ from padicover.oracle import (
     CenterNotRoot,
     NonTermination,
     NotIntegralCover,
+    OracleError,
     ResidualRootOutsideFp,
     _Node,
     _residual_table,
@@ -53,7 +56,7 @@ def test_good_reduction_star_agrees_with_classifier():
     cover = rational_cover(5, [(0, 3), (1, 2), (2, 2)])
     result, _ = assert_agrees(cover)
     assert result.blowups == 3
-    # arms need radii 1/2, 1/3, 1/3; the field is enlarged on demand to e = 6
+    # arms need radii 1/2, 1/3, 1/3, so the reported e is their lcm 6
     assert result.e == 6
     assert result.model.vertical["C"].kind == "inseparable"
     for name, vm in result.model.vertical.items():
@@ -82,7 +85,7 @@ def test_tail_far_regime_agrees():
     )
     result, _ = assert_agrees(cover)
     assert result.blowups == 4
-    # junction at 1/2, profile arms at 1/4 and 1/6: ladder of enlargements to 12
+    # junction at 1/2, profile arms at 1/4 and 1/6: the reported e is 12
     assert result.e == 12
 
 
@@ -133,14 +136,14 @@ def test_blow_up_rejects_a_center_that_is_not_a_root():
     cover = rational_cover(5, [(0, 5)])
     state = fundamental_model(cover)
     with pytest.raises(CenterNotRoot, match="not a root"):
-        blow_up(state.ctx, state.root.tracks, 3)
+        blow_up(state.ctx, state.root.tracks, state.root.points, 3)
 
 
 def test_blow_up_rejects_a_center_where_nothing_separates():
     cover = rational_cover(5, [(0, 5)])
     state = fundamental_model(cover)
     with pytest.raises(CenterNotRoot, match="nothing separates"):
-        blow_up(state.ctx, state.root.tracks, 0)
+        blow_up(state.ctx, state.root.tracks, state.root.points, 0)
 
 
 def test_non_integral_cover_is_refused():
@@ -153,7 +156,7 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root
     ctx = FieldContext(5, 1)
     poly = [ctx.from_rational(Fraction(c)) for c in (4, 5, -4, 0, 1)]
-    node = _Node("C", None, None, {"a": poly}, 4, ctx.zero(), Fraction(0))
+    node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, ctx.zero(), Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
         _residual_table(node, ctx)
 
@@ -174,3 +177,37 @@ def test_every_stage_scales_the_image_by_the_local_degree():
     data = result.trace_json()
     assert [s["node"] for s in data] == [s.node for s in result.stages]
     assert all(set(s) >= {"node", "nu", "m", "k", "participants"} for s in data)
+
+
+def test_blow_up_past_the_separating_radius_is_a_typed_error():
+    # the junction of this cover separates at nu = 1; nu = 2 overshoots, so
+    # the image radius is not m * nu (a check that survives python -O)
+    cover = rational_cover(5, [(5, 3), (0, 2), (-1, 2)])
+    state = fundamental_model(cover)
+    with pytest.raises(OracleError, match="image radius increment"):
+        blow_up(state.ctx, state.root.tracks, state.root.points, 0, nu=2)
+
+
+def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
+    # distinct points in a disc, from carried critical points, against the
+    # positive roots of gcd(g, g') over the field
+    compared = []
+    count = oracle._distinct_in_disc
+
+    def checked(g, points, lift):
+        distinct, total = count(g, points, lift)
+        squarefree = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
+        assert distinct == total - squarefree
+        compared.append(distinct)
+        return distinct, total
+
+    monkeypatch.setattr(oracle, "_distinct_in_disc", checked)
+    rng = random.Random(3)
+    covers = [inst.cover for inst in planted.suite()]
+    covers += [planted.random_integral_cover(rng, p) for p in (5, 7) for _ in range(10)]
+    for cover in covers:
+        try:
+            run_oracle(cover)
+        except ResidualRootOutsideFp:
+            pass
+    assert len(compared) > len(covers)
