@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import Valuation, fmt_rat
+from .field import fmt_rat
 
 
 class AllPointsCoalesce(ValueError):
@@ -77,20 +77,6 @@ class MetricTree:
             raise VertexNotFound(f"{child_name!r} is the root; no parent edge")
         return child.depth - self.node(child.parent).depth
 
-    def distance(self, a, b):
-        """Path-length metric between two vertices."""
-        na, nb = self.node(a), self.node(b)
-        ancestors = {}
-        cur = na
-        while cur is not None:
-            ancestors[cur.name] = cur.depth
-            cur = self.nodes[cur.parent] if cur.parent else None
-        cur = nb
-        while cur.name not in ancestors:
-            cur = self.nodes[cur.parent]
-        lca_depth = ancestors[cur.name]
-        return (na.depth - lca_depth) + (nb.depth - lca_depth)
-
     def to_json(self):
         out = []
         for name in sorted(self.nodes, key=_name_key):
@@ -101,23 +87,6 @@ class MetricTree:
                 entry["thickness"] = fmt_rat(self.thickness(n.name))
             out.append(entry)
         return {"vertices": out}
-
-    def to_dot(self):
-        lines = ["graph branch_tree {", "  node [shape=ellipse];"]
-        for name in sorted(self.nodes, key=_name_key):
-            n = self.nodes[name]
-            label = n.name
-            if n.marks:
-                label += "\\n" + ",".join(n.marks)
-            lines.append(f'  "{n.name}" [label="{label}"];')
-        for name in sorted(self.nodes, key=_name_key):
-            n = self.nodes[name]
-            if n.parent is not None:
-                w = fmt_rat(self.thickness(name))
-                lines.append(f'  "{n.parent}" -- "{n.name}" [label="{w}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def _name_key(name):
     return (len(name), name)
@@ -142,7 +111,7 @@ def _group(points, threshold):
     return groups
 
 
-def build_branch_tree(points, ctx=None):
+def build_branch_tree(points):
     """Cluster the marked points into the rooted metric tree.
 
     points: iterable of (label, Element), all with valuation >= 0 and
@@ -228,7 +197,3 @@ def classify_points(tree):
         simple=not offenders,
         offenders=tuple(offenders),
     )
-
-
-def is_simple_reduction(points, ctx=None):
-    return classify_points(build_branch_tree(points, ctx)).simple

@@ -51,6 +51,10 @@ class ThresholdUndefined(ClassifierError):
         )
 
 
+class NonIntegralBranchValue(ClassifierError):
+    """A branch value lies outside the unit disc, so no residue is defined."""
+
+
 class NotSimpleReduction(ClassifierError):
     """Some residue cluster has more than two branch values."""
 
@@ -470,12 +474,14 @@ def classify_cover(cover):
     data = branch_data(cover)
     p = cover.ctx.p
     labeled = []
-    for i, bp in enumerate(data.branch):
-        if bp.value.val() < Fraction(0):
-            raise ClassifierError(
-                "branch values are not all integral; normalize the cover first"
+    for bp in data.branch:
+        label = _branch_label(bp.value)
+        if bp.value.val() < 0:
+            raise NonIntegralBranchValue(
+                f"branch value {label} is not integral; move the branch values "
+                "into the unit disc by a change of coordinates"
             )
-        labeled.append((_branch_label(bp.value), bp.value, bp.profile))
+        labeled.append((label, bp.value, bp.profile))
     if len(labeled) == 1:
         lbl, _, prof = labeled[0]
         return assemble(p, [(lbl, prof)], [])

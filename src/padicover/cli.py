@@ -42,6 +42,7 @@ from .branchtree import AllPointsCoalesce, build_branch_tree
 from .classifier import (
     ClassifierError,
     InvalidProfile,
+    NonIntegralBranchValue,
     NotSimpleReduction,
     ThresholdUndefined,
     admissible_partitions,
@@ -50,7 +51,7 @@ from .classifier import (
     pair_excess,
 )
 from .cover import branch_data, branch_label, cover_from_json
-from .field import fmt_rat, parse_rat
+from .field import FieldContext, fmt_rat, parse_rat
 from .kpoly import sub as kpoly_sub
 from .oracle import (
     NonTermination,
@@ -97,14 +98,17 @@ def _load_cover(path):
 def _load_profiles(path):
     doc = _read_json(path)
     try:
-        p = int(doc["p"])
+        p = FieldContext(doc["p"]).p  # the exact mode's check that p is prime
         specs = []
         for entry in doc["branch_points"]:
-            spec = {"name": str(entry["name"]), "profile": tuple(entry["profile"])}
+            profile = tuple(entry["profile"])
+            if not all(type(m) is int for m in profile):
+                raise SchemaError(f"{path}: profile parts must be integers, got {profile}")
+            spec = {"name": str(entry["name"]), "profile": profile}
             if "tail_with" in entry:
                 spec["tail_with"] = str(entry["tail_with"])
             if "epsilon" in entry:
-                spec["epsilon"] = Fraction(parse_rat(str(entry["epsilon"])))
+                spec["epsilon"] = parse_rat(entry["epsilon"])
             specs.append(spec)
     except SchemaError:
         raise
@@ -117,6 +121,11 @@ def _apply_pair_flags(specs, pair, epsilon, path):
     """--pair a,b and --epsilon override or install a colliding pair."""
     if pair is None and epsilon is None:
         return specs
+    if epsilon is not None:
+        try:
+            epsilon = parse_rat(epsilon)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"--epsilon {epsilon!r} is not a rational number") from exc
     by_name = {s["name"]: dict(s) for s in specs}
     if len(by_name) != len(specs):
         raise SchemaError(f"{path}: duplicate branch point names")
@@ -133,14 +142,14 @@ def _apply_pair_flags(specs, pair, epsilon, path):
         for s in by_name.values():
             s.pop("epsilon", None)
         by_name[names[0]]["tail_with"] = names[1]
-        by_name[names[0]]["epsilon"] = Fraction(epsilon)
+        by_name[names[0]]["epsilon"] = epsilon
     else:
         tails = [s for s in by_name.values() if "tail_with" in s or "epsilon" in s]
         if not tails:
             raise SchemaError("--epsilon given but the file declares no pair")
         for s in tails:
             if "epsilon" in s:
-                s["epsilon"] = Fraction(epsilon)
+                s["epsilon"] = epsilon
     return list(by_name.values())
 
 
@@ -468,6 +477,8 @@ def _build_parser():
 _ADVICE = {
     NotIntegralCover: "shift and scale coordinates until the polynomial has "
     "integral coefficients and p-th-power reduction, then retry",
+    NonIntegralBranchValue: "shift and scale coordinates until every branch "
+    "value is integral, then retry",
     ResidualRootOutsideFp: "the separating model needs an unramified extension "
     "of the residue field; this engine only lifts F_p-rational centers",
     NonTermination: "the blow-up budget ran out; the cover may be degenerate",

@@ -23,8 +23,7 @@ encodings is exactly label-respecting isomorphism of the pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .field import fmt_rat
 
@@ -254,17 +253,3 @@ class DualGraphPair:
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def diff_pairs(a, b):
-    """Human-readable first difference between two canonical encodings."""
-    ka, kb = a.canonical_key(), b.canonical_key()
-    if ka == kb:
-        return None
-    sections = ["downstairs tree", "upstairs tree", "partitions"]
-    for i, section in enumerate(sections):
-        if ka[i] != kb[i]:
-            return (
-                f"{section} differ:\n  left:  {ka[i]}\n  right: {kb[i]}"
-            )
-    return "encodings differ"

@@ -275,9 +275,6 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def is_unit(self):
-        return self.val() == 0
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -29,24 +29,6 @@ def is_zero(f):
     return not f
 
 
-def add(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return normalize(out, p)
-
-
-def sub(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return normalize(out, p)
-
-
 def scale(f, a, p):
     return normalize([c * a for c in f], p)
 
@@ -99,40 +81,6 @@ def deriv(f, p):
 
 def is_squarefree(f, p):
     return degree(gcd(f, deriv(f, p), p)) == 0
-
-
-def radical(f, p):
-    """Product of the distinct monic irreducible factors of f.
-
-    Multiplicities divisible by p make the naive f/gcd(f, f') trick fail
-    (the derivative kills exactly those factors), so they are peeled off as
-    literal p-th powers — over F_p a polynomial with zero derivative is
-    g(X**p) = g(X)**p coefficientwise — and handled recursively.
-    """
-    f = monic(normalize(f, p), p)
-    if not f:
-        raise ValueError("zero polynomial has no radical")
-    if degree(f) == 0:
-        return [1]
-    d = deriv(f, p)
-    if not d:
-        u = [f[i] for i in range(0, len(f), p)]
-        return radical(u, p)
-    g = gcd(f, d, p)
-    w, r = divmod_fp(f, g, p)  # the factors of tame multiplicity, each once
-    assert not r
-    rest = f
-    h = gcd(rest, w, p)
-    while degree(h) > 0:
-        rest, r = divmod_fp(rest, h, p)
-        assert not r
-        h = gcd(rest, w, p)
-    return mul(w, radical(rest, p), p)
-
-
-def squarefree_degree(f, p):
-    """Degree of the squarefree part (number of distinct roots in a splitting field)."""
-    return degree(radical(f, p))
 
 
 def eval_at(f, x, p):

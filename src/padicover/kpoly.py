@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fppoly
-from .field import Element, Valuation, fmt_rat
+from .field import Element, Valuation
 
 
 class ZeroPolynomial(ValueError):
@@ -38,10 +38,6 @@ def degree(f):
 
 def from_rationals(ctx, qs):
     return trim([ctx.from_rational(q) for q in qs])
-
-
-def constant(ctx, c):
-    return trim([c if isinstance(c, Element) else ctx.from_rational(c)])
 
 
 def add(f, g):
@@ -166,11 +162,6 @@ def scale_arg(f, u):
     return trim(out)
 
 
-def compose_affine(f, a, b):
-    """f(a*X + b)."""
-    return scale_arg(translate(f, b), a)
-
-
 def content_val(f):
     """Minimum coefficient valuation (the content's valuation); infinite for 0."""
     best = Valuation.infinite()
@@ -236,22 +227,6 @@ def gcd_k(f, g):
     if not f:
         return []
     return scale(f, f[-1].inverse())
-
-
-def fmt(f, var="X"):
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if c.is_zero():
-            continue
-        cs = repr(c)
-        if i == 0:
-            parts.append(cs)
-        else:
-            head = var if i == 1 else f"{var}^{i}"
-            parts.append(head if cs == "1" else f"({cs})*{head}")
-    return " + ".join(parts)
 
 
 def to_strings(f):

@@ -144,10 +144,6 @@ class ModelState:
         self.stages = []
         self.blowups = 0
 
-    @property
-    def root(self):
-        return self.nodes["C"]
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -167,12 +163,7 @@ class OracleResult:
 # construction of the naive model
 
 
-def _default_tracks(cover):
-    data = branch_data(cover)
-    return [(branch_label(bp.value), bp.value) for bp in data.branch]
-
-
-def fundamental_model(cover, tracks=None):
+def fundamental_model(cover):
     """Set up the naive integral model and one track per ramified fiber.
 
     Checks that beta is integral with reduction X**p and that the reversed
@@ -186,8 +177,7 @@ def fundamental_model(cover, tracks=None):
     reversed_beta = list(reversed(cover.beta_list()))
     if kpoly.reduction(reversed_beta, cover.ctx) != [1]:
         raise NotIntegralCover("reversed polynomial does not reduce to 1")
-    if tracks is None:
-        tracks = _default_tracks(cover)
+    tracks = [(branch_label(bp.value), bp.value) for bp in branch_data(cover).branch]
     state = ModelState(cover, tracks)
     p = cover.ctx.p
     beta = cover.beta_list()
@@ -239,25 +229,19 @@ def _distinct_in_disc(g, points, lift):
     return total - _repeated(points, lift), total
 
 
-def blow_up(ctx, tracks, points, residue, nu=None):
+def blow_up(ctx, tracks, points, residue, mults, nu=None):
     """Blow up the unit disc at an F_p-rational residue, rescaling every track.
 
     ``tracks`` maps labels to primitive polynomials on the current disc and
-    ``points`` to their critical points; the residue must be a root of at
-    least one of the reductions (CenterNotRoot otherwise).  When ``nu`` is
-    omitted the increment is the smallest radius at which anything separates,
-    read off the Newton polygons.  Only the tracks with points at the residue
+    ``points`` to their critical points.  ``mults`` maps each label whose
+    reduction has the residue as a root to that root's multiplicity, as the
+    residual table reads it; an empty ``mults`` raises CenterNotRoot.  When
+    ``nu`` is omitted the increment is the smallest radius at which anything
+    separates, read off the Newton polygons.  Only the tracks in ``mults``
     are carried into the child, with the critical points inside it.
     """
-    p = ctx.p
-    wbar = residue % p
+    wbar = residue % ctx.p
     shifted = {}
-    mults = {}
-    for label in sorted(tracks):
-        hbar = kpoly.reduction(tracks[label], ctx)
-        mult = fppoly.root_multiplicity(hbar, wbar, p)
-        if mult:
-            mults[label] = mult
     if not mults:
         raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber")
     lift = ctx.from_rational(Fraction(wbar))
@@ -310,20 +294,19 @@ def blow_up(ctx, tracks, points, residue, nu=None):
 # the separation loop
 
 
-def _residual_table(node, ctx):
+def _residual_table(node, reductions, p):
     """Residual roots per track, with irrational residues handled honestly.
 
-    Returns (table, extra_marks) where table maps a rational residue to
-    {label: multiplicity} and extra_marks lists simple marks at residues
+    ``reductions`` maps each track of the node to its reduction, in label
+    order.  Returns (table, extra_marks) where table maps a rational residue
+    to {label: multiplicity} and extra_marks lists simple marks at residues
     outside F_p.  A repeated irrational root, or one shared between two
     tracks, raises ResidualRootOutsideFp.
     """
-    p = ctx.p
     table = {}
     cofactors = {}
     extra_marks = []
-    for label in sorted(node.tracks):
-        hbar = kpoly.reduction(node.tracks[label], ctx)
+    for label, hbar in reductions.items():
         if fppoly.degree(hbar) != node.m:
             raise OracleError(
                 f"residual degree {fppoly.degree(hbar)} on {node.name} "
@@ -351,33 +334,32 @@ def _residual_table(node, ctx):
     return table, extra_marks
 
 
-def _set_kind(node, ctx):
-    verdicts = set()
-    for label in sorted(node.tracks):
-        hbar = kpoly.reduction(node.tracks[label], ctx)
-        verdicts.add(fppoly.is_zero(fppoly.deriv(hbar, ctx.p)))
+def _set_kind(node, reductions, p):
+    verdicts = {fppoly.is_zero(fppoly.deriv(hbar, p)) for hbar in reductions.values()}
     if len(verdicts) != 1:
         raise OracleError(f"inconsistent separability verdicts on {node.name}")
     node.kind = "inseparable" if verdicts.pop() else "etale"
 
 
-def separate_fibers(cover, tracks=None, max_stages=2048):
+def separate_fibers(cover, max_stages=2048):
     """Blow up until every fiber point sits alone, and return the full state.
 
-    Raises NonTermination if the stage budget is exhausted.
+    Each track is reduced once per node: the node's kind, its residual table
+    and the stage records all read that one reduction.  Raises
+    NonTermination if the stage budget is exhausted.
     """
-    state = fundamental_model(cover, tracks)
+    state = fundamental_model(cover)
     ctx = state.ctx
     stack = ["C"]
     while stack:
         node = state.nodes[stack.pop()]
-        _set_kind(node, ctx)
-        table, extra_marks = _residual_table(node, ctx)
-        node.marks.extend(extra_marks)
-        residuals = {
-            label: fppoly.fmt(kpoly.reduction(node.tracks[label], ctx))
+        reductions = {
+            label: kpoly.reduction(node.tracks[label], ctx)
             for label in sorted(node.tracks)
         }
+        _set_kind(node, reductions, ctx.p)
+        table, extra_marks = _residual_table(node, reductions, ctx.p)
+        node.marks.extend(extra_marks)
         for wbar in sorted(table):
             parts = table[wbar]
             # a residual root of multiplicity t is t fiber points in the disc
@@ -389,7 +371,7 @@ def separate_fibers(cover, tracks=None, max_stages=2048):
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            step = blow_up(ctx, node.tracks, node.points, wbar, None)
+            step = blow_up(ctx, node.tracks, node.points, wbar, parts)
             state.blowups += 1
             if state.blowups > max_stages:
                 raise NonTermination(
@@ -419,29 +401,11 @@ def separate_fibers(cover, tracks=None, max_stages=2048):
                     m=step.m,
                     k=step.k,
                     participants=step.participants,
-                    residuals={la: residuals[la] for la in step.participants},
+                    residuals={la: fppoly.fmt(reductions[la]) for la in step.participants},
                 )
             )
             stack.append(child_name)
     return state
-
-
-def separation_status(cover, tracks=None):
-    """Which fibers are already separated on the naive model.
-
-    A fiber with n distinct points is separated exactly when its residual
-    polynomial has n distinct roots, i.e. squarefree part of degree n.  On
-    the naive model every residual is a p-th power, so the answer is False
-    unless the fiber has a single point.
-    """
-    state = fundamental_model(cover, tracks)
-    data = branch_data(cover)
-    sizes = {branch_label(bp.value): len(bp.profile) for bp in data.branch}
-    status = {}
-    for label in sorted(state.root.tracks):
-        hbar = kpoly.reduction(state.root.tracks[label], state.ctx)
-        status[label] = fppoly.squarefree_degree(hbar, state.ctx.p) == sizes[label]
-    return status
 
 
 # ---------------------------------------------------------------------------
@@ -613,20 +577,19 @@ def assemble_model(state):
 # the whole run
 
 
-def run_oracle(cover, max_stages=2048):
+def run_oracle(cover):
     """Separate all fibers in one pass and assemble the model.
 
     Labels are fixed from the cover as given, so they stay comparable with
     the classifier's.  The reported e is the least ramification index over
     which the cover and every blow-up radius are defined.
     """
-    tracks = _default_tracks(cover)
-    state = separate_fibers(cover, tracks, max_stages)
+    state = separate_fibers(cover)
     model = assemble_model(state)
     return OracleResult(
         model=model,
         stages=tuple(state.stages),
         blowups=state.blowups,
         e=lcm(cover.ctx.e, *(stage.nu.denominator for stage in state.stages)),
-        labels=tuple(label for label, _ in tracks),
+        labels=tuple(state.track_values),
     )

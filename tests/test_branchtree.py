@@ -9,7 +9,6 @@ from padicover.branchtree import (
     VertexNotFound,
     build_branch_tree,
     classify_points,
-    is_simple_reduction,
 )
 from padicover.field import FieldContext
 
@@ -18,6 +17,10 @@ K = FieldContext(5, 1)
 
 def pts(*pairs):
     return [(label, K.from_rational(v)) for label, v in pairs]
+
+
+def is_simple(points):
+    return classify_points(build_branch_tree(points)).simple
 
 
 def test_good_reduction_single_vertex():
@@ -59,11 +62,11 @@ def test_nested_cluster_is_not_simple():
     assert not bc.simple
     assert bc.offenders  # names the offending cluster(s)
     assert any("sub-cluster" in o or "marks" in o for o in bc.offenders)
-    assert not is_simple_reduction(pts(("0", 0), ("5", 5), ("5^2", 25), ("1", 1)))
+    assert not is_simple(pts(("0", 0), ("5", 5), ("5^2", 25), ("1", 1)))
 
 
 def test_two_disjoint_tails_simple():
-    assert is_simple_reduction(pts(("0", 0), ("5", 5), ("1", 1), ("1+5", 6)))
+    assert is_simple(pts(("0", 0), ("5", 5), ("1", 1), ("1+5", 6)))
 
 
 def test_three_marks_in_one_tail_not_simple():
@@ -94,24 +97,12 @@ def test_distance_and_thickness():
     tails = [n for n in t.nodes.values() if n.parent == "D"]
     assert len(tails) == 2
     a, b = sorted(tails, key=lambda n: n.depth)
-    assert t.distance("D", a.name) == t.thickness(a.name) == Fraction(2)
-    assert t.distance(a.name, b.name) == Fraction(5)
-    assert t.distance(b.name, b.name) == 0
-    assert t.distance(a.name, b.name) == t.distance(b.name, a.name)
+    assert t.thickness(a.name) == Fraction(2)
+    assert t.thickness(b.name) == Fraction(3)
     with pytest.raises(VertexNotFound):
-        t.distance("D", "nope")
+        t.thickness("nope")
     with pytest.raises(VertexNotFound):
         t.thickness("D")
-
-
-def test_chain_distance_equals_depth_difference():
-    t = build_branch_tree(pts(("0", 0), ("5", 5), ("5^2", 25), ("1", 1)))
-    inner = [n for n in t.nodes.values() if n.parent not in (None, "D")]
-    assert len(inner) == 1
-    v2 = inner[0]
-    v1 = t.nodes[v2.parent]
-    # contracting everything except the pair leaves one edge of this length
-    assert t.distance(v1.name, v2.name) == v2.depth - v1.depth == Fraction(1)
 
 
 def test_small_configurations_always_simple():
@@ -119,7 +110,7 @@ def test_small_configurations_always_simple():
     for _ in range(200):
         vals = rng.sample(range(-50, 50), 3)
         try:
-            assert is_simple_reduction(pts(*((str(i), v) for i, v in enumerate(vals))))
+            assert is_simple(pts(*((str(i), v) for i, v in enumerate(vals))))
         except AllPointsCoalesce:
             pass  # degenerate, not a counterexample
 
@@ -134,7 +125,4 @@ def test_ultrametric_triple(vals):
 def test_dot_and_json_deterministic():
     config = pts(("0", 0), ("1", 1), ("lam", 125))
     t1, t2 = build_branch_tree(config), build_branch_tree(config)
-    assert t1.to_dot() == t2.to_dot()
     assert t1.to_json() == t2.to_json()
-    assert '"D" -- "v1"' in t1.to_dot()
-    assert "label=\"3\"" in t1.to_dot()

@@ -21,7 +21,7 @@ from padicover.classifier import (
     tail_threshold,
 )
 from padicover.cover import from_critical_divisor
-from padicover.dualgraph import DualGraphPair, InvalidDualGraph, diff_pairs
+from padicover.dualgraph import DualGraphPair, InvalidDualGraph
 from padicover.field import FieldContext
 
 
@@ -465,7 +465,6 @@ def test_component_names_do_not_matter():
         {"D(lam)": "W", "D'(0,lam)": "dj"},
     )
     assert a.is_isomorphic_to(b)
-    assert diff_pairs(a, b) is None
 
 
 def test_thickness_change_breaks_isomorphism():
@@ -479,7 +478,6 @@ def test_thickness_change_breaks_isomorphism():
     ]
     b.validate()
     assert not a.is_isomorphic_to(b)
-    assert "tree" in diff_pairs(a, b)
 
 
 def test_mark_multiplicity_is_compared():

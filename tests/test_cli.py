@@ -2,7 +2,10 @@
 
 import json
 
-from padicover import cli
+import pytest
+
+from padicover import cli, planted
+from padicover.dualgraph import DualGraphPair
 
 DOCSTRING_COVER = {
     "p": 5,
@@ -25,3 +28,98 @@ def test_classify_emits_the_branch_tree(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "branch_tree" in doc
     assert "error" not in doc["branch_tree"]
+
+
+# the formula-mode example of the cli docstring
+DOCSTRING_PROFILES = {
+    "p": 5,
+    "branch_points": [
+        {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "7"},
+        {"name": "lam", "profile": [2, 1, 1, 1]},
+        {"name": "1", "profile": [2, 1, 1, 1]},
+    ],
+}
+
+
+def one_point_profiles(p):
+    return {"p": p, "branch_points": [{"name": "0", "profile": [p]}]}
+
+
+def cover_doc(p, points):
+    return {"p": p, "critical": [{"x": str(x), "m": m} for x, m in points]}
+
+
+def planted_doc():
+    cover = planted.suite()[0].cover
+    return {
+        "p": cover.ctx.p,
+        "e": cover.ctx.e,
+        "critical": [{"x": x.to_strings(), "m": m} for x, m in cover.critical.points],
+    }
+
+
+def run_main(tmp_path, command, flag, doc, *extra):
+    """cli.main on a document written to a file (None: a missing file)."""
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return cli.main([command, flag, str(path), *extra])
+
+
+# one row per exit code of the cli docstring: (command, flag, document, code)
+EXIT_CODES = {
+    "classify-profiles": ("classify", "--profiles", DOCSTRING_PROFILES, 0),
+    "verify-planted": ("verify", "--cover", planted_doc(), 0),
+    "verify-disagrees": ("verify", "--cover", planted_doc(), 1),
+    "not-simple": ("classify", "--cover", cover_doc(5, [(0, 2), (25, 2), (5, 2), (1, 2)]), 2),
+    "missing-file": ("classify", "--cover", None, 3),
+    "bad-json": ("classify", "--cover", '{"p": 5,', 3),
+    "p-4": ("classify", "--profiles", one_point_profiles(4), 3),
+    "p-9": ("classify", "--profiles", one_point_profiles(9), 3),
+    "p-1": ("classify", "--profiles", one_point_profiles(1), 3),
+    "non-integral-branch-value": (
+        "verify",
+        "--cover",
+        cover_doc(5, [("1/5", 3), (0, 2), (1, 2)]),
+        4,
+    ),
+    "threshold-undefined": ("classify", "--cover", cover_doc(5, [(0, 3), (25, 3)]), 4),
+    "all-points-coalesce": ("classify", "--cover", cover_doc(5, [(0, 3), (5, 2), (10, 2)]), 4),
+}
+
+
+@pytest.mark.parametrize("row", sorted(EXIT_CODES))
+def test_every_documented_exit_code(row, tmp_path, capsys, monkeypatch):
+    command, flag, doc, code = EXIT_CODES[row]
+    if row == "verify-disagrees":
+        monkeypatch.setattr(DualGraphPair, "is_isomorphic_to", lambda self, other: False)
+    assert run_main(tmp_path, command, flag, doc) == code
+    out, err = capsys.readouterr()
+    if code <= 1:
+        assert json.loads(out)
+        assert not err
+    elif code == 2:
+        assert json.loads(err)["offenders"]
+    elif code == 3:
+        assert err.startswith("input error: ")
+    else:
+        assert json.loads(err)["advice"]
+    if command == "verify" and code <= 1:
+        assert json.loads(out)["verdict"] == ("AGREE" if code == 0 else "DISAGREE")
+
+
+@pytest.mark.parametrize(
+    "profile, extra",
+    [
+        (["3", "1", "1"], ()),
+        ([3.0, 1, 1], ()),
+        ([3, 1, 1], ("--pair", "0,lam", "--epsilon", "abc")),
+        ([3, 1, 1], ("--epsilon", "1/0")),
+    ],
+    ids=["string-parts", "float-parts", "epsilon-abc", "epsilon-1/0"],
+)
+def test_malformed_formula_input_is_an_input_error(profile, extra, tmp_path, capsys):
+    doc = json.loads(json.dumps(DOCSTRING_PROFILES))
+    doc["branch_points"][0]["profile"] = profile
+    assert run_main(tmp_path, "classify", "--profiles", doc, *extra) == 3
+    assert capsys.readouterr().err.startswith("input error: ")

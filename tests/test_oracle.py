@@ -1,12 +1,14 @@
 """Blow-up engine: agreement with the classifier and its failure modes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from padicover import kpoly, newton, oracle, planted
-from padicover.classifier import classify_cover
+from padicover.branchtree import AllPointsCoalesce
+from padicover.classifier import NotSimpleReduction, ThresholdUndefined, classify_cover
 from padicover.cover import from_critical_divisor
 from padicover.field import FieldContext
 from padicover.oracle import (
@@ -21,7 +23,6 @@ from padicover.oracle import (
     fundamental_model,
     run_oracle,
     separate_fibers,
-    separation_status,
 )
 
 
@@ -126,24 +127,27 @@ def test_near_with_conjugate_groups_is_reported_not_fudged():
         run_oracle(cover)
 
 
-def test_separation_status_on_the_naive_model():
-    assert separation_status(rational_cover(5, [(0, 5)])) == {"0": True}
-    status = separation_status(rational_cover(5, [(0, 3), (1, 2), (2, 2)]))
-    assert status == {"0": False, "7/12": False, "-4/3": False}
+def blow_up_root(cover, residue, nu=None):
+    """Blow up the naive model of a cover at a residue, with the residual
+    multiplicities there read off the root's residual table."""
+    state = fundamental_model(cover)
+    root = state.nodes["C"]
+    reductions = {label: kpoly.reduction(h, state.ctx) for label, h in root.tracks.items()}
+    table, _ = _residual_table(root, reductions, state.ctx.p)
+    mults = table.get(residue % state.ctx.p, {})
+    return blow_up(state.ctx, root.tracks, root.points, residue, mults, nu)
 
 
 def test_blow_up_rejects_a_center_that_is_not_a_root():
     cover = rational_cover(5, [(0, 5)])
-    state = fundamental_model(cover)
     with pytest.raises(CenterNotRoot, match="not a root"):
-        blow_up(state.ctx, state.root.tracks, state.root.points, 3)
+        blow_up_root(cover, 3)
 
 
 def test_blow_up_rejects_a_center_where_nothing_separates():
     cover = rational_cover(5, [(0, 5)])
-    state = fundamental_model(cover)
     with pytest.raises(CenterNotRoot, match="nothing separates"):
-        blow_up(state.ctx, state.root.tracks, state.root.points, 0)
+        blow_up_root(cover, 0)
 
 
 def test_non_integral_cover_is_refused():
@@ -158,7 +162,7 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     poly = [ctx.from_rational(Fraction(c)) for c in (4, 5, -4, 0, 1)]
     node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, ctx.zero(), Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
-        _residual_table(node, ctx)
+        _residual_table(node, {"a": kpoly.reduction(poly, ctx)}, ctx.p)
 
 
 def test_stage_budget_is_a_loud_failure():
@@ -183,9 +187,8 @@ def test_blow_up_past_the_separating_radius_is_a_typed_error():
     # the junction of this cover separates at nu = 1; nu = 2 overshoots, so
     # the image radius is not m * nu (a check that survives python -O)
     cover = rational_cover(5, [(5, 3), (0, 2), (-1, 2)])
-    state = fundamental_model(cover)
     with pytest.raises(OracleError, match="image radius increment"):
-        blow_up(state.ctx, state.root.tracks, state.root.points, 0, nu=2)
+        blow_up_root(cover, 0, nu=2)
 
 
 def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
@@ -211,3 +214,29 @@ def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
         except ResidualRootOutsideFp:
             pass
     assert len(compared) > len(covers)
+
+
+def test_seeded_random_covers_agree_or_are_refused():
+    # classifier against oracle on 450 seeded covers; the exact counts pin
+    # both routes, and no cover may match zero or several candidates
+    refusals = (ThresholdUndefined, ResidualRootOutsideFp, AllPointsCoalesce, NotSimpleReduction)
+    rng = random.Random(7)
+    counts = Counter()
+    for p in (3, 5, 7):
+        for _ in range(150):
+            cover = planted.random_integral_cover(rng, p)
+            try:
+                classification = classify_cover(cover)
+                result = run_oracle(cover)
+            except refusals as exc:
+                counts[type(exc).__name__] += 1
+                continue
+            matched = [m for m in classification.models if result.model.is_isomorphic_to(m)]
+            counts["agree" if len(matched) == 1 else "disagree"] += 1
+    assert counts == {
+        "agree": 390,
+        "ThresholdUndefined": 26,
+        "ResidualRootOutsideFp": 29,
+        "AllPointsCoalesce": 3,
+        "NotSimpleReduction": 2,
+    }
