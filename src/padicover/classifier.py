@@ -14,6 +14,8 @@ by the threshold p/u, where u = n1 + n2 - p - 1 counts the excess of the two
 fibers.  Below the threshold the pair behaves like two independent arms
 hanging off a shared component; at the threshold they fuse; above it the
 fibers split into s = u + 1 groups described by an admissible partition pair.
+Those pairs are generated group by group under their constraints, not
+filtered from all multiset partitions of the two fibers.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -23,6 +25,7 @@ its discrete data out of a cover over a concrete field and then delegates.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,14 +120,6 @@ class PartitionPair:
         canon.sort(key=_group_sort_key)
         return cls(tuple(canon))
 
-    def __str__(self):
-        def side(parts):
-            return "{" + ",".join(str(x) for x in parts) + "}"
-
-        return "; ".join(
-            f"d={d}:{side(g1)}|{side(g2)}" for d, g1, g2 in self.groups
-        )
-
     def to_json(self):
         return [
             {"d": d, "fiber1": list(g1), "fiber2": list(g2)}
@@ -141,60 +136,55 @@ def _group_sort_key(group):
     )
 
 
-def _multiset_partitions(items):
-    """All partitions of a multiset into unordered blocks, each block a
-    sorted tuple, the partition a sorted tuple of blocks.  Deduplicated."""
-    items = sorted(items)
-    if not items:
-        return {()}
-    head, rest = items[0], items[1:]
-    out = set()
-    for sub in _multiset_partitions(rest):
-        # head joins an existing block
-        for i, block in enumerate(sub):
-            blocks = list(sub)
-            blocks[i] = tuple(sorted(block + (head,)))
-            out.add(tuple(sorted(blocks)))
-        # head starts its own block
-        out.add(tuple(sorted(sub + ((head,),))))
-    return out
+def _submultisets(parts, most):
+    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
+    count) pairs, values descending) with sum at most `most`."""
+    if not parts:
+        yield (), ()
+        return
+    (v, c), tail = parts[0], parts[1:]
+    for k in range(min(c, most // v) + 1):
+        for chosen, rest in _submultisets(tail, most - k * v):
+            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
+
+
+def _groupings(fiber1, fiber2, last=()):
+    """The splits of two equal-sum fibers ((value, count) pairs) into groups
+    (d, g1, g2), parts descending; see admissible_partitions.  `last` is
+    (-head, sort key) of the previous group: groups with equal heads come in
+    sort-key order, so each split comes once."""
+    if not fiber1:
+        yield ()
+        return
+    (head, c), tail = fiber1[0], fiber1[1:]
+    rest1 = ((head, c - 1),) * (c > 1) + tail
+    for more1, left1 in _submultisets(rest1, sum(v * n for v, n in rest1)):
+        d = head + sum(more1)
+        for g2, left2 in _submultisets(fiber2, d):
+            if sum(g2) != d or len(more1) + len(g2) != d:
+                continue
+            group = (d, (head,) + more1, g2)
+            order = (-head, _group_sort_key(group))
+            if order >= last:
+                yield from ((group,) + more for more in _groupings(left1, left2, order))
 
 
 def admissible_partitions(p, profile1, profile2):
-    """All partition pairs compatible with splitting the two fibers into
-    groups of total degree d with d + 1 points, at least two groups."""
+    """All partition pairs of the two fibers, in canonical order.
+
+    Each group (d, g1, g2) is built under its constraints (Knuth, TAOCP 4A,
+    7.2.1.5): the largest part left in fiber 1 heads it, the rest of g1 is
+    any sub-multiset of what is left of fiber 1, and g2 is a sub-multiset of
+    fiber 2 with sum d = sum(g1) and d + 1 - len(g1) parts.  Summed over the
+    groups, len(g1) + len(g2) = d + 1 gives exactly u + 1 = n1 + n2 - p of
+    them, so there is no pair when u < 1.
+    """
     profile1 = check_profile(p, profile1)
     profile2 = check_profile(p, profile2)
-    found = set()
-    for part1 in _multiset_partitions(profile1):
-        sums1 = sorted(sum(b) for b in part1)
-        for part2 in _multiset_partitions(profile2):
-            if sorted(sum(b) for b in part2) != sums1:
-                continue
-            # align blocks of equal sum in every possible way
-            by_sum1, by_sum2 = {}, {}
-            for b in part1:
-                by_sum1.setdefault(sum(b), []).append(b)
-            for b in part2:
-                by_sum2.setdefault(sum(b), []).append(b)
-            matchings = [[]]
-            for s in by_sum1:
-                blocks1, blocks2 = by_sum1[s], by_sum2[s]
-                new = []
-                for perm in set(itertools.permutations(blocks2)):
-                    paired = list(zip(blocks1, perm))
-                    new.extend(m + paired for m in matchings)
-                matchings = new
-            for matching in matchings:
-                groups = [(sum(b1), b1, b2) for b1, b2 in matching]
-                if len(groups) < 2:
-                    continue
-                if any(len(g1) + len(g2) != d + 1 for d, g1, g2 in groups):
-                    continue
-                try:
-                    found.add(PartitionPair.from_groups(p, groups))
-                except InadmissiblePartition:
-                    continue
+    if pair_excess(p, profile1, profile2) < 1:
+        return ()
+    fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
+    found = [PartitionPair.from_groups(p, groups) for groups in _groupings(*fibers)]
     return tuple(sorted(found, key=lambda pp: [_group_sort_key(g) for g in pp.groups]))
 
 
@@ -262,8 +252,6 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
             raise InadmissiblePartition(
                 f"no admissible partition for profiles {profile1}, {profile2}"
             )
-        # the count identity forces exactly u + 1 groups
-        assert all(len(pp.groups) == u + 1 for pp in parts)
     return TailReport(
         pair=tuple(pair),
         profiles=(profile1, profile2),

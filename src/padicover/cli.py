@@ -296,14 +296,12 @@ def _atlas_rows(p):
             pairs = []
             for pi1, pi2 in sorted(set(itertools.combinations(sorted(combo), 2))):
                 u = pair_excess(p, pi1, pi2)
-                entry = {"profiles": [list(pi1), list(pi2)], "u": u}
-                if u > 0:
-                    entry["threshold"] = fmt_rat(Fraction(p, u))
-                    entry["partitions"] = len(admissible_partitions(p, pi1, pi2))
-                else:
-                    entry["threshold"] = None
-                    entry["partitions"] = 0
-                pairs.append(entry)
+                pairs.append({
+                    "profiles": [list(pi1), list(pi2)],
+                    "u": u,
+                    "threshold": fmt_rat(Fraction(p, u)) if u > 0 else None,
+                    "partitions": len(admissible_partitions(p, pi1, pi2)),
+                })
             rows.append(
                 {"p": p, "profiles": [list(pi) for pi in sorted(combo)], "pairs": pairs}
             )

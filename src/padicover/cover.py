@@ -41,6 +41,8 @@ class CriticalDivisor:
         seen = set()
         total = 0
         for x, m in self.points:
+            if type(m) is not int:
+                raise InvalidDivisor(f"multiplicity {m!r} at {x!r} is not an integer")
             if m < 2:
                 raise InvalidDivisor(f"multiplicity {m} < 2 at {x!r}")
             if x in seen:
@@ -119,11 +121,12 @@ def from_critical_divisor(div, ctx):
     """
     if not isinstance(div, CriticalDivisor):
         div = CriticalDivisor(tuple(div), ctx.p)
+    if div.p != ctx.p:
+        raise InvalidDivisor(f"divisor for p = {div.p} given a field with p = {ctx.p}")
     dbeta = kpoly.scale_rat(
         kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points]), ctx.p
     )
     beta = kpoly.antiderivative(dbeta)
-    assert kpoly.degree(beta) == ctx.p and beta[-1] == ctx.one()
     return Cover(tuple(beta), ctx, div)
 
 
@@ -172,9 +175,7 @@ def cover_from_json(doc):
     "x" may be a single rational string (constant element) or a list of e
     rational strings (coefficients over the pi-power basis).
     """
-    p = int(doc["p"])
-    e = int(doc.get("e", 1))
-    ctx = FieldContext(p, e)
+    ctx = FieldContext(doc["p"], doc.get("e", 1))
     points = []
     for entry in doc["critical"]:
         raw = entry["x"]
@@ -182,5 +183,5 @@ def cover_from_json(doc):
             x = ctx.element_from_strings(raw)
         else:
             x = ctx.element_from_strings([raw])
-        points.append((x, int(entry["m"])))
-    return from_critical_divisor(CriticalDivisor(tuple(points), p), ctx)
+        points.append((x, entry["m"]))
+    return from_critical_divisor(CriticalDivisor(tuple(points), ctx.p), ctx)

@@ -35,15 +35,24 @@ class NegativeValuation(ValueError):
     """Residue asked of an element outside the valuation ring."""
 
 
+# Miller-Rabin with the 13 primes up to 41 as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, 2015)
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a is a witness unless a**d = 1 or a**(d * 2**r) = -1 for some r < s
+    return not any(
+        pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s))
+        for a in _BASES
+    )
 
 
 def vp(q, p):
@@ -161,7 +170,10 @@ class FieldContext:
     __slots__ = ("p", "e")
 
     def __init__(self, p, e=1):
-        p, e = int(p), int(e)
+        if type(p) is not int or type(e) is not int:
+            raise ValueError(f"p and e must be integers, got p = {p!r}, e = {e!r}")
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p = {p} is not below {PRIME_BOUND}, where primality is exact")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:

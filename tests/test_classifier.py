@@ -301,6 +301,16 @@ def test_partition_invariants_across_profiles():
                 assert sorted(merged2) == sorted(prof2)
 
 
+def test_large_near_pair():
+    ones = (1,) * 29
+    pps = admissible_partitions(31, (2,) + ones, (2,) + ones)
+    assert [pp.groups for pp in pps] == [
+        ((3, (1, 2), (1, 2)),) + ((1, (1,), (1,)),) * 28,
+        ((2, (2,), (1, 1)), (2, (1, 1), (2,))) + ((1, (1,), (1,)),) * 27,
+    ]
+    assert all(len(pp.groups) == 29 for pp in pps)  # u + 1 = 30 + 30 - 31
+
+
 @given(
     st.sampled_from(
         [

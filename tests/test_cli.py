@@ -6,6 +6,7 @@ import pytest
 
 from padicover import cli, planted
 from padicover.dualgraph import DualGraphPair
+from padicover.field import PRIME_BOUND
 
 DOCSTRING_COVER = {
     "p": 5,
@@ -19,6 +20,15 @@ def test_example8_writes_the_nine_showcase_models(tmp_path, capsys):
     index = json.loads((tmp_path / "index.json").read_text())
     assert len(index["bundle"]) == 9
     assert json.loads(capsys.readouterr().out)["models"] == 9
+
+
+def test_atlas_writes_every_profile_combination(tmp_path, capsys):
+    assert cli.main(["atlas", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "atlas.json").read_text())["rows"]
+    assert len(rows) == 42
+    assert sum(pair["partitions"] for row in rows for pair in row["pairs"]) == 93
+    assert (tmp_path / "atlas.md").read_text().startswith("# Colliding-pair atlas")
+    assert json.loads(capsys.readouterr().out)["rows"] == 42
 
 
 def test_classify_emits_the_branch_tree(tmp_path, capsys):
@@ -66,6 +76,8 @@ def run_main(tmp_path, command, flag, doc, *extra):
     return cli.main([command, flag, str(path), *extra])
 
 
+MERSENNE_61 = 2**61 - 1
+
 # one row per exit code of the cli docstring: (command, flag, document, code)
 EXIT_CODES = {
     "classify-profiles": ("classify", "--profiles", DOCSTRING_PROFILES, 0),
@@ -77,6 +89,27 @@ EXIT_CODES = {
     "p-4": ("classify", "--profiles", one_point_profiles(4), 3),
     "p-9": ("classify", "--profiles", one_point_profiles(9), 3),
     "p-1": ("classify", "--profiles", one_point_profiles(1), 3),
+    "p-5.0": ("classify", "--profiles", {**DOCSTRING_PROFILES, "p": 5.0}, 3),
+    "p-at-prime-bound": ("classify", "--profiles", one_point_profiles(PRIME_BOUND), 3),
+    "p-e-not-integers": ("verify", "--cover", {**DOCSTRING_COVER, "p": 5.9, "e": 1.7}, 3),
+    "m-not-integer": (
+        "verify",
+        "--cover",
+        {**DOCSTRING_COVER, "critical": [{"x": "5", "m": 2.5}, *DOCSTRING_COVER["critical"][1:]]},
+        3,
+    ),
+    "p-mersenne-61": (
+        "classify",
+        "--profiles",
+        {
+            "p": MERSENNE_61,
+            "branch_points": [
+                {"name": "0", "profile": [MERSENNE_61]},
+                {"name": "1", "profile": [MERSENNE_61 - 1, 1]},
+            ],
+        },
+        0,
+    ),
     "non-integral-branch-value": (
         "verify",
         "--cover",

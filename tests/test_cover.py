@@ -57,6 +57,10 @@ def test_invalid_divisors():
         D(K, (0, 1), (1, 2), (2, 2), (3, 2))  # m = 1
     with pytest.raises(InvalidDivisor):
         D(K, (0, 3), (0, 2), (1, 2))  # repeated point
+    with pytest.raises(InvalidDivisor):
+        D(K, (0, 3.0), (1, 2), (2, 2))  # m not an integer
+    with pytest.raises(InvalidDivisor):  # a divisor for p = 7 over a p = 5 field
+        from_critical_divisor(D(FieldContext(7, 1), (0, 4), (1, 3), (2, 2)), K)
 
 
 def test_shared_branch_value_grouping():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padicover.field import (
+    PRIME_BOUND,
     DivisionByZero,
     FieldContext,
     NegativeValuation,
@@ -34,6 +36,33 @@ def test_context_basics():
         FieldContext(6)
     with pytest.raises(ValueError):
         FieldContext(5, 0)
+
+
+def test_p_and_e_must_be_integers():
+    for p, e in ((5.9, 1), (5.0, 1), (5, 1.7), (True, 1), (5, True), ("5", 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            FieldContext(p, e)
+
+
+def test_primality_is_exact_up_to_the_bound():
+    def accepts(p):
+        try:
+            FieldContext(p)
+        except ValueError:
+            return False
+        return True
+
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert all(accepts(n) == trial_division(n) for n in range(3000))
+    # a strong pseudoprime to base 2, a Carmichael number, and the least
+    # strong pseudoprime to every prime base up to 37
+    for n in (2047, 561, 1, 318665857834031151167461):
+        assert not accepts(n)
+    assert FieldContext(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        FieldContext(PRIME_BOUND)
 
 
 def test_val_examples():
