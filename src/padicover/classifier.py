@@ -206,7 +206,7 @@ def tail_threshold(p, profile1, profile2, pair=("a", "b")):
 def tail_regime(p, profile1, profile2, epsilon, pair=("a", "b")):
     eps = Fraction(epsilon)
     if eps <= 0:
-        raise ClassifierError(f"pair distance must be positive, got {eps}")
+        raise InvalidProfile(f"pair distance must be positive, got {eps}")
     threshold = tail_threshold(p, profile1, profile2, pair)
     if eps < threshold:
         return "far"
@@ -417,7 +417,7 @@ def classify_formula(p, branch_specs):
     for spec in branch_specs:
         name = spec["name"]
         if name in by_name:
-            raise ClassifierError(f"duplicate branch point name {name!r}")
+            raise InvalidProfile(f"duplicate branch point name {name!r}")
         by_name[name] = spec
     profiles = {n: check_profile(p, s["profile"]) for n, s in by_name.items()}
     pairs = {}
@@ -426,15 +426,15 @@ def classify_formula(p, branch_specs):
         if partner is None:
             continue
         if partner not in by_name:
-            raise ClassifierError(f"tail partner {partner!r} of {name!r} unknown")
+            raise InvalidProfile(f"tail partner {partner!r} of {name!r} unknown")
         if partner == name:
-            raise ClassifierError(f"branch point {name!r} cannot pair with itself")
+            raise InvalidProfile(f"branch point {name!r} cannot pair with itself")
         pair = tuple(sorted((name, partner)))
         eps = spec.get("epsilon")
         eps = None if eps is None else Fraction(eps)
         if pair in pairs:
             if eps is not None and pairs[pair] is not None and eps != pairs[pair]:
-                raise ClassifierError(f"tail {pair} has two different epsilons")
+                raise InvalidProfile(f"tail {pair} has two different epsilons")
             if eps is not None:
                 pairs[pair] = eps
         else:
@@ -443,12 +443,12 @@ def classify_formula(p, branch_specs):
     for pair in pairs:
         for name in pair:
             if name in claimed:
-                raise ClassifierError(f"branch point {name!r} sits in two tails")
+                raise InvalidProfile(f"branch point {name!r} sits in two tails")
             claimed.add(name)
     tails = []
     for pair, eps in sorted(pairs.items()):
         if eps is None:
-            raise ClassifierError(f"tail {pair} is missing epsilon")
+            raise InvalidProfile(f"tail {pair} is missing epsilon")
         tails.append(analyze_tail(p, pair, profiles[pair[0]], profiles[pair[1]], eps))
     ordinary = [
         (n, profiles[n]) for n in sorted(by_name) if n not in claimed

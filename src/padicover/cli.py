@@ -7,6 +7,7 @@ Exit codes are part of the interface:
   2  the cover does not have simple reduction (offending branch values listed)
   3  malformed input: bad JSON, bad schema, unparsable rationals, bad flags
   4  a domain or engine error, with advice on what to try
+  5  internal error: any other exception, reported as JSON with its type
 
 Input files are JSON.  Exact mode describes a cover by its critical divisor::
 
@@ -517,6 +518,9 @@ def main(argv=None):
                 break
         sys.stderr.write(_canonical({"error": str(exc), "advice": advice}))
         return 4
+    except Exception as exc:  # a bug, never a traceback and never exit 1
+        sys.stderr.write(_canonical({"error": str(exc), "type": type(exc).__name__}))
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,20 +1,25 @@
 """Exact arithmetic in the tower of totally ramified extensions Q_p(p**(1/N)).
 
-An element is a finite sum  sum(c * p**(k/N))  of rationals c times powers of
-one root p**(1/N), the roots chosen compatibly (p**(1/N) is the M-th power of
-p**(1/(M*N))), so every rational exponent is available and no ramification
-index has to be fixed in advance.  Each element keeps its own N, the least
-its exponents need, and only its nonzero terms, 0 <= k < N; a product folds
-p**(k/N) with k >= N into a factor p.  All arithmetic is done with
-:class:`fractions.Fraction`, so there is no precision to manage and no
-rounding anywhere.  The valuation is normalized so that v(p) = 1.
+An element is a finite sum  sum(a * p**(k/N)) / d  of integers a times powers
+of one root p**(1/N), over one positive integer denominator d, the roots
+chosen compatibly (p**(1/N) is the M-th power of p**(1/(M*N))), so every
+rational exponent is available and no ramification index has to be fixed in
+advance.  Each element keeps its own N, the least its exponents need, only
+its nonzero terms, 0 <= k < N, and the least d, so that gcd(d, every a) = 1;
+a product folds p**(k/N) with k >= N into a factor p.  This is the layout of
+FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
+normalized by one gcd, so there is no precision to manage, no rounding
+anywhere, and no per-coefficient rational to normalize.  ``Fraction`` appears
+only where rationals come in or go out: parsing, printing, the
+:class:`Valuation` a valuation returns, and the Gauss-Jordan inverse of an
+element with several terms.  The valuation is normalized so that v(p) = 1.
 
 X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
-distinct valuations v_p(c) + k/N (their fractional parts k/N differ), the
-minimum in the valuation formula is attained exactly once, and no
-cancellation can hide it.  The representation with least N is unique.  This
-is what makes the sparse form a faithful model of the complete field for
-every question asked here.
+distinct valuations v_p(a) + k/N - v_p(d) (their fractional parts k/N differ),
+the minimum in the valuation formula is attained exactly once, and no
+cancellation can hide it.  The representation with least N and least d is
+unique.  This is what makes the sparse form a faithful model of the complete
+field for every question asked here.
 
 A :class:`FieldContext` fixes p, and a ramification index e that is only the
 input and output format: vectors of e rationals over pi = p**(1/e).
@@ -65,14 +70,15 @@ def vp(q, p):
 
 def _vp(q, p):
     # q a nonzero Fraction
-    n, d = q.numerator, q.denominator
+    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
+
+
+def _vp_int(a, p):
+    # a a nonzero int
     k = 0
-    while n % p == 0:
-        n //= p
+    while a % p == 0:
+        a //= p
         k += 1
-    while d % p == 0:
-        d //= p
-        k -= 1
     return k
 
 
@@ -147,10 +153,17 @@ class Valuation:
 
 def fmt_rat(q):
     """Render a rational as 'a' or 'a/b' (exactly, no floats)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return _fmt(q.numerator, q.denominator)
+
+
+def _fmt(a, d):
+    # a / d with d > 0, rendered in lowest terms
+    if d != 1:
+        g = gcd(a, d)
+        a, d = a // g, d // g
+    return str(a) if d == 1 else f"{a}/{d}"
 
 
 def parse_rat(s):
@@ -201,17 +214,18 @@ class FieldContext:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coefficients, got {len(cs)}")
-        return _reduced(self, self.e, [(i, c) for i, c in enumerate(cs) if c])
+        return _from_fractions(self, self.e, [(i, c) for i, c in enumerate(cs) if c])
 
     def from_rational(self, q):
-        q = Fraction(q)
-        return Element(self, 1, ((0, q),) if q else ())
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return Element(self, 1, ((0, q.numerator),) if q else (), q.denominator)
 
     def zero(self):
-        return Element(self, 1, ())
+        return Element(self, 1, (), 1)
 
     def one(self):
-        return Element(self, 1, ((0, Fraction(1)),))
+        return Element(self, 1, ((0, 1),), 1)
 
     def pi(self):
         """The uniformizer p**(1/e) of the dense format (p itself when e == 1)."""
@@ -221,7 +235,9 @@ class FieldContext:
         """The canonical element p**q of valuation q, for any rational q."""
         q = Fraction(q)
         a, k = divmod(q.numerator, q.denominator)
-        return Element(self, q.denominator, ((k, Fraction(self.p) ** a),))
+        if a >= 0:
+            return Element(self, q.denominator, ((k, self.p**a),), 1)
+        return Element(self, q.denominator, ((k, 1),), self.p ** (-a))
 
     def element_from_strings(self, strings):
         return self.element([parse_rat(s) for s in strings])
@@ -234,53 +250,75 @@ class FieldContext:
         return FieldContext(self.p, new_e)
 
 
-def _reduced(ctx, n, terms):
-    """Element from sorted nonzero terms (k, c) over p**(1/n), with n made least."""
-    g = n
-    for k, _ in terms:
-        if g == 1:
-            break
-        g = gcd(g, k)
-    if g > 1:
-        n //= g
-        terms = [(k // g, c) for k, c in terms]
-    return Element(ctx, n, tuple(terms))
+def _reduced(ctx, n, terms, den):
+    """Element from sorted nonzero terms (k, a) over den > 0, made canonical:
+    n least, and den least by one gcd with the numerators."""
+    g = gcd(n, *[k for k, _ in terms]) if n > 1 else 1
+    h = gcd(den, *[a for _, a in terms]) if den > 1 else 1
+    if g > 1 or h > 1:
+        n, den = n // g, den // h
+        terms = [(k // g, a // h) for k, a in terms]
+    return Element(ctx, n, tuple(terms), den)
+
+
+def _rational(ctx, a, den):
+    """The rational a / den (den > 0): _reduced for n = 1, the hot case, inlined."""
+    if not a:
+        return Element(ctx, 1, (), 1)
+    if den != 1:
+        g = gcd(a, den)
+        if g != 1:
+            a, den = a // g, den // g
+    return Element(ctx, 1, ((0, a),), den)
+
+
+def _from_fractions(ctx, n, terms):
+    """Element from sorted nonzero terms (k, c) with Fraction coefficients c."""
+    den = lcm(*(c.denominator for _, c in terms))
+    terms = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+    return _reduced(ctx, n, terms, den)
 
 
 def _combine(x, y, negate):
     """x + y, or x - y when negate."""
+    if not y.terms:
+        return x
+    # bring both numerators over the least common denominator
+    g = gcd(x.den, y.den)
+    sx, sy = y.den // g, x.den // g
+    den = x.den * sx
     if x.n == 1 and y.n == 1:
-        if not y.terms:
-            return x
-        c = -y.terms[0][1] if negate else y.terms[0][1]
+        a = -y.terms[0][1] * sy if negate else y.terms[0][1] * sy
         if x.terms:
-            c = x.terms[0][1] + c
-        return Element(x.ctx, 1, ((0, c),) if c else ())
+            a += x.terms[0][1] * sx
+        return _rational(x.ctx, a, den)
     n = lcm(x.n, y.n)
-    sx, sy = n // x.n, n // y.n
-    acc = {k * sx: c for k, c in x.terms}
-    for k, c in y.terms:
-        k *= sy
+    ex, ey = n // x.n, n // y.n
+    acc = {k * ex: a * sx for k, a in x.terms}
+    for k, a in y.terms:
+        k, a = k * ey, a * sy
         if negate:
-            c = -c
-        acc[k] = acc[k] + c if k in acc else c
-    return _reduced(x.ctx, n, sorted(kc for kc in acc.items() if kc[1]))
+            a = -a
+        acc[k] = acc[k] + a if k in acc else a
+    return _reduced(x.ctx, n, sorted(ka for ka in acc.items() if ka[1]), den)
 
 
 class Element:
-    """An exact element of the tower: the sum of c * p**(k/n) over its terms.
+    """An exact element of the tower: (sum of a * p**(k/n) over its terms) / den.
 
-    ``terms`` is a tuple of pairs (k, c), sorted by k, with 0 <= k < n and
-    every c a nonzero Fraction; ``n`` is the least denominator the exponents
-    need (1 for a rational).  Both are canonical, so equality compares them.
+    ``terms`` is a tuple of pairs (k, a), sorted by k, with 0 <= k < n and
+    every a a nonzero int; ``den`` is a positive int with gcd(den, every a)
+    = 1; ``n`` is the least denominator the exponents need (1 for a
+    rational).  All three are canonical, so equality compares them.
     """
 
-    __slots__ = ("ctx", "n", "terms")
+    __slots__ = ("ctx", "n", "terms", "den")
 
-    def __init__(self, ctx, n, terms):
+    def __init__(self, ctx, n, terms, den):
         self.ctx = ctx
         self.n = n
         self.terms = terms
+        self.den = den
 
     # -- predicates ----------------------------------------------------
 
@@ -295,28 +333,33 @@ class Element:
             return NotImplemented
         return (
             self.n == other.n
+            and self.den == other.den
             and self.terms == other.terms
             and self.ctx.p == other.ctx.p
         )
 
     def __hash__(self):
-        return hash((self.n, self.terms))
+        return hash((self.n, self.terms, self.den))
 
     # -- valuation and residue ------------------------------------------
 
     def val(self):
-        """The valuation: min over terms of v_p(c) + k/n (infinite for 0).
+        """The valuation: min over terms of v_p(a) + k/n, minus v_p(den).
 
-        The minimum is attained exactly once because the fractional parts
+        Infinite for 0.  The minimum is attained exactly once because the fractional parts
         k/n are pairwise distinct for 0 <= k < n.
         """
         p, n = self.ctx.p, self.n
         best = None
-        for k, c in self.terms:
-            v = _vp(c, p) * n + k
+        for k, a in self.terms:
+            v = k if a % p else _vp_int(a, p) * n + k
             if best is None or v < best:
                 best = v
-        return Valuation.infinite() if best is None else Valuation(Fraction(best, n))
+        if best is None:
+            return Valuation.infinite()
+        if self.den % p == 0:
+            best -= _vp_int(self.den, p) * n
+        return Valuation(Fraction(best, n))
 
     def residue(self):
         """Image in F_p = residue field, for elements of valuation >= 0."""
@@ -325,12 +368,11 @@ class Element:
             raise NegativeValuation(f"element has valuation {v} < 0")
         if v > 0:
             return 0
-        # only the k = 0 term can have valuation exactly 0
-        c = self.terms[0][1]
+        # only the k = 0 term can have valuation exactly 0, and then p divides
+        # neither its numerator nor den: v_p(a) = v_p(den) >= 1 would put p
+        # in every numerator, against gcd(den, every a) = 1
         p = self.ctx.p
-        num = c.numerator % p
-        den = c.denominator % p
-        return (num * pow(den, -1, p)) % p
+        return self.terms[0][1] * pow(self.den, -1, p) % p
 
     # -- arithmetic ------------------------------------------------------
 
@@ -349,7 +391,7 @@ class Element:
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.ctx, self.n, tuple((k, -c) for k, c in self.terms))
+        return Element(self.ctx, self.n, tuple((k, -a) for k, a in self.terms), self.den)
 
     def __sub__(self, other):
         return _combine(self, self._check(other), True)
@@ -362,8 +404,9 @@ class Element:
         a, b, ctx = self.terms, other.terms, self.ctx
         if not a or not b:
             return ctx.zero()
+        den = self.den * other.den
         if self.n == 1 and other.n == 1:
-            return Element(ctx, 1, ((0, a[0][1] * b[0][1]),))
+            return _rational(ctx, a[0][1] * b[0][1], den)
         p = ctx.p
         n = lcm(self.n, other.n)
         sa, sb = n // self.n, n // other.n
@@ -374,31 +417,35 @@ class Element:
                 if k >= n:
                     k, cd = k - n, cd * p
                 acc[k] = acc[k] + cd if k in acc else cd
-        return _reduced(ctx, n, sorted(kc for kc in acc.items() if kc[1]))
+        return _reduced(ctx, n, sorted(kc for kc in acc.items() if kc[1]), den)
 
     __rmul__ = __mul__
 
     def scale(self, q):
         """Multiply by a plain rational (cheap path, exponents unchanged)."""
-        q = Fraction(q)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
         if not q:
             return self.ctx.zero()
-        return Element(self.ctx, self.n, tuple((k, c * q) for k, c in self.terms))
+        terms = [(k, a * q.numerator) for k, a in self.terms]
+        return _reduced(self.ctx, self.n, terms, self.den * q.denominator)
 
     def inverse(self):
         terms, n, p = self.terms, self.n, self.ctx.p
         if not terms:
             raise DivisionByZero("inverse of zero")
         if len(terms) == 1:
-            ((k, c),) = terms
+            # (a * p**(k/n) / den)**-1 = den * p**((n-k)/n) / (a * p), or den / a
+            ((k, a),) = terms
+            num = self.den if a > 0 else -self.den
             if k == 0:
-                return Element(self.ctx, n, ((0, 1 / c),))
-            return Element(self.ctx, n, ((n - k, 1 / (c * p)),))
+                return Element(self.ctx, n, ((0, num),), abs(a))
+            return _reduced(self.ctx, n, ((n - k, num),), abs(a) * p)
         # solve x * y = 1 by Gauss-Jordan; row i of the matrix of x over the
         # basis p**(j/n) is the coefficient of p**(i/n) in x * p**(j/n)
         a = [Fraction(0)] * n
         for k, c in terms:
-            a[k] = c
+            a[k] = Fraction(c, self.den)
         rows = [
             [a[i - j] if j <= i else a[i - j + n] * p for j in range(n)] + [Fraction(i == 0)]
             for i in range(n)
@@ -413,7 +460,8 @@ class Element:
                 f = rows[r][col]
                 if r != col and f:
                     rows[r] = [v - f * w for v, w in zip(rows[r], top)]
-        return _reduced(self.ctx, n, [(k, row[n]) for k, row in enumerate(rows) if row[n]])
+        solution = [(k, row[n]) for k, row in enumerate(rows) if row[n]]
+        return _from_fractions(self.ctx, n, solution)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -425,7 +473,8 @@ class Element:
         return self._check(other) / self
 
     def __pow__(self, n):
-        n = int(n)
+        if type(n) is not int:
+            raise TypeError(f"exponent must be an int, got {type(n).__name__}")
         if n < 0:
             return self.inverse() ** (-n)
         out = self.ctx.one()
@@ -445,22 +494,23 @@ class Element:
         if e % self.n:
             raise ValueError(f"{self!r} is not in Q_{self.ctx.p}(p^(1/{e}))")
         out = ["0"] * e
-        for k, c in self.terms:
-            out[k * (e // self.n)] = fmt_rat(c)
+        for k, a in self.terms:
+            out[k * (e // self.n)] = _fmt(a, self.den)
         return out
 
     def __repr__(self):
         if self.n == 1:
-            return fmt_rat(self.terms[0][1]) if self.terms else "0"
+            return _fmt(self.terms[0][1], self.den) if self.terms else "0"
         e, parts = self.ctx.e, []
-        for k, c in self.terms:
+        for k, a in self.terms:
+            c = _fmt(a, self.den)
             if k == 0:
-                parts.append(fmt_rat(c))
+                parts.append(c)
                 continue
             if e % self.n:
                 power = f"p^({k}/{self.n})"
             else:
                 i = k * (e // self.n)
                 power = "pi" if i == 1 else f"pi^{i}"
-            parts.append(f"({fmt_rat(c)})*{power}")
+            parts.append(f"({c})*{power}")
         return " + ".join(parts)

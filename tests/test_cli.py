@@ -76,6 +76,18 @@ def run_main(tmp_path, command, flag, doc, *extra):
     return cli.main([command, flag, str(path), *extra])
 
 
+def formula(*points):
+    """A formula-mode document at p = 5 from (name, profile, tail fields) points."""
+    return {
+        "p": 5,
+        "branch_points": [{"name": n, "profile": prof, **tail} for n, prof, tail in points],
+    }
+
+
+TAIL_0 = ("0", [3, 1, 1], {"tail_with": "lam", "epsilon": "7"})
+LAM = ("lam", [2, 1, 1, 1], {})
+ONE = ("1", [2, 1, 1, 1], {})
+
 MERSENNE_61 = 2**61 - 1
 
 # one row per exit code of the cli docstring: (command, flag, document, code)
@@ -109,6 +121,43 @@ EXIT_CODES = {
             ],
         },
         0,
+    ),
+    "duplicate-name": ("classify", "--profiles", formula(TAIL_0, LAM, ONE, ONE), 3),
+    "unknown-partner": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": "mu", "epsilon": "7"}), LAM, ONE),
+        3,
+    ),
+    "pair-with-itself": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": "0", "epsilon": "7"}), LAM, ONE),
+        3,
+    ),
+    "two-epsilons": (
+        "classify",
+        "--profiles",
+        formula(TAIL_0, ("lam", [2, 1, 1, 1], {"tail_with": "0", "epsilon": "8"}), ONE),
+        3,
+    ),
+    "point-in-two-tails": (
+        "classify",
+        "--profiles",
+        formula(TAIL_0, LAM, ("1", [2, 1, 1, 1], {"tail_with": "lam", "epsilon": "7"})),
+        3,
+    ),
+    "missing-epsilon": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": "lam"}), LAM, ONE),
+        3,
+    ),
+    "epsilon-not-positive": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": "lam", "epsilon": "0"}), LAM, ONE),
+        3,
     ),
     "non-integral-branch-value": (
         "verify",
@@ -156,3 +205,15 @@ def test_malformed_formula_input_is_an_input_error(profile, extra, tmp_path, cap
     doc["branch_points"][0]["profile"] = profile
     assert run_main(tmp_path, "classify", "--profiles", doc, *extra) == 3
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(cover):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "classify_cover", broken)
+    assert run_main(tmp_path, "classify", "--cover", DOCSTRING_COVER) == 5
+    out, err = capsys.readouterr()
+    assert not out
+    assert json.loads(err) == {"error": "boom", "type": "RuntimeError"}
+    assert "Traceback" not in err

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,6 +197,15 @@ def test_pow_matches_repeated_mul():
     assert x**-2 == (x * x).inverse()
 
 
+def test_pow_takes_only_an_int():
+    K = FieldContext(5, 2)
+    x = K.element([2, Fraction(1, 5)])
+    for n in (2.5, 2.0, "2", True, Fraction(2)):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            x**n
+    assert x**2 == x * x
+
+
 # sparse elements mixing the denominators N of their exponents
 MIXED = FieldContext(5, 12)
 
@@ -227,3 +236,94 @@ def test_mixed_denominators_inverse(x):
 @given(mixed_elements())
 def test_mixed_denominators_dense_roundtrip(x):
     assert MIXED.element_from_strings(x.to_strings()) == x
+
+
+# a dense reference model of Q_p(pi), pi = p**(1/e): vectors of e Fractions,
+# multiplied modulo X**e - p
+
+
+def dense_mul(x, y, p):
+    e = len(x)
+    out = [Fraction(0)] * e
+    for i, c in enumerate(x):
+        for j, d in enumerate(y):
+            if i + j < e:
+                out[i + j] += c * d
+            else:
+                out[i + j - e] += c * d * p
+    return out
+
+
+def dense_val(x, p):
+    e = len(x)
+    vals = [vp(c, p) + Fraction(i, e) for i, c in enumerate(x) if c]
+    return min(vals) if vals else None
+
+
+def dense_strings(x):
+    return [str(c.numerator) + (f"/{c.denominator}" if c.denominator > 1 else "") for c in x]
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *(a for _, a in x.terms)) == 1
+    assert all(type(a) is int and a for _, a in x.terms)
+
+
+def dense_vectors(p, e):
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            Fraction,
+            st.integers(-(p**4), p**4),
+            st.sampled_from([1, 2, p, p * p, p**3, 3 * p, 7]),
+        ),
+    )
+    return st.lists(coeff, min_size=e, max_size=e)
+
+
+@st.composite
+def dense_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    e = draw(st.sampled_from([1, 2, 3, 4]))
+    x, y = draw(dense_vectors(p, e)), draw(dense_vectors(p, e))
+    q = draw(st.fractions(min_value=-50, max_value=50, max_denominator=p**2))
+    return FieldContext(p, e), x, y, q
+
+
+@given(dense_cases())
+def test_integer_kernel_matches_the_dense_fraction_model(case):
+    K, dx, dy, q = case
+    p = K.p
+    x, y = K.element(dx), K.element(dy)
+    for z, dz in ((x, dx), (y, dy)):
+        assert_canonical(z)
+        assert z.to_strings() == dense_strings(dz)
+    results = {
+        "+": (x + y, [a + b for a, b in zip(dx, dy)]),
+        "-": (x - y, [a - b for a, b in zip(dx, dy)]),
+        "neg": (-x, [-c for c in dx]),
+        "*": (x * y, dense_mul(dx, dy, p)),
+        "scale": (x.scale(q), [c * q for c in dx]),
+    }
+    for op, (z, dz) in results.items():
+        assert_canonical(z)
+        assert z.to_strings() == dense_strings(dz), op
+        assert z == K.element(dz), op
+        expected = dense_val(dz, p)
+        assert (z.val().is_infinite if expected is None else z.val() == expected), op
+    v = dense_val(dx, p)
+    if v is None or v > 0:
+        assert x.residue() == 0
+    elif v == 0:
+        assert x.residue() == dx[0].numerator * pow(dx[0].denominator, -1, p) % p
+    else:
+        with pytest.raises(NegativeValuation):
+            x.residue()
+    if any(dx):
+        inv = x.inverse()
+        assert_canonical(inv)
+        dinv = [Fraction(c) for c in inv.to_strings()]
+        assert dense_mul(dx, dinv, p) == [Fraction(1)] + [Fraction(0)] * (K.e - 1)
+    s = (x + y) - y
+    assert s == x and hash(s) == hash(x)
