@@ -14,7 +14,6 @@ from .field import (
     Element,
     FieldContext,
     NegativeValuation,
-    Valuation,
     fmt_rat,
     parse_rat,
     vp,

@@ -124,7 +124,7 @@ def build_branch_tree(points):
         raise AllPointsCoalesce("need at least two marked points")
     seen = set()
     for label, x in pts:
-        if x.val() < 0:
+        if x and x.val() < 0:
             raise ValueError(f"marked point {label} has negative valuation")
         if x in seen:
             raise ValueError(f"marked points must be distinct ({label} repeats)")
@@ -144,12 +144,12 @@ def build_branch_tree(points):
     def build_cluster(group, parent):
         # group has >= 2 points; its depth is the minimal pairwise valuation
         depth = min(
-            _pairwise_val(a, b).q
+            _pairwise_val(a, b)
             for i, (_, a) in enumerate(group)
             for _, b in group[i + 1 :]
         )
         counter[0] += 1
-        node = TreeNode(name=f"v{counter[0]}", depth=Fraction(depth), parent=parent.name)
+        node = TreeNode(name=f"v{counter[0]}", depth=depth, parent=parent.name)
         nodes[node.name] = node
         attach(node, _group(group, depth))
         return node

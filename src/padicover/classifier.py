@@ -464,7 +464,7 @@ def classify_cover(cover):
     labeled = []
     for bp in data.branch:
         label = _branch_label(bp.value)
-        if bp.value.val() < 0:
+        if bp.value and bp.value.val() < 0:
             raise NonIntegralBranchValue(
                 f"branch value {label} is not integral; move the branch values "
                 "into the unit disc by a change of coordinates"
@@ -476,10 +476,10 @@ def classify_cover(cover):
     if len(labeled) == 2:
         (la, xa, pa), (lb, xb, pb) = sorted(labeled, key=lambda t: t[0])
         gap = (xa - xb).val()
-        if gap > Fraction(0):
+        if gap > 0:
             # two finite branch values force sum(n) = p + 1, so u = 0 and
             # analyze_tail reports the trichotomy as undefined
-            return assemble(p, [], [analyze_tail(p, (la, lb), pa, pb, gap.q)])
+            return assemble(p, [], [analyze_tail(p, (la, lb), pa, pb, gap)])
     points = [(lbl, val) for lbl, val, _ in labeled]
     tree = branchtree.build_branch_tree(points)
     verdict = branchtree.classify_points(tree)

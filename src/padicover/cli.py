@@ -501,15 +501,12 @@ def main(argv=None):
         if args.command == "atlas":
             return _cmd_atlas(args)
         return _cmd_example8(args)
-    except SchemaError as exc:
+    except (SchemaError, InvalidProfile) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 3
     except NotSimpleReduction as exc:
         sys.stderr.write(_canonical({"error": str(exc), "offenders": list(exc.offenders)}))
         return 2
-    except InvalidProfile as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 3
     except (ClassifierError, OracleError, AllPointsCoalesce) as exc:
         advice = ""
         for kind, text in _ADVICE.items():

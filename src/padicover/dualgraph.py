@@ -32,6 +32,14 @@ class InvalidDualGraph(ValueError):
     """A structural law failed (not a tree, scaling law broken, bad degrees)."""
 
 
+def _children(comps, edges):
+    """name -> [(child, thickness), ...] for one side of the pair."""
+    ch = {name: [] for name in comps}
+    for a, b, t in edges:
+        ch[a].append((b, t))
+    return ch
+
+
 @dataclass(frozen=True)
 class VerticalMap:
     target: str
@@ -53,18 +61,6 @@ class DualGraphPair:
     partitions: tuple = ()  # ((pair_labels, groups), ...) canonical nested tuples
 
     # -- structure ------------------------------------------------------
-
-    def x_children(self):
-        ch = {name: [] for name in self.x_marks}
-        for a, b, t in self.x_edges:
-            ch[a].append((b, t))
-        return ch
-
-    def y_children(self):
-        ch = {name: [] for name in self.y_marks}
-        for a, b, t in self.y_edges:
-            ch[a].append((b, t))
-        return ch
 
     def validate(self):
         if self.x_root not in self.x_marks or self.y_root not in self.y_marks:
@@ -139,10 +135,12 @@ class DualGraphPair:
     # -- canonical comparison -------------------------------------------
 
     def canonical_key(self):
+        y_children = _children(self.y_marks, self.y_edges)
+        x_children = _children(self.x_marks, self.x_edges)
         y_ids = {}
 
         def y_enc(name, thick):
-            kids = sorted(y_enc(b, t) for b, t in self.y_children()[name])
+            kids = sorted(y_enc(b, t) for b, t in y_children[name])
             return (thick, tuple(sorted(self.y_marks[name])), tuple(kids))
 
         # assign canonical ids in the order of a DFS that visits children by
@@ -150,9 +148,7 @@ class DualGraphPair:
         # resulting ids are well-defined up to swapping equal encodings)
         def y_assign(name):
             y_ids[name] = len(y_ids)
-            for b, _t in sorted(
-                self.y_children()[name], key=lambda bt: y_enc(bt[0], bt[1])
-            ):
+            for b, _t in sorted(y_children[name], key=lambda bt: y_enc(bt[0], bt[1])):
                 y_assign(b)
 
         y_assign(self.y_root)
@@ -160,7 +156,7 @@ class DualGraphPair:
 
         def x_enc(name, thick):
             vm = self.vertical[name]
-            kids = sorted(x_enc(b, t) for b, t in self.x_children()[name])
+            kids = sorted(x_enc(b, t) for b, t in x_children[name])
             return (
                 thick,
                 tuple(sorted(self.x_marks[name])),

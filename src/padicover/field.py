@@ -10,9 +10,11 @@ a product folds p**(k/N) with k >= N into a factor p.  This is the layout of
 FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  ``Fraction`` appears
-only where rationals come in or go out: parsing, printing, the
-:class:`Valuation` a valuation returns, and the Gauss-Jordan inverse of an
-element with several terms.  The valuation is normalized so that v(p) = 1.
+only where rationals come in or go out: parsing, printing, valuations, and
+the Gauss-Jordan inverse of an element with several terms.  The valuation is
+normalized so that v(p) = 1; it is a plain ``Fraction``, and ``None`` stands
+for the infinite valuation of 0, so a comparison that forgets the zero case
+raises TypeError instead of answering.
 
 X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
 distinct valuations v_p(a) + k/N - v_p(d) (their fractional parts k/N differ),
@@ -28,7 +30,6 @@ input and output format: vectors of e rationals over pi = p**(1/e).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, lcm
 
 
@@ -80,75 +81,6 @@ def _vp_int(a, p):
         a //= p
         k += 1
     return k
-
-
-@total_ordering
-class Valuation:
-    """A value of the valuation: a rational number, or infinity (for 0).
-
-    Totally ordered, with infinity as the top element; addition and scalar
-    multiplication follow the usual absorbing rules.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q=None):
-        self.q = q if q is None or type(q) is Fraction else Fraction(q)
-
-    @classmethod
-    def infinite(cls):
-        return cls(None)
-
-    @property
-    def is_infinite(self):
-        return self.q is None
-
-    def _coerce(self, other):
-        # the rational another value or number stands for (None: infinity)
-        if isinstance(other, Valuation):
-            return other.q
-        return other if isinstance(other, (int, Fraction)) else Fraction(other)
-
-    def __eq__(self, other):
-        try:
-            q = self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.q == q
-
-    def __lt__(self, other):
-        q = self._coerce(other)
-        return self.q is not None and (q is None or self.q < q)
-
-    def __gt__(self, other):
-        q = self._coerce(other)
-        return q is not None and (self.q is None or self.q > q)
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if self.q is None or q is None:
-            return Valuation.infinite()
-        return Valuation(self.q + q)
-
-    __radd__ = __add__
-
-    def __mul__(self, k):
-        if self.q is None:
-            return Valuation.infinite()
-        return Valuation(self.q * Fraction(k))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        if self.q is None:
-            raise ValueError("cannot negate the infinite valuation")
-        return Valuation(-self.q)
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        return "oo" if self.q is None else f"{self.q}"
 
 
 def fmt_rat(q):
@@ -322,9 +254,6 @@ class Element:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -344,9 +273,9 @@ class Element:
     # -- valuation and residue ------------------------------------------
 
     def val(self):
-        """The valuation: min over terms of v_p(a) + k/n, minus v_p(den).
+        """The valuation, a Fraction: min over terms of v_p(a) + k/n, minus v_p(den).
 
-        Infinite for 0.  The minimum is attained exactly once because the fractional parts
+        None for 0.  The minimum is attained exactly once because the fractional parts
         k/n are pairwise distinct for 0 <= k < n.
         """
         p, n = self.ctx.p, self.n
@@ -356,13 +285,15 @@ class Element:
             if best is None or v < best:
                 best = v
         if best is None:
-            return Valuation.infinite()
+            return None
         if self.den % p == 0:
             best -= _vp_int(self.den, p) * n
-        return Valuation(Fraction(best, n))
+        return Fraction(best, n)
 
     def residue(self):
         """Image in F_p = residue field, for elements of valuation >= 0."""
+        if not self.terms:
+            return 0
         v = self.val()
         if v < 0:
             raise NegativeValuation(f"element has valuation {v} < 0")
@@ -465,7 +396,7 @@ class Element:
 
     def __truediv__(self, other):
         other = self._check(other)
-        if other.is_zero():
+        if not other:
             raise DivisionByZero("division by zero element")
         return self * other.inverse()
 

@@ -25,10 +25,6 @@ def degree(f):
     return len(f) - 1 if f else -1
 
 
-def is_zero(f):
-    return not f
-
-
 def scale(f, a, p):
     return normalize([c * a for c in f], p)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fppoly
-from .field import Element, Valuation
+from .field import Element
 
 
 class ZeroPolynomial(ValueError):
@@ -27,7 +27,7 @@ class NonIntegral(ValueError):
 
 def trim(f):
     f = list(f)
-    while f and f[-1].is_zero():
+    while f and not f[-1]:
         f.pop()
     return f
 
@@ -65,7 +65,7 @@ def sub(f, g):
 
 def scale(f, a):
     """Multiply every coefficient by the field element a."""
-    if a.is_zero():
+    if not a:
         return []
     return trim([c * a for c in f])
 
@@ -83,10 +83,10 @@ def mul(f, g):
     ctx = f[0].ctx
     out = [ctx.zero() for _ in range(len(f) + len(g) - 1)]
     for i, a in enumerate(f):
-        if a.is_zero():
+        if not a:
             continue
         for j, b in enumerate(g):
-            if not b.is_zero():
+            if b:
                 out[i + j] = out[i + j] + a * b
     return trim(out)
 
@@ -163,13 +163,8 @@ def scale_arg(f, u):
 
 
 def content_val(f):
-    """Minimum coefficient valuation (the content's valuation); infinite for 0."""
-    best = Valuation.infinite()
-    for c in f:
-        v = c.val()
-        if v < best:
-            best = v
-    return best
+    """Minimum valuation of the nonzero coefficients (the content's); None for 0."""
+    return min((c.val() for c in f if c), default=None)
 
 
 def primitive(f, ctx):
@@ -183,17 +178,16 @@ def primitive(f, ctx):
         raise ZeroPolynomial("zero polynomial has no primitive part")
     v = content_val(f)
     if v == 0:
-        return list(f), Fraction(0)
-    u = ctx.uniformizer_power(v.q)
-    inv = u.inverse()
-    return [c * inv for c in f], v.q
+        return list(f), v
+    inv = ctx.uniformizer_power(v).inverse()
+    return [c * inv for c in f], v
 
 
 def reduction(f, ctx):
     """Coefficientwise residues, as an F_p polynomial (requires integrality)."""
     out = []
     for c in f:
-        if c.val() < 0:
+        if c and c.val() < 0:
             raise NonIntegral("polynomial has a coefficient of negative valuation")
         out.append(c.residue())
     return fppoly.normalize(out, ctx.p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fppoly, kpoly
-from .field import Valuation, fmt_rat
+from .field import fmt_rat
 from .kpoly import ZeroPolynomial
 
 
@@ -53,11 +53,7 @@ def newton_polygon(f):
     f = kpoly.trim(f)
     if not f:
         raise ZeroPolynomial("newton polygon of the zero polynomial")
-    pts = []
-    for i, c in enumerate(f):
-        v = c.val()
-        if not v.is_infinite:
-            pts.append((i, v.q))
+    pts = [(i, c.val()) for i, c in enumerate(f) if c]
     # pts is nonempty (leading coefficient) and already sorted by i
     hull = []
     for pt in pts:
@@ -75,7 +71,7 @@ def newton_polygon(f):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         segments.append(Segment(Fraction(y2 - y1, x2 - x1), x2 - x1))
     return NewtonPolygon(
-        vertices=tuple((i, Fraction(v)) for i, v in hull),
+        vertices=tuple(hull),
         segments=tuple(segments),
         x_order=pts[0][0],
         degree=len(f) - 1,
@@ -83,17 +79,14 @@ def newton_polygon(f):
 
 
 def root_valuations(f):
-    """Multiset of valuations of all deg(f) roots, as a sorted list.
+    """Multiset of valuations of all deg(f) roots, as a list.
 
-    Segment of slope s and length l -> l roots of valuation -s; the root 0
-    (X-divisibility) appears with valuation infinity.
+    Segment of slope s and length l -> l roots of valuation -s, listed sorted;
+    then one None (infinite valuation) per root 0 (X-divisibility).
     """
     np = newton_polygon(f)
-    out = []
-    for seg in np.segments:
-        out.extend([Valuation(-seg.slope)] * seg.length)
-    out.extend([Valuation.infinite()] * np.x_order)
-    return sorted(out)
+    out = sorted(-seg.slope for seg in np.segments for _ in range(seg.length))
+    return out + [None] * np.x_order
 
 
 def positive_root_count(f):
@@ -150,12 +143,12 @@ def check_integrality(f, ctx):
     p = ctx.p
     if kpoly.degree(f) != p:
         raise PreconditionViolated(f"expected degree {p}, got {kpoly.degree(f)}")
-    if not (f[-1] - ctx.one()).is_zero():
+    if f[-1] != ctx.one():
         raise PreconditionViolated("polynomial is not monic")
-    if not f[0].is_zero():
+    if f[0]:
         raise PreconditionViolated("constant term must vanish")
     for i, c in enumerate(f):
-        if c.val() < 0:
+        if c and c.val() < 0:
             return IntegralityReport(
                 False, witness=f"coefficient {i} has valuation {c.val()} < 0"
             )

@@ -21,9 +21,12 @@ distinct points in a disc are the Newton root count less the sum of (m - 1)
 over the critical points inside it, and no gcd over the field is needed.
 Radii are arbitrary rationals (the field layer has no fixed e), so one pass
 separates everything.  Every blow-up is centered at an F_p-rational
-residue; a repeated residual root outside F_p is reported as an error rather
-than silently mishandled (ResidualRootOutsideFp) — it cannot arise for
-covers whose critical points are rational.
+residue; a residual root outside F_p that is repeated, or shared by two
+fibers, is reported as an error rather than silently mishandled
+(ResidualRootOutsideFp).  Rational critical points do not rule this out:
+among the 450 seeded random covers of the differential test, all with
+rational critical points, 29 are refused this way, every one for a shared
+root; a repeated one has not been observed.
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ class ResidualRootOutsideFp(OracleError):
     """A repeated or shared residual root is not F_p-rational.
 
     The engine only lifts rational centers; a multiple root of a residual
-    polynomial outside the prime field would require an unramified extension
-    of the base to continue, so the run stops loudly instead.
+    polynomial outside the prime field, or one shared by two fibers, would
+    require an unramified extension of the base to continue, so the run
+    stops loudly instead.  Covers with rational critical points reach this
+    too: the shared kind refuses 29 of the 450 seeded random covers in the
+    differential test; the repeated kind has not been seen.
     """
 
 
@@ -184,7 +190,7 @@ def fundamental_model(cover):
     critical = [(x, m, cover.value_at(x)) for x, m in cover.critical.points]
     carried, points = {}, {}
     for label, lam in tracks:
-        if lam.val() < 0:
+        if lam and lam.val() < 0:
             raise NotIntegralCover(f"branch value {label} is not integral")
         prim, content = kpoly.primitive(kpoly.sub(beta, [lam]), cover.ctx)
         if content != 0:
@@ -214,9 +220,14 @@ class BlowUpStep:
     participants: tuple
 
 
+def _val_at_least(x, r):
+    """v(x) >= r; always true for x = 0, whose valuation is infinite."""
+    return not x or x.val() >= r
+
+
 def _repeated(points, lift):
     """Sum of (m - 1) over the critical points in the open disc at lift."""
-    return sum(m - 1 for x, m in points if (x - lift).val() > 0)
+    return sum(m - 1 for x, m in points if not (d := x - lift) or d.val() > 0)
 
 
 def _distinct_in_disc(g, points, lift):
@@ -272,7 +283,6 @@ def blow_up(ctx, tracks, points, residue, mults, nu=None):
         raise CenterNotRoot(
             f"all fiber points at residue {wbar} coincide; nothing separates"
         )
-    nu = Fraction(nu)
     if nu <= 0:
         raise ValueError("blow-up increment must be positive")
     scale, unscale = ctx.uniformizer_power(nu), ctx.uniformizer_power(-nu)
@@ -286,7 +296,9 @@ def blow_up(ctx, tracks, points, residue, mults, nu=None):
             )
         carried[label] = prim
         moved = [(x - lift, mx) for x, mx in points[label]]
-        inside[label] = tuple((d * unscale, mx) for d, mx in moved if d.val() >= nu)
+        inside[label] = tuple(
+            (d * unscale, mx) for d, mx in moved if _val_at_least(d, nu)
+        )
     return BlowUpStep(carried, inside, nu, m, k, tuple(sorted(mults)))
 
 
@@ -335,7 +347,7 @@ def _residual_table(node, reductions, p):
 
 
 def _set_kind(node, reductions, p):
-    verdicts = {fppoly.is_zero(fppoly.deriv(hbar, p)) for hbar in reductions.values()}
+    verdicts = {not fppoly.deriv(hbar, p) for hbar in reductions.values()}
     if len(verdicts) != 1:
         raise OracleError(f"inconsistent separability verdicts on {node.name}")
     node.kind = "inseparable" if verdicts.pop() else "etale"
@@ -431,11 +443,6 @@ def _contract(state):
         parent = state.nodes[node.parent]
         parent.children[parent.children.index(name)] = child.name
         del state.nodes[name]
-
-
-def _val_at_least(x, r):
-    v = x.val()
-    return v.is_infinite or v.q >= r
 
 
 class _Disc:

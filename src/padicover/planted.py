@@ -216,6 +216,6 @@ def random_integral_cover(rng, p, e=1):
             (ctx.from_rational(x), m) for x, m in zip(sorted(locations), mults)
         ]
         cover = from_critical_divisor(points, ctx)
-        values = {cover.value_at(x).val().q for x, _ in points}
+        values = {cover.value_at(x).val() for x, _ in points}
         if 0 in values:
             return cover

@@ -10,7 +10,6 @@ from padicover.field import (
     DivisionByZero,
     FieldContext,
     NegativeValuation,
-    Valuation,
     fmt_rat,
     parse_rat,
     vp,
@@ -30,7 +29,7 @@ def test_context_basics():
     K = FieldContext(5, 4)
     assert K.from_rational(5).val() == 1
     assert K.pi().val() == Fraction(1, 4)
-    assert K.zero().val().is_infinite
+    assert K.zero().val() is None
     assert K.one().val() == 0
     with pytest.raises(ValueError):
         FieldContext(6)
@@ -84,6 +83,8 @@ def test_ultrametric_random_pairs():
     for _ in range(10_000):
         K = rng.choice(contexts)
         x, y = random_element(rng, K), random_element(rng, K)
+        if not (x and y and x + y):
+            continue  # a zero term or sum makes the law trivial
         vx, vy, vs = x.val(), y.val(), (x + y).val()
         assert vs >= min(vx, vy)
         if vx != vy:
@@ -96,7 +97,10 @@ def test_multiplicativity_random():
         K = FieldContext(5, e)
         for _ in range(400):
             x, y = random_element(rng, K), random_element(rng, K)
-            assert (x * y).val() == x.val() + y.val()
+            if x and y:
+                assert (x * y).val() == x.val() + y.val()
+            else:
+                assert (x * y).val() is None
 
 
 def test_mul_div_roundtrip():
@@ -105,7 +109,7 @@ def test_mul_div_roundtrip():
         K = FieldContext(5, e)
         for _ in range(200):
             x, y = random_element(rng, K), random_element(rng, K)
-            if y.is_zero():
+            if not y:
                 continue
             assert (x / y) * y == x
     with pytest.raises(DivisionByZero):
@@ -118,14 +122,18 @@ def test_residue_is_ring_homomorphism():
     picked = 0
     while picked < 300:
         x, y = random_element(rng, K), random_element(rng, K)
-        if x.val() < 0 or y.val() < 0:
+        if (x and x.val() < 0) or (y and y.val() < 0):
             continue
         picked += 1
         assert (x + y).residue() == (x.residue() + y.residue()) % 7
         assert (x * y).residue() == (x.residue() * y.residue()) % 7
     assert K.one().residue() == 1
-    with pytest.raises(NegativeValuation):
+    with pytest.raises(NegativeValuation) as info:
         K.element([Fraction(1, 7), 0, 0]).residue()
+    assert str(info.value) == "element has valuation -1 < 0"
+    with pytest.raises(NegativeValuation) as info:
+        K.element([0, Fraction(1, 7), 0]).residue()
+    assert str(info.value) == "element has valuation -2/3 < 0"
 
 
 def test_uniformizer_power_exact():
@@ -162,18 +170,6 @@ def test_embedding_preserves_arithmetic():
         assert (lx + ly).to_strings() == _spread((x + y).to_strings(), 3)
     with pytest.raises(ValueError):
         K.enlarged(5)
-
-
-def test_valuation_total_order_and_arithmetic():
-    inf = Valuation.infinite()
-    a, b = Valuation(Fraction(1, 2)), Valuation(2)
-    assert a < b < inf
-    assert a + b == Fraction(5, 2)
-    assert (a + inf).is_infinite
-    assert inf == Valuation.infinite()
-    assert sorted([inf, b, a]) == [a, b, inf]
-    assert 3 * a == Fraction(3, 2)
-    assert a >= 0 and not (a >= 1)
 
 
 @given(st.fractions(), st.fractions())
@@ -223,12 +219,15 @@ def mixed_elements(draw):
 
 @given(mixed_elements(), mixed_elements())
 def test_mixed_denominators_valuation_is_multiplicative(x, y):
-    assert (x * y).val() == x.val() + y.val()
+    if x and y:
+        assert (x * y).val() == x.val() + y.val()
+    else:
+        assert (x * y).val() is None
 
 
 @given(mixed_elements())
 def test_mixed_denominators_inverse(x):
-    if x.is_zero():
+    if not x:
         return
     assert x * x.inverse() == MIXED.one()
 
@@ -311,7 +310,7 @@ def test_integer_kernel_matches_the_dense_fraction_model(case):
         assert z.to_strings() == dense_strings(dz), op
         assert z == K.element(dz), op
         expected = dense_val(dz, p)
-        assert (z.val().is_infinite if expected is None else z.val() == expected), op
+        assert z.val() == expected, op
     v = dense_val(dx, p)
     if v is None or v > 0:
         assert x.residue() == 0

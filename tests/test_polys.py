@@ -84,7 +84,7 @@ def test_kpoly_calculus():
     f = kpoly.from_rationals(K, [0, 0, 3, 0, 5])  # 3X^2 + 5X^4
     F = kpoly.antiderivative(f)
     assert kpoly.derivative(F) == f
-    assert kpoly.eval_at(F, K.zero()).is_zero()
+    assert not kpoly.eval_at(F, K.zero())
 
 
 def test_kpoly_from_roots_kills_roots():
@@ -93,5 +93,5 @@ def test_kpoly_from_roots_kills_roots():
     f = kpoly.from_roots(K, pts)
     assert kpoly.degree(f) == 3
     for x, _ in pts:
-        assert kpoly.eval_at(f, x).is_zero()
+        assert not kpoly.eval_at(f, x)
     assert f[-1] == K.one()
