@@ -19,9 +19,12 @@ pi-power basis, pi = p**(1/e).)  The input's e only sets that format: the
 arithmetic has no fixed ramification index.  The ``e`` that ``verify``
 reports is the least ramification index over which the cover and every
 blow-up radius are defined, the lcm of the input's e and the denominators of
-the radii in the oracle's stages.  Formula mode skips the field entirely and names the branch
-points with their fiber profiles; a colliding pair carries the valuation of
-the difference::
+the radii in the oracle's stages.  Exact mode builds beta densely and takes
+p <= 500 (``cover.EXACT_P_BOUND``; verify of a random cover takes 10-15 s at
+p = 401); a larger p exits 3.
+
+Formula mode skips the field entirely and names the branch points with their
+fiber profiles; a colliding pair carries the valuation of the difference::
 
     {"p": 5, "branch_points": [
         {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "7"},
@@ -130,8 +133,6 @@ def _apply_pair_flags(specs, pair, epsilon, path):
     by_name = {s["name"]: dict(s) for s in specs}
     if len(by_name) != len(specs):
         raise SchemaError(f"{path}: duplicate branch point names")
-    for s in by_name.values():
-        s.pop("tail_with", None) if pair is not None else None
     if pair is not None:
         names = [n.strip() for n in pair.split(",")]
         if len(names) != 2 or not all(n in by_name for n in names):
@@ -141,16 +142,17 @@ def _apply_pair_flags(specs, pair, epsilon, path):
         if epsilon is None:
             raise SchemaError("--pair requires --epsilon")
         for s in by_name.values():
+            s.pop("tail_with", None)
             s.pop("epsilon", None)
         by_name[names[0]]["tail_with"] = names[1]
         by_name[names[0]]["epsilon"] = epsilon
     else:
-        tails = [s for s in by_name.values() if "tail_with" in s or "epsilon" in s]
+        # classify_formula reads an epsilon only where tail_with is declared
+        tails = [s for s in by_name.values() if "tail_with" in s]
         if not tails:
             raise SchemaError("--epsilon given but the file declares no pair")
         for s in tails:
-            if "epsilon" in s:
-                s["epsilon"] = epsilon
+            s["epsilon"] = epsilon
     return list(by_name.values())
 
 

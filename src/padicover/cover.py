@@ -26,6 +26,13 @@ class InvalidDivisor(ValueError):
     """Critical multiplicities that cannot come from a degree-p polynomial."""
 
 
+# Exact mode builds beta densely, so its cost grows about as p**3.  On a
+# 2-vCPU Xeon, verify of a random cover took 10-15 s at p = 401 and 23-45 s at
+# p = 503, and classify 1.5 s at p = 701; at p = 1009 classify ran 4 s and
+# then failed printing branch values over Python's 4,300-digit limit.
+EXACT_P_BOUND = 500
+
+
 class RHViolation(AssertionError):
     """The degree count failed — internal inconsistency, never expected."""
 
@@ -119,6 +126,11 @@ def from_critical_divisor(div, ctx):
     denominator p sits in front of the leading term, where it cancels — this
     is why such covers are automatically integral with reduction X**p.
     """
+    if ctx.p > EXACT_P_BOUND:
+        raise InvalidDivisor(
+            f"exact mode takes p <= {EXACT_P_BOUND}, got p = {ctx.p}; "
+            f"formula mode (--profiles) takes larger p"
+        )
     if not isinstance(div, CriticalDivisor):
         div = CriticalDivisor(tuple(div), ctx.p)
     if div.p != ctx.p:

@@ -6,6 +6,13 @@ length l certifies exactly l roots of valuation -s in an algebraic closure;
 divisibility by X**m adds m roots of infinite valuation.  That
 correspondence is the only root information the rest of the package ever
 uses — no root is ever found explicitly.
+
+The blow-up engine needs only two readings of the polygon: how many roots
+lie in the open unit disc, and the least positive root valuation.  Both
+come from one pass over the coefficient valuations, with no hull
+(``positive_root_count``, ``min_positive_root_valuation``).  The hull itself
+(``newton_polygon``) is built for ``classify --emit-newton`` and as the
+tests' reference reading.
 """
 
 from __future__ import annotations
@@ -89,34 +96,36 @@ def root_valuations(f):
     return out + [None] * np.x_order
 
 
+def _least_point(f):
+    """The points (i, val(a_i)) of the nonzero a_i, and the first of least
+    valuation: the right end of the polygon's negative slopes."""
+    pts = [(i, c.val()) for i, c in enumerate(f) if c]
+    if not pts:
+        raise ZeroPolynomial("Newton reading of the zero polynomial")
+    return pts, min(pts, key=lambda pt: pt[1])
+
+
 def positive_root_count(f):
     """Number of roots of strictly positive valuation (infinite included).
 
     This counts the roots inside the open unit disc of the current chart —
-    the quantity the blow-up engine compares across fibers.
+    the quantity the blow-up engine compares across fibers.  The segments of
+    negative slope (and the root 0) end where the least valuation is first
+    attained, so the count is that index.
     """
-    np = newton_polygon(f)
-    n = np.x_order
-    for seg in np.segments:
-        if seg.slope < 0:
-            n += seg.length
-    return n
+    return _least_point(f)[1][0]
 
 
 def min_positive_root_valuation(f):
     """Smallest strictly positive *finite* root valuation, or None.
 
     None means every root in the open unit disc is exactly at the center
-    (or there are none) — no scale at which anything new separates.
+    (or there are none) — no scale at which anything new separates.  The
+    last negative slope ends at the first point (n, v) of least valuation,
+    so its root valuation is the least (v(a_i) - v) / (n - i) over i < n.
     """
-    np = newton_polygon(f)
-    best = None
-    for seg in np.segments:
-        if seg.slope < 0:
-            v = -seg.slope
-            if best is None or v < best:
-                best = v
-    return best
+    pts, (n, least) = _least_point(f)
+    return min(((v - least) / (n - i) for i, v in pts if i < n), default=None)
 
 
 @dataclass(frozen=True)

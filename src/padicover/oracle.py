@@ -11,6 +11,14 @@ survive contraction.  Agreement with the discrete classifier is then a
 genuine two-route check: same dual graphs, computed from different inputs by
 different mathematics.
 
+Each blow-up reads every translated fiber polynomial once: its count of
+roots in the open disc and its least positive root valuation come from one
+pass over the coefficient valuations (``newton.positive_root_count`` and
+``newton.min_positive_root_valuation``), with no convex hull.  A disc maps
+onto its image, so the image holds exactly the branch values whose tracks
+the disc carries: an image disc is named by its radius and those labels,
+and the downstairs tree needs no valuation test.
+
 Conventions.  A "track" is a pair (label, branch value); its carried
 polynomial V always has content 0, so its reduction is a nonzero polynomial
 over F_p whose degree equals the number of fiber points (with multiplicity)
@@ -73,7 +81,10 @@ class ResidualRootOutsideFp(OracleError):
 
 
 class NonTermination(OracleError):
-    """Blow-up count exceeded the stage budget (a safety valve, not math)."""
+    """Blow-up count exceeded MAX_BLOWUPS (a safety valve, not math)."""
+
+
+MAX_BLOWUPS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +101,19 @@ class _Node:
         "tracks",
         "points",
         "m",
-        "down_rep",
         "down_radius",
         "marks",
         "children",
         "kind",
     )
 
-    def __init__(self, name, parent, thickness, tracks, points, m, down_rep, down_radius):
+    def __init__(self, name, parent, thickness, tracks, points, m, down_radius):
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
         self.tracks = tracks  # label -> primitive kpoly coefficients
         self.points = points  # label -> ((x, m), ...) critical points in the disc
         self.m = m  # local degree of the cover on this disc
-        self.down_rep = down_rep  # a branch value inside the image disc
         self.down_radius = down_radius  # Fraction, radius of the image disc
         self.marks = []
         self.children = []
@@ -118,7 +127,6 @@ class Stage:
     node: str  # child disc created
     parent: str
     residue: int
-    lift: str
     nu: Fraction  # radius increment upstairs
     m: int  # local degree carried into the child
     k: int  # distinct fiber points inside the child disc
@@ -130,7 +138,7 @@ class Stage:
             "node": self.node,
             "parent": self.parent,
             "residue": self.residue,
-            "lift": self.lift,
+            "lift": str(self.residue),
             "nu": fmt_rat(self.nu),
             "m": self.m,
             "k": self.k,
@@ -142,10 +150,9 @@ class Stage:
 class ModelState:
     """A partially or fully separated model: disc tree plus trace."""
 
-    def __init__(self, cover, tracks):
-        self.cover = cover
-        self.ctx = cover.ctx
-        self.track_values = dict(tracks)  # label -> branch value Element
+    def __init__(self, ctx, labels):
+        self.ctx = ctx
+        self.labels = tuple(labels)  # one per ramified fiber, as given
         self.nodes = {}
         self.stages = []
         self.blowups = 0
@@ -184,7 +191,7 @@ def fundamental_model(cover):
     if kpoly.reduction(reversed_beta, cover.ctx) != [1]:
         raise NotIntegralCover("reversed polynomial does not reduce to 1")
     tracks = [(branch_label(bp.value), bp.value) for bp in branch_data(cover).branch]
-    state = ModelState(cover, tracks)
+    state = ModelState(cover.ctx, [label for label, _ in tracks])
     p = cover.ctx.p
     beta = cover.beta_list()
     critical = [(x, m, cover.value_at(x)) for x, m in cover.critical.points]
@@ -197,8 +204,7 @@ def fundamental_model(cover):
             raise OracleError(f"fiber {label}: beta - lambda has content {content}, not 0")
         carried[label] = prim
         points[label] = tuple((x, m) for x, m, value in critical if value == lam)
-    rep = state.track_values[min(state.track_values)]
-    root = _Node("C", None, None, carried, points, p, rep, Fraction(0))
+    root = _Node("C", None, None, carried, points, p, Fraction(0))
     root.marks.append(("inf", p))
     state.nodes["C"] = root
     return state
@@ -208,69 +214,43 @@ def fundamental_model(cover):
 # one blow-up
 
 
-@dataclass(frozen=True)
-class BlowUpStep:
-    """Result of a single explicit blow-up at a rational residue."""
-
-    tracks: dict  # label -> carried polynomial on the child disc
-    points: dict  # label -> critical points in the child disc, its coordinate
-    nu: Fraction
-    m: int
-    k: int
-    participants: tuple
-
-
-def _val_at_least(x, r):
-    """v(x) >= r; always true for x = 0, whose valuation is infinite."""
-    return not x or x.val() >= r
-
-
 def _repeated(points, lift):
     """Sum of (m - 1) over the critical points in the open disc at lift."""
     return sum(m - 1 for x, m in points if not (d := x - lift) or d.val() > 0)
 
 
-def _distinct_in_disc(g, points, lift):
-    """Distinct roots of strictly positive valuation, and all of them.
-
-    ``g`` is a track translated to ``lift``, ``points`` the track's critical
-    points before the translation.
-    """
-    total = newton.positive_root_count(g)
-    return total - _repeated(points, lift), total
-
-
-def blow_up(ctx, tracks, points, residue, mults, nu=None):
+def blow_up(ctx, tracks, points, residue, mults):
     """Blow up the unit disc at an F_p-rational residue, rescaling every track.
 
     ``tracks`` maps labels to primitive polynomials on the current disc and
     ``points`` to their critical points.  ``mults`` maps each label whose
     reduction has the residue as a root to that root's multiplicity, as the
-    residual table reads it; an empty ``mults`` raises CenterNotRoot.  When
-    ``nu`` is omitted the increment is the smallest radius at which anything
-    separates, read off the Newton polygons.  Only the tracks in ``mults``
-    are carried into the child, with the critical points inside it.
+    residual table reads it; an empty ``mults`` raises CenterNotRoot.  Each
+    translated track is read once, in one pass over its coefficient
+    valuations: its root count in the open disc must equal the residual
+    multiplicity, and the increment nu is the least positive root valuation
+    over all of them, the radius at which something first separates.  Only
+    the tracks in ``mults`` are carried into the child, with the critical
+    points inside it.  Returns the child's (tracks, points, nu, m).
     """
     wbar = residue % ctx.p
-    shifted = {}
     if not mults:
         raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber")
     lift = ctx.from_rational(Fraction(wbar))
-    k = 0
-    best = None
+    shifted = {}
+    nu = None
     for label in sorted(mults):
         g = kpoly.translate(tracks[label], lift)
         shifted[label] = g
-        distinct, total = _distinct_in_disc(g, points[label], lift)
+        total = newton.positive_root_count(g)
         if total != mults[label]:
             raise OracleError(
                 f"fiber {label} at residue {wbar}: {total} roots in the disc by the "
                 f"Newton polygon, {mults[label]} by the residual multiplicity"
             )
-        k += distinct
         v = newton.min_positive_root_valuation(g)
-        if v is not None and (best is None or v < best):
-            best = v
+        if v is not None and (nu is None or v < nu):
+            nu = v
     m_values = sorted(set(mults.values()))
     if len(m_values) != 1:
         raise OracleError(
@@ -278,13 +258,9 @@ def blow_up(ctx, tracks, points, residue, mults, nu=None):
         )
     m = m_values[0]
     if nu is None:
-        nu = best
-    if nu is None:
         raise CenterNotRoot(
             f"all fiber points at residue {wbar} coincide; nothing separates"
         )
-    if nu <= 0:
-        raise ValueError("blow-up increment must be positive")
     scale, unscale = ctx.uniformizer_power(nu), ctx.uniformizer_power(-nu)
     carried, inside = {}, {}
     for label in sorted(mults):
@@ -295,11 +271,12 @@ def blow_up(ctx, tracks, points, residue, mults, nu=None):
                 f"not m * nu = {m * nu}"
             )
         carried[label] = prim
-        moved = [(x - lift, mx) for x, mx in points[label]]
         inside[label] = tuple(
-            (d * unscale, mx) for d, mx in moved if _val_at_least(d, nu)
+            (d * unscale, mx)
+            for x, mx in points[label]
+            if not (d := x - lift) or d.val() >= nu
         )
-    return BlowUpStep(carried, inside, nu, m, k, tuple(sorted(mults)))
+    return carried, inside, nu, m
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +330,14 @@ def _set_kind(node, reductions, p):
     node.kind = "inseparable" if verdicts.pop() else "etale"
 
 
-def separate_fibers(cover, max_stages=2048):
+def separate_fibers(cover):
     """Blow up until every fiber point sits alone, and return the full state.
 
     Each track is reduced once per node: the node's kind, its residual table
-    and the stage records all read that one reduction.  Raises
-    NonTermination if the stage budget is exhausted.
+    and the stage records all read that one reduction.  The count k of
+    distinct fiber points at a residue decides between a mark (k = 1) and a
+    blow-up, and is the stage's k.  Raises NonTermination after MAX_BLOWUPS
+    blow-ups.
     """
     state = fundamental_model(cover)
     ctx = state.ctx
@@ -376,44 +355,36 @@ def separate_fibers(cover, max_stages=2048):
             parts = table[wbar]
             # a residual root of multiplicity t is t fiber points in the disc
             lift = ctx.from_rational(Fraction(wbar))
-            distinct_total = sum(
+            k = sum(
                 t - _repeated(node.points[label], lift) for label, t in parts.items()
             )
-            if distinct_total == 1:
+            if k == 1:
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            step = blow_up(ctx, node.tracks, node.points, wbar, parts)
+            tracks, points, nu, m = blow_up(ctx, node.tracks, node.points, wbar, parts)
             state.blowups += 1
-            if state.blowups > max_stages:
+            if state.blowups > MAX_BLOWUPS:
                 raise NonTermination(
-                    f"exceeded {max_stages} blow-ups; the model is not separating"
+                    f"exceeded {MAX_BLOWUPS} blow-ups; the model is not separating"
                 )
             child_name = f"{node.name}.{wbar}"
-            rep = state.track_values[min(step.participants)]
             child = _Node(
-                child_name,
-                node.name,
-                step.nu,
-                step.tracks,
-                step.points,
-                step.m,
-                rep,
-                node.down_radius + step.m * step.nu,
+                child_name, node.name, nu, tracks, points, m, node.down_radius + m * nu
             )
             state.nodes[child_name] = child
             node.children.append(child_name)
+            participants = tuple(sorted(parts))
             state.stages.append(
                 Stage(
                     node=child_name,
                     parent=node.name,
                     residue=wbar,
-                    lift=fmt_rat(Fraction(wbar)),
-                    nu=step.nu,
-                    m=step.m,
-                    k=step.k,
-                    participants=step.participants,
-                    residuals={la: fppoly.fmt(reductions[la]) for la in step.participants},
+                    nu=nu,
+                    m=m,
+                    k=k,
+                    participants=participants,
+                    residuals={la: fppoly.fmt(reductions[la]) for la in participants},
                 )
             )
             stack.append(child_name)
@@ -445,58 +416,26 @@ def _contract(state):
         del state.nodes[name]
 
 
-class _Disc:
-    __slots__ = ("radius", "rep", "name", "labels")
-
-    def __init__(self, radius, rep):
-        self.radius = radius
-        self.rep = rep
-        self.name = None
-        self.labels = ()
-
-
 def _image_discs(state):
-    """The downstairs tree: distinct images of the surviving upstairs discs."""
-    discs = []
-    target = {}
+    """The downstairs tree: the distinct images of the surviving discs.
+
+    A disc maps onto its image, so the image holds exactly the branch values
+    whose tracks the disc carries; (radius, labels) names it.  Returns the
+    disc names by key, in order of first appearance, and each node's disc.
+    """
+    discs, target = {}, {}
     for name, node in state.nodes.items():
-        found = None
-        for disc in discs:
-            if disc.radius == node.down_radius and _val_at_least(
-                node.down_rep - disc.rep, disc.radius
-            ):
-                found = disc
-                break
-        if found is None:
-            found = _Disc(node.down_radius, node.down_rep)
-            discs.append(found)
-        target[name] = found
-    for disc in discs:
-        disc.labels = tuple(
-            label
-            for label in sorted(state.track_values)
-            if _val_at_least(state.track_values[label] - disc.rep, disc.radius)
-        )
-        if disc.radius == 0:
-            disc.name = "D"
-        else:
-            disc.name = f"D({'+'.join(disc.labels)}@{fmt_rat(disc.radius)})"
-    names = [d.name for d in discs]
-    if len(set(names)) != len(names):
+        key = (node.down_radius, tuple(sorted(node.tracks)))
+        if key not in discs:
+            radius, labels = key
+            if radius == 0:
+                discs[key] = "D"
+            else:
+                discs[key] = f"D({'+'.join(labels)}@{fmt_rat(radius)})"
+        target[name] = discs[key]
+    if len(set(discs.values())) != len(discs):
         raise OracleError("image discs do not have distinct names")
     return discs, target
-
-
-def _disc_parent(disc, discs):
-    best = None
-    for other in discs:
-        if other is disc or other.radius >= disc.radius:
-            continue
-        if not _val_at_least(disc.rep - other.rep, other.radius):
-            continue
-        if best is None or other.radius > best.radius:
-            best = other
-    return best
 
 
 def _extract_partitions(state, target, y_marks):
@@ -510,7 +449,7 @@ def _extract_partitions(state, target, y_marks):
 
     by_disc = {}
     for name, node in state.nodes.items():
-        by_disc.setdefault(target[name].name, []).append(node)
+        by_disc.setdefault(target[name], []).append(node)
     out = []
     for disc_name in sorted(by_disc):
         labels = tuple(sorted(set(y_marks.get(disc_name, ())) - {"inf"}))
@@ -545,25 +484,23 @@ def assemble_model(state):
     vertical = {}
     for name, node in state.nodes.items():
         x_marks[name] = tuple(sorted(node.marks))
-        vertical[name] = VerticalMap(target[name].name, node.m, node.kind)
+        vertical[name] = VerticalMap(target[name], node.m, node.kind)
         if node.parent is not None:
             x_edges.append((node.parent, name, node.thickness))
-    y_marks = {disc.name: [] for disc in discs}
+    y_marks = {disc: [] for disc in discs.values()}
     y_marks["D"].append("inf")
-    for label in sorted(state.track_values):
-        lam = state.track_values[label]
-        best = None
-        for disc in discs:
-            if _val_at_least(lam - disc.rep, disc.radius):
-                if best is None or disc.radius > best.radius:
-                    best = disc
-        y_marks[best.name].append(label)
+    for label in sorted(state.labels):
+        deepest = max((k for k in discs if label in k[1]), key=lambda k: k[0])
+        y_marks[discs[deepest]].append(label)
     y_marks = {name: tuple(sorted(marks)) for name, marks in y_marks.items()}
     y_edges = []
-    for disc in sorted(discs, key=lambda d: (d.radius, d.name)):
-        parent = _disc_parent(disc, discs)
-        if parent is not None:
-            y_edges.append((parent.name, disc.name, disc.radius - parent.radius))
+    for key in sorted(discs, key=lambda k: (k[0], discs[k])):
+        # the parent: the disc of largest smaller radius holding these labels
+        radius, labels = key
+        outer = [k for k in discs if k[0] < radius and set(labels) <= set(k[1])]
+        if outer:
+            parent = max(outer, key=lambda k: k[0])
+            y_edges.append((discs[parent], discs[key], radius - parent[0]))
     partitions = _extract_partitions(state, target, y_marks)
     model = DualGraphPair(
         p=state.ctx.p,
@@ -598,5 +535,5 @@ def run_oracle(cover):
         stages=tuple(state.stages),
         blowups=state.blowups,
         e=lcm(cover.ctx.e, *(stage.nu.denominator for stage in state.stages)),
-        labels=tuple(state.track_values),
+        labels=state.labels,
     )

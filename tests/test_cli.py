@@ -1,6 +1,8 @@
 """The command line, called in-process through cli.main."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +62,10 @@ def cover_doc(p, points):
 
 
 def planted_doc():
-    cover = planted.suite()[0].cover
+    return exact_doc(planted.suite()[0].cover)
+
+
+def exact_doc(cover):
     return {
         "p": cover.ctx.p,
         "e": cover.ctx.e,
@@ -121,6 +126,12 @@ EXIT_CODES = {
             ],
         },
         0,
+    ),
+    "exact-mode-above-p-bound": (
+        "classify",
+        "--cover",
+        {"p": MERSENNE_61, "critical": [{"x": "0", "m": MERSENNE_61}]},
+        3,
     ),
     "duplicate-name": ("classify", "--profiles", formula(TAIL_0, LAM, ONE, ONE), 3),
     "unknown-partner": (
@@ -205,6 +216,38 @@ def test_malformed_formula_input_is_an_input_error(profile, extra, tmp_path, cap
     doc["branch_points"][0]["profile"] = profile
     assert run_main(tmp_path, "classify", "--profiles", doc, *extra) == 3
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "doc, flags, epsilon, regime",
+    [
+        (formula(("0", [3, 1, 1], {}), LAM, ONE), ("--pair", "0,lam", "--epsilon", "7"), "7", "near"),
+        (formula(("0", [3, 1, 1], {"tail_with": "lam"}), LAM, ONE), ("--epsilon", "7"), "7", "near"),
+        (DOCSTRING_PROFILES, ("--epsilon", "3"), "3", "far"),
+    ],
+    ids=["pair-and-epsilon", "epsilon-for-a-pair-without-one", "epsilon-overrides-the-file"],
+)
+def test_pair_and_epsilon_flags(doc, flags, epsilon, regime, tmp_path, capsys):
+    assert run_main(tmp_path, "classify", "--profiles", doc, *flags) == 0
+    (tail,) = json.loads(capsys.readouterr().out)["tails"]
+    assert (tail["pair"], tail["epsilon"], tail["regime"]) == (["0", "lam"], epsilon, regime)
+
+
+# exit code and sha256 of stdout of `verify --trace --emit both` per planted
+# cover; the benchmark goldens leave out e, blowups and the trace, so these
+# pin them, and a change that moves one must say why
+VERIFY_PLANTED = json.loads((Path(__file__).parent / "verify_planted_golden.json").read_text())
+
+
+def test_verify_output_of_the_planted_suite_is_pinned(tmp_path, capsys):
+    got = {}
+    for inst in planted.suite():
+        code = run_main(
+            tmp_path, "verify", "--cover", exact_doc(inst.cover), "--trace", "--emit", "both"
+        )
+        out = capsys.readouterr().out
+        got[inst.name] = [code, hashlib.sha256(out.encode()).hexdigest()]
+    assert got == VERIFY_PLANTED
 
 
 def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from padicover import kpoly
 from padicover.cover import (
+    EXACT_P_BOUND,
     CriticalDivisor,
     InvalidDivisor,
     branch_data,
@@ -61,6 +62,9 @@ def test_invalid_divisors():
         D(K, (0, 3.0), (1, 2), (2, 2))  # m not an integer
     with pytest.raises(InvalidDivisor):  # a divisor for p = 7 over a p = 5 field
         from_critical_divisor(D(FieldContext(7, 1), (0, 4), (1, 3), (2, 2)), K)
+    K503 = FieldContext(503, 1)  # the least prime above the bound
+    with pytest.raises(InvalidDivisor, match=f"p <= {EXACT_P_BOUND}, got p = 503"):
+        from_critical_divisor(D(K503, (0, 503)), K503)
 
 
 def test_shared_branch_value_grouping():

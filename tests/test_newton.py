@@ -117,6 +117,51 @@ def test_positive_root_helpers():
     assert min_positive_root_valuation(P(K5, 0, 0, 1)) is None  # X^2: only the center
 
 
+def hull_readings(f):
+    """The two readings off the hull: x_order plus the lengths of the
+    negative slopes, and the least of their negated slopes (or None)."""
+    np = newton_polygon(f)
+    negative = [seg for seg in np.segments if seg.slope < 0]
+    return (
+        np.x_order + sum(seg.length for seg in negative),
+        min((-seg.slope for seg in negative), default=None),
+    )
+
+
+def test_hull_free_readings_match_the_hull():
+    # coefficients mix exponent denominators 1-4, may all have positive
+    # valuation (non-primitive f), and low ones may vanish (X divides f)
+    rng = random.Random(2026)
+    kinds = set()
+    for _ in range(2000):
+        ctx = FieldContext(rng.choice([3, 5, 7]), 1)
+        shift = Fraction(rng.randint(0, 3), rng.randint(1, 3))
+        f = [ctx.zero()] * rng.choice([0, 0, 1, 2])
+        for _ in range(rng.randint(1, 7)):
+            c = ctx.zero()
+            if rng.random() < 0.8:
+                for _ in range(rng.randint(1, 2)):
+                    q = shift + Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                    c = c + ctx.from_rational(rng.randint(1, 4)) * ctx.uniformizer_power(q)
+            f.append(c)
+        if not any(f):
+            continue
+        readings = (positive_root_count(f), min_positive_root_valuation(f))
+        assert readings == hull_readings(f)
+        vals = [c.val() for c in f if c]
+        kinds.update(
+            kind
+            for kind, hit in (
+                ("X divides f", not f[0]),
+                ("non-primitive", min(vals) > 0),
+                ("mixed denominators", len({v.denominator for v in vals}) > 1),
+                ("nothing separates", readings[1] is None),
+            )
+            if hit
+        )
+    assert len(kinds) == 4
+
+
 def test_integrality_pass():
     # X^5 - 5X has all coefficients in R and reduces to X^5
     f = P(K5, 0, -5, 0, 0, 0, 1)

@@ -127,7 +127,7 @@ def test_near_with_conjugate_groups_is_reported_not_fudged():
         run_oracle(cover)
 
 
-def blow_up_root(cover, residue, nu=None):
+def blow_up_root(cover, residue):
     """Blow up the naive model of a cover at a residue, with the residual
     multiplicities there read off the root's residual table."""
     state = fundamental_model(cover)
@@ -135,7 +135,7 @@ def blow_up_root(cover, residue, nu=None):
     reductions = {label: kpoly.reduction(h, state.ctx) for label, h in root.tracks.items()}
     table, _ = _residual_table(root, reductions, state.ctx.p)
     mults = table.get(residue % state.ctx.p, {})
-    return blow_up(state.ctx, root.tracks, root.points, residue, mults, nu)
+    return blow_up(state.ctx, root.tracks, root.points, residue, mults)
 
 
 def test_blow_up_rejects_a_center_that_is_not_a_root():
@@ -160,15 +160,16 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root
     ctx = FieldContext(5, 1)
     poly = [ctx.from_rational(Fraction(c)) for c in (4, 5, -4, 0, 1)]
-    node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, ctx.zero(), Fraction(0))
+    node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
         _residual_table(node, {"a": kpoly.reduction(poly, ctx)}, ctx.p)
 
 
-def test_stage_budget_is_a_loud_failure():
+def test_stage_budget_is_a_loud_failure(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_BLOWUPS", 1)
     cover = rational_cover(5, [(0, 3), (1, 2), (2, 2)], e=6)
-    with pytest.raises(NonTermination):
-        separate_fibers(cover, max_stages=1)
+    with pytest.raises(NonTermination, match="exceeded 1 blow-ups"):
+        separate_fibers(cover)
 
 
 def test_every_stage_scales_the_image_by_the_local_degree():
@@ -183,37 +184,46 @@ def test_every_stage_scales_the_image_by_the_local_degree():
     assert all(set(s) >= {"node", "nu", "m", "k", "participants"} for s in data)
 
 
-def test_blow_up_past_the_separating_radius_is_a_typed_error():
+def test_blow_up_past_the_separating_radius_is_a_typed_error(monkeypatch):
     # the junction of this cover separates at nu = 1; nu = 2 overshoots, so
     # the image radius is not m * nu (a check that survives python -O)
+    monkeypatch.setattr(newton, "min_positive_root_valuation", lambda g: Fraction(2))
     cover = rational_cover(5, [(5, 3), (0, 2), (-1, 2)])
     with pytest.raises(OracleError, match="image radius increment"):
-        blow_up_root(cover, 0, nu=2)
+        blow_up_root(cover, 0)
 
 
 def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
-    # distinct points in a disc, from carried critical points, against the
-    # positive roots of gcd(g, g') over the field
-    compared = []
-    count = oracle._distinct_in_disc
+    # each stage's k, the distinct points in the child disc counted from the
+    # carried critical points, against the positive roots of gcd(g, g') over
+    # the field, g being each participating track translated to the center
+    expected = []
+    blow_up_once = oracle.blow_up
 
-    def checked(g, points, lift):
-        distinct, total = count(g, points, lift)
-        squarefree = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
-        assert distinct == total - squarefree
-        compared.append(distinct)
-        return distinct, total
+    def counted(ctx, tracks, points, residue, mults):
+        lift = ctx.from_rational(Fraction(residue))
+        k = 0
+        for label in mults:
+            g = kpoly.translate(tracks[label], lift)
+            squarefree = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
+            k += newton.positive_root_count(g) - squarefree
+        expected.append(k)
+        return blow_up_once(ctx, tracks, points, residue, mults)
 
-    monkeypatch.setattr(oracle, "_distinct_in_disc", checked)
+    monkeypatch.setattr(oracle, "blow_up", counted)
     rng = random.Random(3)
     covers = [inst.cover for inst in planted.suite()]
     covers += [planted.random_integral_cover(rng, p) for p in (5, 7) for _ in range(10)]
+    compared = 0
     for cover in covers:
+        expected.clear()
         try:
-            run_oracle(cover)
+            stages = separate_fibers(cover).stages
         except ResidualRootOutsideFp:
-            pass
-    assert len(compared) > len(covers)
+            continue
+        assert [stage.k for stage in stages] == expected
+        compared += len(stages)
+    assert compared > len(covers)
 
 
 def test_seeded_random_covers_agree_or_are_refused():
