@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branchtree
-from .cover import branch_data, branch_label as _branch_label
+from .cover import branch_data
 from .dualgraph import DualGraphPair, VerticalMap
 
 
@@ -196,25 +196,6 @@ def pair_excess(p, profile1, profile2):
     return len(profile1) + len(profile2) - p - 1
 
 
-def tail_threshold(p, profile1, profile2, pair=("a", "b")):
-    u = pair_excess(p, profile1, profile2)
-    if u <= 0:
-        raise ThresholdUndefined(pair, len(profile1), len(profile2), p)
-    return Fraction(p, u)
-
-
-def tail_regime(p, profile1, profile2, epsilon, pair=("a", "b")):
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise InvalidProfile(f"pair distance must be positive, got {eps}")
-    threshold = tail_threshold(p, profile1, profile2, pair)
-    if eps < threshold:
-        return "far"
-    if eps == threshold:
-        return "critical"
-    return "near"
-
-
 @dataclass(frozen=True)
 class TailReport:
     pair: tuple  # (label1, label2)
@@ -240,11 +221,17 @@ class TailReport:
 
 
 def analyze_tail(p, pair, profile1, profile2, epsilon):
+    """The pair's excess u, threshold p/u and regime at distance epsilon."""
     profile1 = check_profile(p, profile1)
     profile2 = check_profile(p, profile2)
     eps = Fraction(epsilon)
-    regime = tail_regime(p, profile1, profile2, eps, pair)
+    if eps <= 0:
+        raise InvalidProfile(f"pair distance must be positive, got {eps}")
     u = pair_excess(p, profile1, profile2)
+    if u <= 0:
+        raise ThresholdUndefined(pair, len(profile1), len(profile2), p)
+    threshold = Fraction(p, u)
+    regime = "far" if eps < threshold else "critical" if eps == threshold else "near"
     parts = ()
     if regime == "near":
         parts = admissible_partitions(p, profile1, profile2)
@@ -257,7 +244,7 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
         profiles=(profile1, profile2),
         epsilon=eps,
         excess=u,
-        threshold=Fraction(p, u),
+        threshold=threshold,
         regime=regime,
         partitions=parts,
     )
@@ -459,17 +446,15 @@ def classify_formula(p, branch_specs):
 def classify_cover(cover):
     """Exact mode: read branch data and residue geometry off a concrete
     cover whose branch values are all integral."""
-    data = branch_data(cover)
     p = cover.ctx.p
     labeled = []
-    for bp in data.branch:
-        label = _branch_label(bp.value)
+    for bp in branch_data(cover).branch:
         if bp.value and bp.value.val() < 0:
             raise NonIntegralBranchValue(
-                f"branch value {label} is not integral; move the branch values "
+                f"branch value {bp.label} is not integral; move the branch values "
                 "into the unit disc by a change of coordinates"
             )
-        labeled.append((label, bp.value, bp.profile))
+        labeled.append((bp.label, bp.value, bp.profile))
     if len(labeled) == 1:
         lbl, _, prof = labeled[0]
         return assemble(p, [(lbl, prof)], [])

@@ -5,7 +5,8 @@ Exit codes are part of the interface:
   0  success (for ``verify``: the two routes agree)
   1  ``verify`` ran both routes and they disagree
   2  the cover does not have simple reduction (offending branch values listed)
-  3  malformed input: bad JSON, bad schema, unparsable rationals, bad flags
+  3  malformed input: bad JSON, bad schema, unparsable rationals, bad flags,
+     or a branch value too large to write (Python's int-to-string digit limit)
   4  a domain or engine error, with advice on what to try
   5  internal error: any other exception, reported as JSON with its type
 
@@ -54,7 +55,7 @@ from .classifier import (
     classify_formula,
     pair_excess,
 )
-from .cover import branch_data, branch_label, cover_from_json
+from .cover import InvalidDivisor, branch_data, cover_from_json
 from .field import FieldContext, fmt_rat, parse_rat
 from .kpoly import sub as kpoly_sub
 from .oracle import (
@@ -193,17 +194,15 @@ def _classification_doc(classification, emit, mode):
 
 
 def _newton_doc(cover):
-    data = branch_data(cover)
     out = {}
-    for bp in data.branch:
-        fiber = kpoly_sub(cover.beta_list(), [bp.value])
-        out[branch_label(bp.value)] = newton.newton_polygon(fiber).to_json()
+    for bp in branch_data(cover).branch:
+        fiber = kpoly_sub(cover.beta, [bp.value])
+        out[bp.label] = newton.newton_polygon(fiber).to_json()
     return out
 
 
 def _branch_tree_doc(cover):
-    data = branch_data(cover)
-    points = [(branch_label(bp.value), bp.value) for bp in data.branch]
+    points = [(bp.label, bp.value) for bp in branch_data(cover).branch]
     try:
         return build_branch_tree(points).to_json()
     except AllPointsCoalesce as exc:
@@ -254,7 +253,7 @@ def _cmd_verify(args):
     doc = {
         "p": cover.ctx.p,
         "e": result.e,
-        "blowups": result.blowups,
+        "blowups": len(result.stages),
         "labels": list(result.labels),
         "candidates": len(classification.models),
         "matched_index": matched[0] if matched else None,
@@ -503,7 +502,7 @@ def main(argv=None):
         if args.command == "atlas":
             return _cmd_atlas(args)
         return _cmd_example8(args)
-    except (SchemaError, InvalidProfile) as exc:
+    except (SchemaError, InvalidProfile, InvalidDivisor) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 3
     except NotSimpleReduction as exc:

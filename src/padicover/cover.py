@@ -10,16 +10,21 @@ fiber profiles (multiplicities of points in each ramified fiber, padded with
 
     sum over branch values of n_lambda  =  (r - 2) p + 1
 
-all come out of that divisor by grouping and counting alone.
+all come out of that divisor by grouping and counting alone.  beta is built
+in one pass over the coefficients of that product.  ``branch_data`` is the
+one place a branch value is computed: each ``BranchPoint`` carries its
+display label and the critical points over it, and the classifier, the
+blow-up engine and the command line all read those.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import kpoly
 from .field import Element, FieldContext
-from .newton import check_integrality
 
 
 class InvalidDivisor(ValueError):
@@ -64,18 +69,18 @@ class CriticalDivisor:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One finite branch value with its fiber profile.
+    """One finite branch value with its fiber profile, label and critical points.
 
     profile: multiplicities of the p preimages, descending, summing to p;
-    n = len(profile) is the number of distinct points in the fiber.
+    label: the value's coefficient string(s), the name both routes mark
+    components with; points: the critical points (x, m) over the value, in
+    the divisor's order.
     """
 
     value: Element
     profile: tuple
-
-    @property
-    def n(self):
-        return len(self.profile)
+    label: str
+    points: tuple  # ((Element, int), ...)
 
 
 @dataclass(frozen=True)
@@ -85,18 +90,17 @@ class RamificationData:
     p: int
     branch: tuple  # (BranchPoint, ...)
 
-    @property
-    def r(self):
-        return len(self.branch) + 1
-
     def rh_identity(self):
-        """Check sum of n over finite branch values == (r-2)p + 1."""
-        total = sum(bp.n for bp in self.branch)
-        expected = (self.r - 2) * self.p + 1
+        """Check sum of n over finite branch values == (r-2)p + 1.
+
+        n is the number of distinct points in a fiber, r the number of branch
+        values with infinity.
+        """
+        total = sum(len(bp.profile) for bp in self.branch)
+        r = len(self.branch) + 1
+        expected = (r - 2) * self.p + 1
         if total != expected:
-            raise RHViolation(
-                f"sum n = {total}, expected (r-2)p+1 = {expected} for r={self.r}"
-            )
+            raise RHViolation(f"sum n = {total}, expected (r-2)p+1 = {expected} for r={r}")
         return total
 
 
@@ -107,15 +111,6 @@ class Cover:
     beta: tuple  # kpoly coefficients, immutable
     ctx: FieldContext
     critical: CriticalDivisor
-
-    def beta_list(self):
-        return list(self.beta)
-
-    def value_at(self, x):
-        return kpoly.eval_at(list(self.beta), x)
-
-    def integrality(self):
-        return check_integrality(list(self.beta), self.ctx)
 
 
 def from_critical_divisor(div, ctx):
@@ -135,48 +130,44 @@ def from_critical_divisor(div, ctx):
         div = CriticalDivisor(tuple(div), ctx.p)
     if div.p != ctx.p:
         raise InvalidDivisor(f"divisor for p = {div.p} given a field with p = {ctx.p}")
-    dbeta = kpoly.scale_rat(
-        kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points]), ctx.p
-    )
-    beta = kpoly.antiderivative(dbeta)
+    dbeta = kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points])
+    beta = [ctx.zero()] + [c.scale(Fraction(ctx.p, i + 1)) for i, c in enumerate(dbeta)]
     return Cover(tuple(beta), ctx, div)
 
 
-def branch_label(value):
-    """Display label for a branch value: its coefficient string(s).
-
-    Both the discrete classifier and the blow-up engine use these labels to
-    mark components, so they must agree character for character.
-    """
-    strings = value.to_strings()
-    if len(strings) == 1:
-        return strings[0]
-    return "(" + ",".join(strings) + ")"
-
-
 def branch_data(cover):
-    """Group critical points by branch value and read off fiber profiles."""
+    """Group critical points by branch value and read off fiber profiles.
+
+    This is the one place a branch value is computed and labelled.  A value
+    whose label would pass Python's int-to-string digit limit raises
+    InvalidDivisor.
+    """
     groups = {}
-    order = []
     for x, m in cover.critical.points:
-        lam = cover.value_at(x)
-        if lam not in groups:
-            groups[lam] = []
-            order.append(lam)
-        groups[lam].append(m)
-    branch = []
-    for lam in order:
-        mults = groups[lam]
+        groups.setdefault(kpoly.eval_at(cover.beta, x), []).append((x, m))
+    keyed = []
+    for lam, points in groups.items():
+        mults = sorted((m for _, m in points), reverse=True)
         ramified = sum(mults)
         if ramified > cover.ctx.p:
             raise InvalidDivisor(
                 f"critical points over {lam!r} carry total multiplicity {ramified} > p"
             )
-        profile = tuple(sorted(mults, reverse=True)) + (1,) * (cover.ctx.p - ramified)
-        branch.append(BranchPoint(lam, profile))
-    # canonical order: by value-string key, purely for deterministic output
-    branch.sort(key=lambda bp: bp.value.to_strings())
-    ram = RamificationData(cover.ctx.p, tuple(branch))
+        try:
+            strings = lam.to_strings()
+        except ValueError as exc:
+            i = cover.critical.points.index(points[0])
+            raise InvalidDivisor(
+                f"the branch value over critical point {i} (m = {points[0][1]}) has a "
+                f"coefficient over the {sys.get_int_max_str_digits()}-digit limit "
+                "for writing integers"
+            ) from exc
+        label = strings[0] if len(strings) == 1 else "(" + ",".join(strings) + ")"
+        profile = tuple(mults) + (1,) * (cover.ctx.p - ramified)
+        keyed.append((strings, BranchPoint(lam, profile, label, tuple(points))))
+    # canonical order: by value strings, purely for deterministic output
+    keyed.sort(key=lambda pair: pair[0])
+    ram = RamificationData(cover.ctx.p, tuple(bp for _, bp in keyed))
     ram.rh_identity()
     return ram
 

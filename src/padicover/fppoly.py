@@ -79,21 +79,31 @@ def is_squarefree(f, p):
     return degree(gcd(f, deriv(f, p), p)) == 0
 
 
-def eval_at(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def _strip_root(f, w, p):
+    """(m, f / (X - w)**m) for the multiplicity m of w as a root of f.
+
+    Synthetic division (Knuth, TAOCP 2, 4.6.4): Horner's partial sums of f
+    at w are the coefficients of the quotient by X - w, and the last one is
+    the remainder f(w), so one pass both tests the root and divides it out.
+    f must be normalized; the quotient then is too (its leading coefficient
+    is f's).
+    """
+    m = 0
+    while f:
+        partial, acc = [], 0
+        for c in reversed(f):
+            acc = (acc * w + c) % p
+            partial.append(acc)
+        if acc:
+            break
+        f = partial[-2::-1]
+        m += 1
+    return m, f
 
 
 def root_multiplicity(f, w, p):
     """Multiplicity of X = w as a root of f (0 if not a root)."""
-    m = 0
-    lin = [(-w) % p, 1]
-    while f and eval_at(f, w, p) == 0:
-        f, _ = divmod_fp(f, lin, p)
-        m += 1
-    return m
+    return _strip_root(normalize(f, p), w, p)[0]
 
 
 def rational_roots(f, p):
@@ -101,11 +111,7 @@ def rational_roots(f, p):
     roots = {}
     g = normalize(f, p)
     for w in range(p):
-        m = 0
-        lin = [(-w) % p, 1]
-        while g and eval_at(g, w, p) == 0:
-            g, _ = divmod_fp(g, lin, p)
-            m += 1
+        m, g = _strip_root(g, w, p)
         if m:
             roots[w] = m
     return roots, g

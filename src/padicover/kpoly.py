@@ -11,18 +11,12 @@ content/primitive-part extraction, and Euclidean gcd over K.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import fppoly
 from .field import Element
 
 
 class ZeroPolynomial(ValueError):
     """An operation that needs a nonzero polynomial got the zero one."""
-
-
-class NonIntegral(ValueError):
-    """Reduction mod the maximal ideal asked of a non-integral polynomial."""
 
 
 def trim(f):
@@ -68,13 +62,6 @@ def scale(f, a):
     if not a:
         return []
     return trim([c * a for c in f])
-
-
-def scale_rat(f, q):
-    q = Fraction(q)
-    if q == 0:
-        return []
-    return trim([c.scale(q) for c in f])
 
 
 def mul(f, g):
@@ -124,14 +111,6 @@ def eval_at(f, x):
 
 def derivative(f):
     return trim([c.scale(i) for i, c in enumerate(f)][1:])
-
-
-def antiderivative(f):
-    """The antiderivative vanishing at 0 (exact; divides coefficient i by i+1)."""
-    if not f:
-        return []
-    ctx = f[0].ctx
-    return trim([ctx.zero()] + [c.scale(Fraction(1, i + 1)) for i, c in enumerate(f)])
 
 
 def translate(f, b):
@@ -184,13 +163,11 @@ def primitive(f, ctx):
 
 
 def reduction(f, ctx):
-    """Coefficientwise residues, as an F_p polynomial (requires integrality)."""
-    out = []
-    for c in f:
-        if c and c.val() < 0:
-            raise NonIntegral("polynomial has a coefficient of negative valuation")
-        out.append(c.residue())
-    return fppoly.normalize(out, ctx.p)
+    """Coefficientwise residues, as an F_p polynomial.
+
+    A coefficient of negative valuation raises ``NegativeValuation``.
+    """
+    return fppoly.normalize([c.residue() for c in f], ctx.p)
 
 
 def divmod_k(f, g):

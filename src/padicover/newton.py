@@ -10,9 +10,8 @@ uses — no root is ever found explicitly.
 The blow-up engine needs only two readings of the polygon: how many roots
 lie in the open unit disc, and the least positive root valuation.  Both
 come from one pass over the coefficient valuations, with no hull
-(``positive_root_count``, ``min_positive_root_valuation``).  The hull itself
-(``newton_polygon``) is built for ``classify --emit-newton`` and as the
-tests' reference reading.
+(``positive_roots``).  The hull itself (``newton_polygon``) is built for
+``classify --emit-newton`` and as the tests' reference reading.
 """
 
 from __future__ import annotations
@@ -96,36 +95,28 @@ def root_valuations(f):
     return out + [None] * np.x_order
 
 
-def _least_point(f):
-    """The points (i, val(a_i)) of the nonzero a_i, and the first of least
-    valuation: the right end of the polygon's negative slopes."""
+def positive_roots(f):
+    """(count, nu): the roots of strictly positive valuation, in one pass.
+
+    count is the number of roots inside the open unit disc of the current
+    chart (the root 0 included), the quantity the blow-up engine compares
+    across fibers.  The segments of negative slope end where the least
+    valuation is first attained, at (count, v), so count is that index.  nu
+    is the smallest positive *finite* root valuation, the least
+    (v(a_i) - v) / (count - i) over i < count; None means every root in the
+    disc is exactly at the center (or there are none), so nothing new
+    separates at any scale.
+    """
     pts = [(i, c.val()) for i, c in enumerate(f) if c]
     if not pts:
         raise ZeroPolynomial("Newton reading of the zero polynomial")
-    return pts, min(pts, key=lambda pt: pt[1])
+    count, least = min(pts, key=lambda pt: pt[1])
+    return count, min(((v - least) / (count - i) for i, v in pts if i < count), default=None)
 
 
 def positive_root_count(f):
-    """Number of roots of strictly positive valuation (infinite included).
-
-    This counts the roots inside the open unit disc of the current chart —
-    the quantity the blow-up engine compares across fibers.  The segments of
-    negative slope (and the root 0) end where the least valuation is first
-    attained, so the count is that index.
-    """
-    return _least_point(f)[1][0]
-
-
-def min_positive_root_valuation(f):
-    """Smallest strictly positive *finite* root valuation, or None.
-
-    None means every root in the open unit disc is exactly at the center
-    (or there are none) — no scale at which anything new separates.  The
-    last negative slope ends at the first point (n, v) of least valuation,
-    so its root valuation is the least (v(a_i) - v) / (n - i) over i < n.
-    """
-    pts, (n, least) = _least_point(f)
-    return min(((v - least) / (n - i) for i, v in pts if i < n), default=None)
+    """The count of ``positive_roots``."""
+    return positive_roots(f)[0]
 
 
 @dataclass(frozen=True)

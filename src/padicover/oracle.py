@@ -13,8 +13,11 @@ different mathematics.
 
 Each blow-up reads every translated fiber polynomial once: its count of
 roots in the open disc and its least positive root valuation come from one
-pass over the coefficient valuations (``newton.positive_root_count`` and
-``newton.min_positive_root_valuation``), with no convex hull.  A disc maps
+pass over the coefficient valuations (``newton.positive_roots``), with no
+convex hull.  Each residue is lifted once, and each residual polynomial is
+stripped of its rational roots by synthetic division.  Branch values, their
+labels and the critical points over them are read from
+``cover.branch_data``, never recomputed here.  A disc maps
 onto its image, so the image holds exactly the branch values whose tracks
 the disc carries: an image disc is named by its radius and those labels,
 and the downstairs tree needs no valuation test.
@@ -44,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import fppoly, kpoly, newton
-from .cover import branch_data, branch_label
+from .cover import branch_data
 from .dualgraph import DualGraphPair, VerticalMap
 from .field import fmt_rat
 
@@ -155,7 +158,6 @@ class ModelState:
         self.labels = tuple(labels)  # one per ramified fiber, as given
         self.nodes = {}
         self.stages = []
-        self.blowups = 0
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,7 @@ class OracleResult:
     """Everything a verification run produces."""
 
     model: DualGraphPair
-    stages: tuple
-    blowups: int
+    stages: tuple  # one Stage per blow-up
     e: int  # lcm of the cover's e and the denominators of the stage radii
     labels: tuple
 
@@ -184,28 +185,25 @@ def fundamental_model(cover):
     infinity is already fine, which is why only finite fibers need work).
     Raises NotIntegralCover otherwise.
     """
-    report = cover.integrality()
+    ctx = cover.ctx
+    report = newton.check_integrality(cover.beta, ctx)
     if not report:
         raise NotIntegralCover(report.witness)
-    reversed_beta = list(reversed(cover.beta_list()))
-    if kpoly.reduction(reversed_beta, cover.ctx) != [1]:
+    if kpoly.reduction(cover.beta[::-1], ctx) != [1]:
         raise NotIntegralCover("reversed polynomial does not reduce to 1")
-    tracks = [(branch_label(bp.value), bp.value) for bp in branch_data(cover).branch]
-    state = ModelState(cover.ctx, [label for label, _ in tracks])
-    p = cover.ctx.p
-    beta = cover.beta_list()
-    critical = [(x, m, cover.value_at(x)) for x, m in cover.critical.points]
+    branch = branch_data(cover).branch
+    state = ModelState(ctx, [bp.label for bp in branch])
     carried, points = {}, {}
-    for label, lam in tracks:
-        if lam and lam.val() < 0:
-            raise NotIntegralCover(f"branch value {label} is not integral")
-        prim, content = kpoly.primitive(kpoly.sub(beta, [lam]), cover.ctx)
+    for bp in branch:
+        if bp.value and bp.value.val() < 0:
+            raise NotIntegralCover(f"branch value {bp.label} is not integral")
+        prim, content = kpoly.primitive(kpoly.sub(cover.beta, [bp.value]), ctx)
         if content != 0:
-            raise OracleError(f"fiber {label}: beta - lambda has content {content}, not 0")
-        carried[label] = prim
-        points[label] = tuple((x, m) for x, m, value in critical if value == lam)
-    root = _Node("C", None, None, carried, points, p, Fraction(0))
-    root.marks.append(("inf", p))
+            raise OracleError(f"fiber {bp.label}: beta - lambda has content {content}, not 0")
+        carried[bp.label] = prim
+        points[bp.label] = bp.points
+    root = _Node("C", None, None, carried, points, ctx.p, Fraction(0))
+    root.marks.append(("inf", ctx.p))
     state.nodes["C"] = root
     return state
 
@@ -219,11 +217,12 @@ def _repeated(points, lift):
     return sum(m - 1 for x, m in points if not (d := x - lift) or d.val() > 0)
 
 
-def blow_up(ctx, tracks, points, residue, mults):
+def blow_up(ctx, tracks, points, lift, mults):
     """Blow up the unit disc at an F_p-rational residue, rescaling every track.
 
     ``tracks`` maps labels to primitive polynomials on the current disc and
-    ``points`` to their critical points.  ``mults`` maps each label whose
+    ``points`` to their critical points.  ``lift`` is the residue's integer
+    lift in 0..p-1, as a field element.  ``mults`` maps each label whose
     reduction has the residue as a root to that root's multiplicity, as the
     residual table reads it; an empty ``mults`` raises CenterNotRoot.  Each
     translated track is read once, in one pass over its coefficient
@@ -233,33 +232,30 @@ def blow_up(ctx, tracks, points, residue, mults):
     the tracks in ``mults`` are carried into the child, with the critical
     points inside it.  Returns the child's (tracks, points, nu, m).
     """
-    wbar = residue % ctx.p
     if not mults:
-        raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber")
-    lift = ctx.from_rational(Fraction(wbar))
+        raise CenterNotRoot(f"residue {lift!r} is not a root of any carried fiber")
     shifted = {}
     nu = None
     for label in sorted(mults):
         g = kpoly.translate(tracks[label], lift)
         shifted[label] = g
-        total = newton.positive_root_count(g)
+        total, v = newton.positive_roots(g)
         if total != mults[label]:
             raise OracleError(
-                f"fiber {label} at residue {wbar}: {total} roots in the disc by the "
+                f"fiber {label} at residue {lift!r}: {total} roots in the disc by the "
                 f"Newton polygon, {mults[label]} by the residual multiplicity"
             )
-        v = newton.min_positive_root_valuation(g)
         if v is not None and (nu is None or v < nu):
             nu = v
     m_values = sorted(set(mults.values()))
     if len(m_values) != 1:
         raise OracleError(
-            f"local degree mismatch at residue {wbar}: {dict(sorted(mults.items()))}"
+            f"local degree mismatch at residue {lift!r}: {dict(sorted(mults.items()))}"
         )
     m = m_values[0]
     if nu is None:
         raise CenterNotRoot(
-            f"all fiber points at residue {wbar} coincide; nothing separates"
+            f"all fiber points at residue {lift!r} coincide; nothing separates"
         )
     scale, unscale = ctx.uniformizer_power(nu), ctx.uniformizer_power(-nu)
     carried, inside = {}, {}
@@ -267,7 +263,7 @@ def blow_up(ctx, tracks, points, residue, mults):
         prim, content = kpoly.primitive(kpoly.scale_arg(shifted[label], scale), ctx)
         if content != m * nu:
             raise OracleError(
-                f"fiber {label} at residue {wbar}: image radius increment {content}, "
+                f"fiber {label} at residue {lift!r}: image radius increment {content}, "
                 f"not m * nu = {m * nu}"
             )
         carried[label] = prim
@@ -336,8 +332,8 @@ def separate_fibers(cover):
     Each track is reduced once per node: the node's kind, its residual table
     and the stage records all read that one reduction.  The count k of
     distinct fiber points at a residue decides between a mark (k = 1) and a
-    blow-up, and is the stage's k.  Raises NonTermination after MAX_BLOWUPS
-    blow-ups.
+    blow-up, and is the stage's k.  Each residue is lifted once, for the
+    count and the blow-up.  Raises NonTermination after MAX_BLOWUPS blow-ups.
     """
     state = fundamental_model(cover)
     ctx = state.ctx
@@ -354,7 +350,7 @@ def separate_fibers(cover):
         for wbar in sorted(table):
             parts = table[wbar]
             # a residual root of multiplicity t is t fiber points in the disc
-            lift = ctx.from_rational(Fraction(wbar))
+            lift = ctx.from_rational(wbar)
             k = sum(
                 t - _repeated(node.points[label], lift) for label, t in parts.items()
             )
@@ -362,9 +358,8 @@ def separate_fibers(cover):
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            tracks, points, nu, m = blow_up(ctx, node.tracks, node.points, wbar, parts)
-            state.blowups += 1
-            if state.blowups > MAX_BLOWUPS:
+            tracks, points, nu, m = blow_up(ctx, node.tracks, node.points, lift, parts)
+            if len(state.stages) >= MAX_BLOWUPS:
                 raise NonTermination(
                     f"exceeded {MAX_BLOWUPS} blow-ups; the model is not separating"
                 )
@@ -533,7 +528,6 @@ def run_oracle(cover):
     return OracleResult(
         model=model,
         stages=tuple(state.stages),
-        blowups=state.blowups,
         e=lcm(cover.ctx.e, *(stage.nu.denominator for stage in state.stages)),
         labels=state.labels,
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kpoly
 from .classifier import classify_cover
 from .cover import Cover, from_critical_divisor
 from .field import FieldContext
@@ -216,6 +217,6 @@ def random_integral_cover(rng, p, e=1):
             (ctx.from_rational(x), m) for x, m in zip(sorted(locations), mults)
         ]
         cover = from_critical_divisor(points, ctx)
-        values = {cover.value_at(x).val() for x, _ in points}
+        values = {kpoly.eval_at(cover.beta, x).val() for x, _ in points}
         if 0 in values:
             return cover

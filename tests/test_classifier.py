@@ -17,8 +17,6 @@ from padicover.classifier import (
     analyze_tail,
     classify_cover,
     classify_formula,
-    tail_regime,
-    tail_threshold,
 )
 from padicover.cover import from_critical_divisor
 from padicover.dualgraph import DualGraphPair, InvalidDualGraph
@@ -83,22 +81,22 @@ def test_good_reduction_stars():
 
 
 def test_showcase_thresholds():
-    assert tail_threshold(5, (3, 1, 1), (2, 1, 1, 1)) == F(5)
-    assert tail_threshold(5, (2, 1, 1, 1), (2, 1, 1, 1)) == F(5, 2)
     for eps, want in ((F(1), "far"), (F(5), "critical"), (F(7), "near")):
-        assert tail_regime(5, (3, 1, 1), (2, 1, 1, 1), eps) == want
+        report = analyze_tail(5, ("a", "b"), (3, 1, 1), (2, 1, 1, 1), eps)
+        assert (report.threshold, report.regime) == (F(5), want)
     for eps, want in ((F(1), "far"), (F(5, 2), "critical"), (F(3), "near")):
-        assert tail_regime(5, (2, 1, 1, 1), (2, 1, 1, 1), eps) == want
+        report = analyze_tail(5, ("a", "b"), (2, 1, 1, 1), (2, 1, 1, 1), eps)
+        assert (report.threshold, report.regime) == (F(5, 2), want)
 
 
 def test_threshold_undefined_when_fibers_saturate():
     # n1 + n2 = p + 1 leaves no room between the pair and infinity
     with pytest.raises(ThresholdUndefined) as exc:
-        tail_threshold(5, (4, 1), (2, 1, 1, 1))
+        analyze_tail(5, ("a", "b"), (4, 1), (2, 1, 1, 1), 1)
     assert "p + 1 = 6" in str(exc.value)
     # at p = 3 every tail pair saturates: profiles have at most 2 parts
     with pytest.raises(ThresholdUndefined):
-        tail_threshold(3, (2, 1), (2, 1))
+        analyze_tail(3, ("a", "b"), (2, 1), (2, 1), 1)
 
 
 # -- the far regime -----------------------------------------------------------

@@ -1,7 +1,10 @@
 """The command line, called in-process through cli.main."""
 
 import hashlib
+import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,9 @@ ONE = ("1", [2, 1, 1, 1], {})
 
 MERSENNE_61 = 2**61 - 1
 
+# beta(10**900) has about 4,500 digits, over Python's int-to-string limit
+HUGE_LABEL = cover_doc(5, [("1" + "0" * 900, 3), (0, 2), (1, 2)])
+
 # one row per exit code of the cli docstring: (command, flag, document, code)
 EXIT_CODES = {
     "classify-profiles": ("classify", "--profiles", DOCSTRING_PROFILES, 0),
@@ -127,6 +133,8 @@ EXIT_CODES = {
         },
         0,
     ),
+    "classify-label-over-digit-limit": ("classify", "--cover", HUGE_LABEL, 3),
+    "verify-label-over-digit-limit": ("verify", "--cover", HUGE_LABEL, 3),
     "exact-mode-above-p-bound": (
         "classify",
         "--cover",
@@ -250,6 +258,36 @@ def test_verify_output_of_the_planted_suite_is_pinned(tmp_path, capsys):
     assert got == VERIFY_PLANTED
 
 
+# exit code and sha256 of stdout and stderr of `classify --cover --emit both
+# --emit-newton --emit-branch-tree` on the planted suite and 200 seeded random
+# covers, refusals included; the benchmark goldens leave out the newton and
+# branch-tree docs.  Rewrite it with `PYTHONPATH=src python tests/test_cli.py`.
+CLASSIFY_GOLDEN = Path(__file__).parent / "classify_golden.json"
+CLASSIFY_FLAGS = ("--emit", "both", "--emit-newton", "--emit-branch-tree")
+
+
+def classify_outputs(directory):
+    docs = {inst.name: exact_doc(inst.cover) for inst in planted.suite()}
+    rng = random.Random(2)
+    for p, e in ((5, 1), (5, 2), (7, 1), (7, 2)):
+        for i in range(50):
+            cover = planted.random_integral_cover(rng, p, e)
+            docs[f"random-p{p}-e{e}-{i:02d}"] = exact_doc(cover)
+    got = {}
+    for name, doc in docs.items():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_main(directory, "classify", "--cover", doc, *CLASSIFY_FLAGS)
+        got[name] = [code] + [
+            hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)
+        ]
+    return got
+
+
+def test_classify_output_is_pinned(tmp_path):
+    assert classify_outputs(tmp_path) == json.loads(CLASSIFY_GOLDEN.read_text())
+
+
 def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(cover):
         raise RuntimeError("boom")
@@ -260,3 +298,12 @@ def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypa
     assert not out
     assert json.loads(err) == {"error": "boom", "type": "RuntimeError"}
     assert "Traceback" not in err
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = classify_outputs(Path(tmp))
+    body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
+    CLASSIFY_GOLDEN.write_text("{\n" + body + "\n}\n")

@@ -13,6 +13,7 @@ from padicover.cover import (
     from_critical_divisor,
 )
 from padicover.field import FieldContext
+from padicover.newton import check_integrality
 
 
 def D(ctx, *pts):
@@ -28,16 +29,17 @@ def test_degree_two_cover():
     K = FieldContext(2, 1)
     c = from_critical_divisor(D(K, (3, 2)), K)
     # beta = X^2 - 6X  (antiderivative of 2(X-3))
-    assert c.beta_list() == kpoly.from_rationals(K, [0, -6, 1])
+    assert list(c.beta) == kpoly.from_rationals(K, [0, -6, 1])
 
 
 def test_pure_power_cover():
     K = FieldContext(3, 1)
     c = from_critical_divisor(D(K, (0, 3)), K)
-    assert c.beta_list() == kpoly.from_rationals(K, [0, 0, 0, 1])
+    assert list(c.beta) == kpoly.from_rationals(K, [0, 0, 0, 1])
     ram = branch_data(c)
-    assert ram.r == 2
+    assert len(ram.branch) == 1  # r = 2 with infinity
     assert ram.branch[0].profile == (3,)
+    assert (ram.branch[0].label, ram.branch[0].points) == ("0", c.critical.points)
     assert ram.rh_identity() == 1
 
 
@@ -71,11 +73,12 @@ def test_shared_branch_value_grouping():
     # beta(2) = beta(0) = 0 for this divisor, giving one fiber of profile (2,2,1)
     K = FieldContext(5, 1)
     c = from_critical_divisor(D(K, (0, 2), (2, 2), (3, 2), (Fraction(9, 10), 2)), K)
-    assert not c.value_at(K.from_rational(2))
+    assert not kpoly.eval_at(c.beta, K.from_rational(2))
     ram = branch_data(c)
     zero_fiber = fiber(ram, K.zero())
     assert zero_fiber.profile == (2, 2, 1)
-    assert ram.r == 4
+    assert zero_fiber.points == ((K.zero(), 2), (K.from_rational(2), 2))
+    assert len(ram.branch) == 3  # r = 4 with infinity
     ram.rh_identity()
 
 
@@ -97,8 +100,9 @@ def test_critical_multiplicity_reappears_in_profile():
         c = from_critical_divisor(D(K, *pts), K)
         ram = branch_data(c)
         for x, m in pts:
-            lam = c.value_at(K.from_rational(x))
+            lam = kpoly.eval_at(c.beta, K.from_rational(x))
             assert m in fiber(ram, lam).profile
+            assert (K.from_rational(x), m) in fiber(ram, lam).points
 
 
 def test_integrality_of_integral_covers():
@@ -117,7 +121,7 @@ def test_integrality_of_integral_covers():
             pts.append((x, m))
             left -= m - 1
         c = from_critical_divisor(D(K, *pts), K)
-        assert c.integrality().integral
+        assert check_integrality(c.beta, K).integral
 
 
 def test_cover_json_parsing():
@@ -133,4 +137,22 @@ def test_cover_json_parsing():
     c = cover_from_json(doc)
     assert c.ctx.e == 2
     assert c.critical.points[1][0] == c.ctx.element([2, 1])
-    assert branch_data(c).rh_identity() == 11
+    ram = branch_data(c)
+    assert ram.rh_identity() == 11
+    # labels are the value strings, parenthesized when e > 1, in sorted order
+    assert [bp.label for bp in ram.branch] == [
+        "(" + ",".join(bp.value.to_strings()) + ")" for bp in ram.branch
+    ]
+    assert [bp.value.to_strings() for bp in ram.branch] == sorted(
+        bp.value.to_strings() for bp in ram.branch
+    )
+
+
+def test_a_branch_value_too_long_to_write_is_an_invalid_divisor():
+    # beta(10**900) has about 4,500 digits, over Python's int-to-string limit
+    doc = {
+        "p": 5,
+        "critical": [{"x": "1" + "0" * 900, "m": 3}, {"x": "0", "m": 2}, {"x": "1", "m": 2}],
+    }
+    with pytest.raises(InvalidDivisor, match=r"critical point 0 \(m = 3\).*-digit limit"):
+        branch_data(cover_from_json(doc))

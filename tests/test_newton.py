@@ -10,9 +10,9 @@ from padicover.newton import (
     IntegralityReport,
     PreconditionViolated,
     check_integrality,
-    min_positive_root_valuation,
     newton_polygon,
     positive_root_count,
+    positive_roots,
     root_valuations,
 )
 
@@ -112,9 +112,9 @@ def test_positive_root_helpers():
             (K5.from_rational(2), 1),
         ],
     )
+    assert positive_roots(f) == (2, 1)
     assert positive_root_count(f) == 2
-    assert min_positive_root_valuation(f) == 1
-    assert min_positive_root_valuation(P(K5, 0, 0, 1)) is None  # X^2: only the center
+    assert positive_roots(P(K5, 0, 0, 1)) == (2, None)  # X^2: only the center
 
 
 def hull_readings(f):
@@ -146,7 +146,7 @@ def test_hull_free_readings_match_the_hull():
             f.append(c)
         if not any(f):
             continue
-        readings = (positive_root_count(f), min_positive_root_valuation(f))
+        readings = positive_roots(f)
         assert readings == hull_readings(f)
         vals = [c.val() for c in f if c]
         kinds.update(

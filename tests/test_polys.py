@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicover import fppoly, kpoly
+from padicover.cover import from_critical_divisor
 from padicover.field import FieldContext
 from padicover.kpoly import ZeroPolynomial
 
@@ -27,6 +28,30 @@ def test_fppoly_roots():
     assert fppoly.degree(cof) == 2
     assert fppoly.root_multiplicity(f, 1, p) == 2
     assert fppoly.root_multiplicity(f, 3, p) == 0
+
+
+def test_residual_roots_are_stripped_exactly():
+    # prod (X - w)**m over the roots, times the cofactor, is f again, and the
+    # cofactor has no root in F_p by direct evaluation
+    rng = random.Random(13)
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(60):
+            f = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(0, 4)):  # plant some repeated roots
+                f = fppoly.mul(f, [-rng.randrange(p), 1], p)
+            if not fppoly.normalize(f, p):
+                continue
+            roots, cofactor = fppoly.rational_roots(f, p)
+            product = cofactor
+            for w, m in roots.items():
+                assert m >= 1
+                for _ in range(m):
+                    product = fppoly.mul(product, [-w % p, 1], p)
+            assert product == fppoly.normalize(f, p)
+            assert cofactor == fppoly.normalize(cofactor, p)
+            for w in range(p):
+                assert sum(c * w**i for i, c in enumerate(cofactor)) % p
+                assert fppoly.root_multiplicity(f, w, p) == roots.get(w, 0)
 
 
 def test_kpoly_affine_substitution_matches_eval():
@@ -80,11 +105,15 @@ def test_kpoly_gcd_planted_common_factor():
 
 
 def test_kpoly_calculus():
-    K = FieldContext(5, 1)
-    f = kpoly.from_rationals(K, [0, 0, 3, 0, 5])  # 3X^2 + 5X^4
-    F = kpoly.antiderivative(f)
-    assert kpoly.derivative(F) == f
-    assert not kpoly.eval_at(F, K.zero())
+    # beta, built in one pass, is the antiderivative of p * prod (X - x)**(m-1)
+    # that vanishes at 0
+    K = FieldContext(5, 2)
+    points = [(K.pi(), 3), (K.from_rational(Fraction(1, 3)), 3)]
+    beta = list(from_critical_divisor(points, K).beta)
+    dbeta = kpoly.from_roots(K, [(x, m - 1) for x, m in points])
+    assert kpoly.derivative(beta) == [c.scale(5) for c in dbeta]
+    assert not kpoly.eval_at(beta, K.zero())
+    assert beta[-1] == K.one()
 
 
 def test_kpoly_from_roots_kills_roots():
