@@ -92,17 +92,13 @@ def _name_key(name):
     return (len(name), name)
 
 
-def _pairwise_val(a, b):
-    return (a - b).val()
-
-
 def _group(points, threshold):
     """Partition by the equivalence v(a-b) > threshold (ultrametric, so it is one)."""
     groups = []
     for label, x in points:
         placed = False
         for g in groups:
-            if _pairwise_val(x, g[0][1]) > threshold:
+            if (x - g[0][1]).val() > threshold:
                 g.append((label, x))
                 placed = True
                 break
@@ -144,7 +140,7 @@ def build_branch_tree(points):
     def build_cluster(group, parent):
         # group has >= 2 points; its depth is the minimal pairwise valuation
         depth = min(
-            _pairwise_val(a, b)
+            (a - b).val()
             for i, (_, a) in enumerate(group)
             for _, b in group[i + 1 :]
         )

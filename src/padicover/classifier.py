@@ -366,10 +366,6 @@ class Classification:
             )
         return self.models[0]
 
-    @property
-    def regimes(self):
-        return {t.pair: t.regime for t in self.tails}
-
 
 def assemble(p, ordinary, tail_reports):
     """All candidate full models: one per choice of a partition pair for
@@ -448,7 +444,7 @@ def classify_cover(cover):
     cover whose branch values are all integral."""
     p = cover.ctx.p
     labeled = []
-    for bp in branch_data(cover).branch:
+    for bp in branch_data(cover):
         if bp.value and bp.value.val() < 0:
             raise NonIntegralBranchValue(
                 f"branch value {bp.label} is not integral; move the branch values "

@@ -193,16 +193,16 @@ def _classification_doc(classification, emit, mode):
     return doc
 
 
-def _newton_doc(cover):
+def _newton_doc(cover, branch):
     out = {}
-    for bp in branch_data(cover).branch:
+    for bp in branch:
         fiber = kpoly_sub(cover.beta, [bp.value])
         out[bp.label] = newton.newton_polygon(fiber).to_json()
     return out
 
 
-def _branch_tree_doc(cover):
-    points = [(bp.label, bp.value) for bp in branch_data(cover).branch]
+def _branch_tree_doc(branch):
+    points = [(bp.label, bp.value) for bp in branch]
     try:
         return build_branch_tree(points).to_json()
     except AllPointsCoalesce as exc:
@@ -228,10 +228,12 @@ def _cmd_classify(args):
         classification = classify_formula(p, specs)
         mode = "formula"
     doc = _classification_doc(classification, args.emit, mode)
-    if args.cover and args.emit_newton:
-        doc["newton"] = _newton_doc(cover)
-    if args.cover and args.emit_branch_tree:
-        doc["branch_tree"] = _branch_tree_doc(cover)
+    if args.cover and (args.emit_newton or args.emit_branch_tree):
+        branch = branch_data(cover)
+        if args.emit_newton:
+            doc["newton"] = _newton_doc(cover, branch)
+        if args.emit_branch_tree:
+            doc["branch_tree"] = _branch_tree_doc(branch)
     if args.out:
         outdir = Path(args.out)
         for i, model in enumerate(classification.models):

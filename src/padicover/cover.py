@@ -11,10 +11,11 @@ fiber profiles (multiplicities of points in each ramified fiber, padded with
     sum over branch values of n_lambda  =  (r - 2) p + 1
 
 all come out of that divisor by grouping and counting alone.  beta is built
-in one pass over the coefficients of that product.  ``branch_data`` is the
-one place a branch value is computed: each ``BranchPoint`` carries its
-display label and the critical points over it, and the classifier, the
-blow-up engine and the command line all read those.
+in one pass over the coefficients of that product.  ``branch_data`` returns
+the branch points and checks the degree count; it is the one place a branch
+value is computed: each ``BranchPoint`` carries its display label and the
+critical points over it, and the classifier, the blow-up engine and the
+command line all read those.
 """
 
 from __future__ import annotations
@@ -84,27 +85,6 @@ class BranchPoint:
 
 
 @dataclass(frozen=True)
-class RamificationData:
-    """Branch values with profiles; infinity is implicit with profile (p,)."""
-
-    p: int
-    branch: tuple  # (BranchPoint, ...)
-
-    def rh_identity(self):
-        """Check sum of n over finite branch values == (r-2)p + 1.
-
-        n is the number of distinct points in a fiber, r the number of branch
-        values with infinity.
-        """
-        total = sum(len(bp.profile) for bp in self.branch)
-        r = len(self.branch) + 1
-        expected = (r - 2) * self.p + 1
-        if total != expected:
-            raise RHViolation(f"sum n = {total}, expected (r-2)p+1 = {expected} for r={r}")
-        return total
-
-
-@dataclass(frozen=True)
 class Cover:
     """beta monic of degree p with beta(0) = 0, plus its critical divisor."""
 
@@ -136,11 +116,13 @@ def from_critical_divisor(div, ctx):
 
 
 def branch_data(cover):
-    """Group critical points by branch value and read off fiber profiles.
+    """The cover's finite branch points, as a tuple of ``BranchPoint``s.
 
-    This is the one place a branch value is computed and labelled.  A value
-    whose label would pass Python's int-to-string digit limit raises
-    InvalidDivisor.
+    Groups the critical points by branch value and reads off the fiber
+    profiles; infinity is implicit, with profile (p,).  This is the one place
+    a branch value is computed and labelled.  The Riemann-Hurwitz count
+    sum n = (r - 2) p + 1 is checked here (RHViolation).  A value whose label
+    would pass Python's int-to-string digit limit raises InvalidDivisor.
     """
     groups = {}
     for x, m in cover.critical.points:
@@ -167,9 +149,13 @@ def branch_data(cover):
         keyed.append((strings, BranchPoint(lam, profile, label, tuple(points))))
     # canonical order: by value strings, purely for deterministic output
     keyed.sort(key=lambda pair: pair[0])
-    ram = RamificationData(cover.ctx.p, tuple(bp for _, bp in keyed))
-    ram.rh_identity()
-    return ram
+    branch = tuple(bp for _, bp in keyed)
+    total = sum(len(bp.profile) for bp in branch)
+    r = len(branch) + 1
+    expected = (r - 2) * cover.ctx.p + 1
+    if total != expected:
+        raise RHViolation(f"sum n = {total}, expected (r-2)p+1 = {expected} for r={r}")
+    return branch
 
 
 def cover_from_json(doc):
@@ -182,9 +168,5 @@ def cover_from_json(doc):
     points = []
     for entry in doc["critical"]:
         raw = entry["x"]
-        if isinstance(raw, (list, tuple)):
-            x = ctx.element_from_strings(raw)
-        else:
-            x = ctx.element_from_strings([raw])
-        points.append((x, entry["m"]))
+        points.append((ctx.element(raw if isinstance(raw, (list, tuple)) else [raw]), entry["m"]))
     return from_critical_divisor(CriticalDivisor(tuple(points), ctx.p), ctx)

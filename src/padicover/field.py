@@ -142,8 +142,8 @@ class FieldContext:
     # -- element construction ------------------------------------------
 
     def element(self, coeffs):
-        """Element from an iterable of <= e rationals (coeffs of pi**i)."""
-        cs = [Fraction(c) for c in coeffs]
+        """Element from <= e rationals or rational strings (coeffs of pi**i)."""
+        cs = [parse_rat(c) for c in coeffs]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coefficients, got {len(cs)}")
         return _from_fractions(self, self.e, [(i, c) for i, c in enumerate(cs) if c])
@@ -170,9 +170,6 @@ class FieldContext:
         if a >= 0:
             return Element(self, q.denominator, ((k, self.p**a),), 1)
         return Element(self, q.denominator, ((k, 1),), self.p ** (-a))
-
-    def element_from_strings(self, strings):
-        return self.element([parse_rat(s) for s in strings])
 
     def enlarged(self, new_e):
         """The context whose dense format has e' = new_e, a multiple of e."""

@@ -141,11 +141,6 @@ def scale_arg(f, u):
     return trim(out)
 
 
-def content_val(f):
-    """Minimum valuation of the nonzero coefficients (the content's); None for 0."""
-    return min((c.val() for c in f if c), default=None)
-
-
 def primitive(f, ctx):
     """(f / u, v) where u is the canonical uniformizer power of content valuation v.
 
@@ -155,7 +150,7 @@ def primitive(f, ctx):
     """
     if not f:
         raise ZeroPolynomial("zero polynomial has no primitive part")
-    v = content_val(f)
+    v = min(c.val() for c in f if c)
     if v == 0:
         return list(f), v
     inv = ctx.uniformizer_power(v).inverse()
@@ -198,8 +193,3 @@ def gcd_k(f, g):
     if not f:
         return []
     return scale(f, f[-1].inverse())
-
-
-def to_strings(f):
-    """JSON-friendly form: list of coefficient vectors (each a list of rationals)."""
-    return [c.to_strings() for c in f]

@@ -1,4 +1,4 @@
-"""Newton polygons over the valued field, and the integral-model check.
+"""Newton polygons over the valued field.
 
 The polygon of f = sum a_i X**i is the lower convex hull of the points
 (i, val(a_i)) with nonzero a_i.  Its segment of slope s and horizontal
@@ -11,7 +11,9 @@ The blow-up engine needs only two readings of the polygon: how many roots
 lie in the open unit disc, and the least positive root valuation.  Both
 come from one pass over the coefficient valuations, with no hull
 (``positive_roots``).  The hull itself (``newton_polygon``) is built for
-``classify --emit-newton`` and as the tests' reference reading.
+``classify --emit-newton`` and as the tests' reference reading.  Whether a
+cover is integral is one scan over its coefficients, in
+``oracle.fundamental_model``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fppoly, kpoly
+from . import kpoly
 from .field import fmt_rat
 from .kpoly import ZeroPolynomial
-
-
-class PreconditionViolated(ValueError):
-    """The integral-model check got a polynomial outside its contract."""
 
 
 @dataclass(frozen=True)
@@ -117,45 +115,3 @@ def positive_roots(f):
 def positive_root_count(f):
     """The count of ``positive_roots``."""
     return positive_roots(f)[0]
-
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    """Outcome of the integral-model check on a monic degree-p polynomial."""
-
-    integral: bool
-    witness: str | None = None
-    reduction: tuple | None = None  # F_p coefficients when integral
-
-    def __bool__(self):
-        return self.integral
-
-
-def check_integrality(f, ctx):
-    """Decide whether f is in R[X] with reduction exactly X**p.
-
-    Contract: f monic of degree p = ctx.p with f(0) = 0 (the shape of a
-    normalized cover polynomial); anything else raises PreconditionViolated.
-    Returns an IntegralityReport; a failing report carries a witness — the
-    first coefficient of negative valuation, or the offending residual term.
-    """
-    f = kpoly.trim(f)
-    p = ctx.p
-    if kpoly.degree(f) != p:
-        raise PreconditionViolated(f"expected degree {p}, got {kpoly.degree(f)}")
-    if f[-1] != ctx.one():
-        raise PreconditionViolated("polynomial is not monic")
-    if f[0]:
-        raise PreconditionViolated("constant term must vanish")
-    for i, c in enumerate(f):
-        if c and c.val() < 0:
-            return IntegralityReport(
-                False, witness=f"coefficient {i} has valuation {c.val()} < 0"
-            )
-    red = kpoly.reduction(f, ctx)
-    expected = [0] * p + [1]
-    if red != expected:
-        return IntegralityReport(
-            False, witness=f"reduction is {fppoly.fmt(red)}, not X^{p}"
-        )
-    return IntegralityReport(True, reduction=tuple(red))

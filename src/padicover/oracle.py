@@ -59,7 +59,7 @@ class OracleError(Exception):
 class NotIntegralCover(OracleError):
     """The cover has no integral model of the required shape.
 
-    Carries the witness string from the integrality report.
+    Carries the witness string: the offending coefficient or the reduction.
     """
 
     def __init__(self, witness):
@@ -180,27 +180,34 @@ class OracleResult:
 def fundamental_model(cover):
     """Set up the naive integral model and one track per ramified fiber.
 
-    Checks that beta is integral with reduction X**p and that the reversed
-    polynomial X**p * beta(1/X) reduces to the constant 1 (the chart at
-    infinity is already fine, which is why only finite fibers need work).
-    Raises NotIntegralCover otherwise.
+    beta comes from ``cover.from_critical_divisor``, so it is monic of degree
+    p with beta(0) = 0, and it is integral with reduction X**p exactly when
+    every non-leading coefficient has positive valuation: one scan over the
+    coefficients decides it.  Raises NotIntegralCover otherwise, witnessed by
+    the first coefficient of negative valuation or else by the reduction.
+    The chart at infinity then needs no test (X**p * beta(1/X) reduces to 1),
+    which is why only finite fibers need work, and each track beta - lambda
+    of an integral branch value lambda already has content 0.
     """
     ctx = cover.ctx
-    report = newton.check_integrality(cover.beta, ctx)
-    if not report:
-        raise NotIntegralCover(report.witness)
-    if kpoly.reduction(cover.beta[::-1], ctx) != [1]:
-        raise NotIntegralCover("reversed polynomial does not reduce to 1")
-    branch = branch_data(cover).branch
+    unit = False
+    for i, c in enumerate(cover.beta[:-1]):
+        if c and (v := c.val()) <= 0:
+            if v < 0:
+                raise NotIntegralCover(f"coefficient {i} has valuation {v} < 0")
+            unit = True
+    if unit:
+        red = fppoly.fmt(kpoly.reduction(cover.beta, ctx))
+        raise NotIntegralCover(f"reduction is {red}, not X^{ctx.p}")
+    # no reversed-chart test: every b_i with i < p has v > 0, so X**p * beta(1/X) reduces to 1
+    branch = branch_data(cover)
     state = ModelState(ctx, [bp.label for bp in branch])
     carried, points = {}, {}
     for bp in branch:
         if bp.value and bp.value.val() < 0:
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
-        prim, content = kpoly.primitive(kpoly.sub(cover.beta, [bp.value]), ctx)
-        if content != 0:
-            raise OracleError(f"fiber {bp.label}: beta - lambda has content {content}, not 0")
-        carried[bp.label] = prim
+        # no primitive part: beta is monic and integral and lambda integral, so content 0
+        carried[bp.label] = kpoly.sub(cover.beta, [bp.value])
         points[bp.label] = bp.points
     root = _Node("C", None, None, carried, points, ctx.p, Fraction(0))
     root.marks.append(("inf", ctx.p))

@@ -241,6 +241,91 @@ def test_pair_and_epsilon_flags(doc, flags, epsilon, regime, tmp_path, capsys):
     assert (tail["pair"], tail["epsilon"], tail["regime"]) == (["0", "lam"], epsilon, regime)
 
 
+# every SchemaError path of the flags: argv, with {cover}, {profiles},
+# {nopair} and {dups} standing for input files, and a part of the message
+FLAG_ERRORS = {
+    "classify-both-inputs": (
+        ["classify", "--cover", "{cover}", "--profiles", "{profiles}"],
+        "classify needs exactly one of --cover or --profiles",
+    ),
+    "classify-no-input": (["classify"], "classify needs exactly one of --cover or --profiles"),
+    "emit-newton-with-profiles": (
+        ["classify", "--profiles", "{profiles}", "--emit-newton"],
+        "--emit-newton/--emit-branch-tree need --cover",
+    ),
+    "pair-without-epsilon": (
+        ["classify", "--profiles", "{profiles}", "--pair", "0,lam"],
+        "--pair requires --epsilon",
+    ),
+    "pair-names-an-unknown-point": (
+        ["classify", "--profiles", "{profiles}", "--pair", "0,mu", "--epsilon", "7"],
+        "--pair must name two branch points from the file",
+    ),
+    "pair-flags-over-duplicate-names": (
+        ["classify", "--profiles", "{dups}", "--epsilon", "7"],
+        "duplicate branch point names",
+    ),
+    "epsilon-without-a-declared-pair": (
+        ["classify", "--profiles", "{nopair}", "--epsilon", "7"],
+        "--epsilon given but the file declares no pair",
+    ),
+    "verify-without-cover": (["verify"], "verify needs --cover"),
+    "atlas-without-out": (["atlas"], "atlas needs --out DIR"),
+    "example8-without-out": (["example8"], "example8 needs --out DIR"),
+    "bad-emit-choice": (
+        ["classify", "--cover", "{cover}", "--emit", "svg"],
+        "argument --emit: invalid choice: 'svg'",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(FLAG_ERRORS))
+def test_every_flag_error_is_an_input_error(row, tmp_path, capsys):
+    argv, message = FLAG_ERRORS[row]
+    files = {
+        "cover": DOCSTRING_COVER,
+        "profiles": DOCSTRING_PROFILES,
+        "nopair": formula(("0", [3, 1, 1], {}), LAM, ONE),
+        "dups": formula(TAIL_0, LAM, ONE, ONE),
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("input error: ") and message in err
+
+
+def test_out_writes_the_documented_files(tmp_path, capsys):
+    cover, profiles = tmp_path / "cover.json", tmp_path / "profiles.json"
+    cover.write_text(json.dumps(planted_doc()))
+    profiles.write_text(json.dumps(DOCSTRING_PROFILES))
+
+    out = tmp_path / "classify"
+    argv = ["classify", "--profiles", str(profiles), "--emit", "both", "--out", str(out)]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    count = json.loads(stdout)["model_count"]
+    assert count == 2  # the near pair has two splittings: model-00 and model-01
+    models = {f"model-{i:02d}.{ext}" for i in range(count) for ext in ("json", "dot")}
+    assert {f.name for f in out.iterdir()} == models | {"classification.json"}
+    assert (out / "classification.json").read_text() == stdout
+
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--cover", str(cover), "--emit", "both", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    files = {f.name for f in out.iterdir()}
+    assert files == {"oracle-model.json", "oracle-model.dot", "verify.json"}
+    assert (out / "verify.json").read_text() == stdout
+
+    out = tmp_path / "example8"
+    assert cli.main(["example8", "--emit", "json", "--out", str(out)]) == 0
+    files = {f.name for f in out.iterdir()}
+    assert len(files) == 10 and "index.json" in files  # nine models and the index
+    assert all(name.endswith(".json") for name in files)
+
+
 # exit code and sha256 of stdout of `verify --trace --emit both` per planted
 # cover; the benchmark goldens leave out e, blowups and the trace, so these
 # pin them, and a change that moves one must say why

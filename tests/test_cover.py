@@ -13,16 +13,20 @@ from padicover.cover import (
     from_critical_divisor,
 )
 from padicover.field import FieldContext
-from padicover.newton import check_integrality
 
 
 def D(ctx, *pts):
     return CriticalDivisor(tuple((ctx.from_rational(x), m) for x, m in pts), ctx.p)
 
 
-def fiber(ram, value):
-    (bp,) = [bp for bp in ram.branch if bp.value == value]
+def fiber(branch, value):
+    (bp,) = [bp for bp in branch if bp.value == value]
     return bp
+
+
+def rh_sum(branch):
+    """sum of n over the finite branch values; (r - 2) p + 1 by Riemann-Hurwitz."""
+    return sum(len(bp.profile) for bp in branch)
 
 
 def test_degree_two_cover():
@@ -36,20 +40,19 @@ def test_pure_power_cover():
     K = FieldContext(3, 1)
     c = from_critical_divisor(D(K, (0, 3)), K)
     assert list(c.beta) == kpoly.from_rationals(K, [0, 0, 0, 1])
-    ram = branch_data(c)
-    assert len(ram.branch) == 1  # r = 2 with infinity
-    assert ram.branch[0].profile == (3,)
-    assert (ram.branch[0].label, ram.branch[0].points) == ("0", c.critical.points)
-    assert ram.rh_identity() == 1
+    (bp,) = branch_data(c)  # r = 2 with infinity
+    assert bp.profile == (3,)
+    assert (bp.label, bp.points) == ("0", c.critical.points)
+    assert rh_sum((bp,)) == 1
 
 
 def test_showcase_shape_profiles():
     K = FieldContext(5, 1)
     c = from_critical_divisor(D(K, (0, 3), (2, 2), (3, 2)), K)
-    ram = branch_data(c)
-    profiles = sorted(bp.profile for bp in ram.branch)
+    branch = branch_data(c)
+    profiles = sorted(bp.profile for bp in branch)
     assert profiles == [(2, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1)]
-    assert ram.rh_identity() == 11  # (4-2)*5 + 1
+    assert rh_sum(branch) == 11  # (4-2)*5 + 1
 
 
 def test_invalid_divisors():
@@ -74,12 +77,12 @@ def test_shared_branch_value_grouping():
     K = FieldContext(5, 1)
     c = from_critical_divisor(D(K, (0, 2), (2, 2), (3, 2), (Fraction(9, 10), 2)), K)
     assert not kpoly.eval_at(c.beta, K.from_rational(2))
-    ram = branch_data(c)
-    zero_fiber = fiber(ram, K.zero())
+    branch = branch_data(c)
+    zero_fiber = fiber(branch, K.zero())
     assert zero_fiber.profile == (2, 2, 1)
     assert zero_fiber.points == ((K.zero(), 2), (K.from_rational(2), 2))
-    assert len(ram.branch) == 3  # r = 4 with infinity
-    ram.rh_identity()
+    assert len(branch) == 3  # r = 4 with infinity
+    assert rh_sum(branch) == 11
 
 
 def test_critical_multiplicity_reappears_in_profile():
@@ -98,11 +101,11 @@ def test_critical_multiplicity_reappears_in_profile():
             pts.append((x, m))
             left -= m - 1
         c = from_critical_divisor(D(K, *pts), K)
-        ram = branch_data(c)
+        branch = branch_data(c)
         for x, m in pts:
             lam = kpoly.eval_at(c.beta, K.from_rational(x))
-            assert m in fiber(ram, lam).profile
-            assert (K.from_rational(x), m) in fiber(ram, lam).points
+            assert m in fiber(branch, lam).profile
+            assert (K.from_rational(x), m) in fiber(branch, lam).points
 
 
 def test_integrality_of_integral_covers():
@@ -121,7 +124,10 @@ def test_integrality_of_integral_covers():
             pts.append((x, m))
             left -= m - 1
         c = from_critical_divisor(D(K, *pts), K)
-        assert check_integrality(c.beta, K).integral
+        # monic of degree p with beta(0) = 0, and every lower coefficient in
+        # the maximal ideal: integral with reduction X**p
+        assert (len(c.beta), c.beta[-1], c.beta[0]) == (p + 1, K.one(), K.zero())
+        assert all(not b or b.val() > 0 for b in c.beta[:-1])
 
 
 def test_cover_json_parsing():
@@ -137,14 +143,14 @@ def test_cover_json_parsing():
     c = cover_from_json(doc)
     assert c.ctx.e == 2
     assert c.critical.points[1][0] == c.ctx.element([2, 1])
-    ram = branch_data(c)
-    assert ram.rh_identity() == 11
+    branch = branch_data(c)
+    assert rh_sum(branch) == 11
     # labels are the value strings, parenthesized when e > 1, in sorted order
-    assert [bp.label for bp in ram.branch] == [
-        "(" + ",".join(bp.value.to_strings()) + ")" for bp in ram.branch
+    assert [bp.label for bp in branch] == [
+        "(" + ",".join(bp.value.to_strings()) + ")" for bp in branch
     ]
-    assert [bp.value.to_strings() for bp in ram.branch] == sorted(
-        bp.value.to_strings() for bp in ram.branch
+    assert [bp.value.to_strings() for bp in branch] == sorted(
+        bp.value.to_strings() for bp in branch
     )
 
 

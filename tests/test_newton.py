@@ -7,9 +7,6 @@ from padicover import fppoly, kpoly
 from padicover.field import FieldContext
 from padicover.kpoly import ZeroPolynomial
 from padicover.newton import (
-    IntegralityReport,
-    PreconditionViolated,
-    check_integrality,
     newton_polygon,
     positive_root_count,
     positive_roots,
@@ -160,35 +157,6 @@ def test_hull_free_readings_match_the_hull():
             if hit
         )
     assert len(kinds) == 4
-
-
-def test_integrality_pass():
-    # X^5 - 5X has all coefficients in R and reduces to X^5
-    f = P(K5, 0, -5, 0, 0, 0, 1)
-    rep = check_integrality(f, K5)
-    assert rep.integral and bool(rep)
-    assert rep.reduction == (0, 0, 0, 0, 0, 1)
-    assert check_integrality(P(K5, 0, 0, 0, 0, 0, 1), K5).integral
-
-
-def test_integrality_violations():
-    bad = P(K5, 0, 0, Fraction(1, 5), 0, 0, 1)
-    rep = check_integrality(bad, K5)
-    assert not rep.integral
-    assert rep.witness == "coefficient 2 has valuation -1 < 0"
-    unit = P(K5, 0, 1, 0, 0, 0, 1)  # X^5 + X survives reduction
-    rep2 = check_integrality(unit, K5)
-    assert not rep2.integral
-    assert "not X^5" in rep2.witness
-
-
-def test_integrality_preconditions():
-    with pytest.raises(PreconditionViolated):
-        check_integrality(P(K5, 0, 1), K5)  # wrong degree
-    with pytest.raises(PreconditionViolated):
-        check_integrality(P(K5, 0, 0, 0, 0, 0, 2), K5)  # not monic
-    with pytest.raises(PreconditionViolated):
-        check_integrality(P(K5, 1, 0, 0, 0, 0, 1), K5)  # f(0) != 0
 
 
 def test_collinear_points_merge():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from padicover import kpoly, newton, oracle, planted
+from padicover import fppoly, kpoly, newton, oracle, planted
 from padicover.branchtree import AllPointsCoalesce
 from padicover.classifier import NotSimpleReduction, ThresholdUndefined, classify_cover
-from padicover.cover import from_critical_divisor
+from padicover.cover import branch_data, from_critical_divisor
 from padicover.field import FieldContext
 from padicover.oracle import (
     CenterNotRoot,
@@ -153,8 +153,81 @@ def test_blow_up_rejects_a_center_where_nothing_separates():
 
 def test_non_integral_cover_is_refused():
     cover = rational_cover(3, [(Fraction(1, 3), 3)])
-    with pytest.raises(NotIntegralCover):
+    with pytest.raises(NotIntegralCover) as info:
         run_oracle(cover)
+    assert str(info.value) == (
+        "cover is not integral with p-th-power reduction: coefficient 1 has valuation -1 < 0"
+    )
+
+
+def test_integrality_pass():
+    # beta = X^5 reduces to X^5; every integral critical divisor gives such a beta
+    result = run_oracle(rational_cover(5, [(0, 5)]))
+    assert result.stages == ()
+    state = fundamental_model(rational_cover(5, [(0, 3), (5, 2), (-1, 2)]))
+    assert len(state.nodes["C"].tracks) == 3
+
+
+def test_integrality_violations():
+    # the two witnesses: the first coefficient of negative valuation, else the
+    # reduction when a lower coefficient is a unit
+    for points, witness in (
+        ([(Fraction(1, 5), 3), (0, 2), (1, 2)], "coefficient 2 has valuation -1 < 0"),
+        (
+            [(Fraction(1, 5), 2), (0, 2), (1, 2), (2, 2)],
+            "reduction is 4*X^2 + X^3 + X^4 + X^5, not X^5",
+        ),
+    ):
+        with pytest.raises(NotIntegralCover) as info:
+            run_oracle(rational_cover(5, points))
+        assert info.value.witness == witness
+        assert str(info.value) == f"cover is not integral with p-th-power reduction: {witness}"
+
+
+def random_divisor_cover(rng, p, den):
+    """A cover at p whose critical points have denominator dividing den."""
+    left, mults = p - 1, []
+    while left:
+        k = rng.randint(1, left)
+        mults.append(k + 1)
+        left -= k
+    xs = set()
+    while len(xs) < len(mults):
+        xs.add(Fraction(rng.randint(-3 * den, 3 * den), den))
+    return rational_cover(p, list(zip(sorted(xs), mults)))
+
+
+def test_admission_is_one_scan_over_the_lower_coefficients():
+    # refused exactly when a non-leading coefficient of beta is nonzero with
+    # valuation <= 0; an admitted track is beta - lambda itself, content 0
+    rng = random.Random(11)
+    seen = Counter()
+    for p in (3, 5, 7):
+        for den in (1, 2, p, p * p):
+            for _ in range(20):
+                cover = random_divisor_cover(rng, p, den)
+                low = [(i, c.val()) for i, c in enumerate(cover.beta[:-1]) if c]
+                negative = [(i, v) for i, v in low if v < 0]
+                try:
+                    state = fundamental_model(cover)
+                except NotIntegralCover as exc:
+                    if negative:
+                        i, v = negative[0]
+                        assert exc.witness == f"coefficient {i} has valuation {v} < 0"
+                    else:
+                        red = fppoly.fmt(kpoly.reduction(cover.beta, cover.ctx))
+                        assert exc.witness == f"reduction is {red}, not X^{p}"
+                    assert any(v <= 0 for _, v in low)
+                    seen["coefficient" if negative else "reduction"] += 1
+                    continue
+                assert all(v > 0 for _, v in low)
+                tracks = state.nodes["C"].tracks
+                for bp in branch_data(cover):
+                    track = kpoly.sub(cover.beta, [bp.value])
+                    assert tracks[bp.label] == track
+                    assert min(c.val() for c in track if c) == 0
+                seen["admitted"] += 1
+    assert seen == {"admitted": 128, "coefficient": 106, "reduction": 6}
 
 
 def test_repeated_residual_root_outside_fp_is_an_error():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from padicover import kpoly
-from padicover.newton import check_integrality
 from padicover.planted import PlantedInstance, build_cover, random_integral_cover, suite
 
 
@@ -37,6 +36,9 @@ def test_random_covers_are_reproducible_and_integral():
     b = [random_integral_cover(random.Random(7), p) for p in (3, 5)]
     for one, two in zip(a, b):
         assert one.beta == two.beta
-        assert check_integrality(one.beta, one.ctx)
+        # monic of degree p with beta(0) = 0, integral with reduction X**p
+        p, ctx = one.ctx.p, one.ctx
+        assert (len(one.beta), one.beta[-1], one.beta[0]) == (p + 1, ctx.one(), ctx.zero())
+        assert all(not b or b.val() > 0 for b in one.beta[:-1])
         values = [kpoly.eval_at(one.beta, x) for x, _ in one.critical.points]
         assert any(v.val() == 0 for v in values)

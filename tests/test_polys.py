@@ -75,7 +75,7 @@ def test_kpoly_primitive_and_content():
     f = kpoly.from_rationals(K, [25, 10, 5])
     g, c = kpoly.primitive(f, K)
     assert c == 1
-    assert kpoly.content_val(g) == 0
+    assert min(c.val() for c in g if c) == 0
     assert kpoly.reduction(g, K) == [0, 2, 1]
     with pytest.raises(ZeroPolynomial):
         kpoly.primitive([], K)
