@@ -21,8 +21,8 @@ arithmetic has no fixed ramification index.  The ``e`` that ``verify``
 reports is the least ramification index over which the cover and every
 blow-up radius are defined, the lcm of the input's e and the denominators of
 the radii in the oracle's stages.  Exact mode builds beta densely and takes
-p <= 500 (``cover.EXACT_P_BOUND``; verify of a random cover takes 10-15 s at
-p = 401); a larger p exits 3.
+p <= 1000 (``cover.EXACT_P_BOUND``; verify of a random cover takes 1-2 s at
+p = 401 and 503 and 5-6 s at p = 809); a larger p exits 3.
 
 Formula mode skips the field entirely and names the branch points with their
 fiber profiles; a colliding pair carries the valuation of the difference::
@@ -42,7 +42,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import newton
+from . import kpoly, newton
 from .branchtree import AllPointsCoalesce, build_branch_tree
 from .classifier import (
     ClassifierError,
@@ -57,7 +57,6 @@ from .classifier import (
 )
 from .cover import InvalidDivisor, branch_data, cover_from_json
 from .field import FieldContext, fmt_rat, parse_rat
-from .kpoly import sub as kpoly_sub
 from .oracle import (
     NonTermination,
     NotIntegralCover,
@@ -196,7 +195,7 @@ def _classification_doc(classification, emit, mode):
 def _newton_doc(cover, branch):
     out = {}
     for bp in branch:
-        fiber = kpoly_sub(cover.beta, [bp.value])
+        fiber = kpoly.sub(cover.beta, kpoly.from_elements(cover.ctx, [bp.value]))
         out[bp.label] = newton.newton_polygon(fiber).to_json()
     return out
 

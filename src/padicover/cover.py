@@ -11,18 +11,17 @@ fiber profiles (multiplicities of points in each ramified fiber, padded with
     sum over branch values of n_lambda  =  (r - 2) p + 1
 
 all come out of that divisor by grouping and counting alone.  beta is built
-in one pass over the coefficients of that product.  ``branch_data`` returns
-the branch points and checks the degree count; it is the one place a branch
-value is computed: each ``BranchPoint`` carries its display label and the
-critical points over it, and the classifier, the blow-up engine and the
-command line all read those.
+in one pass over the integer rows of that product (``kpoly.antiderivative``).
+``branch_data`` returns the branch points and checks the degree count; it is
+the one place a branch value is computed: each ``BranchPoint`` carries its
+display label and the critical points over it, and the classifier, the
+blow-up engine and the command line all read those.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kpoly
 from .field import Element, FieldContext
@@ -33,10 +32,10 @@ class InvalidDivisor(ValueError):
 
 
 # Exact mode builds beta densely, so its cost grows about as p**3.  On a
-# 2-vCPU Xeon, verify of a random cover took 10-15 s at p = 401 and 23-45 s at
-# p = 503, and classify 1.5 s at p = 701; at p = 1009 classify ran 4 s and
-# then failed printing branch values over Python's 4,300-digit limit.
-EXACT_P_BOUND = 500
+# 2-vCPU Xeon, verify of a random cover took 1.0-2.0 s at p = 401 and 503 and
+# 4.7-6.2 s at p = 809; at p = 1009 one took 10 s and another failed writing
+# a branch value over Python's 4,300-digit limit (exit 3).
+EXACT_P_BOUND = 1000
 
 
 class RHViolation(AssertionError):
@@ -88,7 +87,7 @@ class BranchPoint:
 class Cover:
     """beta monic of degree p with beta(0) = 0, plus its critical divisor."""
 
-    beta: tuple  # kpoly coefficients, immutable
+    beta: kpoly.Poly  # integer rows over one denominator, immutable
     ctx: FieldContext
     critical: CriticalDivisor
 
@@ -111,8 +110,7 @@ def from_critical_divisor(div, ctx):
     if div.p != ctx.p:
         raise InvalidDivisor(f"divisor for p = {div.p} given a field with p = {ctx.p}")
     dbeta = kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points])
-    beta = [ctx.zero()] + [c.scale(Fraction(ctx.p, i + 1)) for i, c in enumerate(dbeta)]
-    return Cover(tuple(beta), ctx, div)
+    return Cover(kpoly.antiderivative(dbeta, ctx.p), ctx, div)
 
 
 def branch_data(cover):

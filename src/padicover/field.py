@@ -75,11 +75,18 @@ def _vp(q, p):
 
 
 def _vp_int(a, p):
-    # a a nonzero int
-    k = 0
-    while a % p == 0:
-        a //= p
-        k += 1
+    # a a nonzero int; divides by p**(2**j) for j = 0, 1, ... while it can,
+    # then by the same powers back down, so it takes O(log v_p(a)) divisions
+    k, powers, q = 0, [], p
+    while a % q == 0:
+        a //= q
+        k += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for j in range(len(powers) - 1, -1, -1):
+        if a % powers[j] == 0:
+            a //= powers[j]
+            k += 1 << j
     return k
 
 

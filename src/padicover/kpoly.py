@@ -1,144 +1,340 @@
-"""Dense polynomials with coefficients in the valued field K.
+"""Polynomials over the valued field K, on integer rows over one denominator.
 
-Same list-of-coefficients convention as :mod:`padicover.fppoly`, but the
-entries are field :class:`~padicover.field.Element` values: ``[c0, c1, ...]``
-with no trailing zeros, ``[]`` the zero polynomial.  These lists feed the
-Newton-polygon code and the blow-up engine, so the operations that matter are
-affine substitutions X -> a*X + b (kept cheap: translation is integer
-Horner, argument scaling by a monomial touches each coefficient once),
-content/primitive-part extraction, and Euclidean gcd over K.
+A polynomial is held as  sum over k of p**(k/n) * P_k(X) / den,  with every
+P_k in Z[X]: the layout of :mod:`padicover.field` lifted to polynomials, and
+that of FLINT's fmpq_poly (W. Hart, ICMS 2010) with the classes p**(k/n)
+added.  A :class:`Poly` keeps only its nonzero rows P_k, all of length
+deg + 1, one shared n, the least its rows need, and one positive den, the
+least with gcd(den, every entry) = 1.  So the layout is canonical, equality
+compares it, and no coefficient is stored as a field element.
+
+The blow-up engine needs affine substitutions X -> u*X + b, content
+extraction and reduction, so those run on the rows directly:
+
+* ``translate`` by a rational integer is the integer Taylor shift of each row
+  (the classical in-place Horner scheme; von zur Gathen and Gerhard, ISSAC
+  1997).  It keeps the layout canonical: the shift is unimodular over Z.
+  Translation by any other element is built from that shift and
+  ``scale_arg``.
+* ``scale_arg`` multiplies column i by u**i, moving entries between rows and
+  carrying whole powers of p when an exponent passes 1.
+* ``primitive`` is one row shift by the content valuation and one gcd.
+* ``reduction`` reads the k = 0 row mod p: the other rows lie in the maximal
+  ideal, and p divides den exactly when some coefficient is not integral.
+* ``scaled_valuations`` gives n times the valuation of each coefficient as an
+  int, in one pass; the Newton readings of :mod:`padicover.newton` use it.
+
+``eval_at`` at a rational point is a homogeneous integer Horner per row;
+``gcd_k`` and ``divmod_k`` (Euclid over K) go through ``coefficient``, which
+builds one coefficient as a field element.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from . import fppoly
-from .field import Element
+from .field import NegativeValuation, _reduced, _vp_int
 
 
 class ZeroPolynomial(ValueError):
     """An operation that needs a nonzero polynomial got the zero one."""
 
 
-def trim(f):
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return f
+class Poly:
+    """sum over (k, row) in rows of p**(k/n) * row(X) / den.
+
+    ``rows`` is a tuple of pairs (k, row), sorted by k with 0 <= k < n, each
+    row a nonzero tuple of ints, the coefficients of P_k from X**0 up, all of
+    length deg + 1 with some row nonzero in the last place.  n is least and
+    den > 0 is least, so equal polynomials have equal layouts.  The zero
+    polynomial has no rows, n = 1 and den = 1.
+    """
+
+    __slots__ = ("ctx", "n", "rows", "den")
+
+    def __init__(self, ctx, n, rows, den):
+        self.ctx = ctx
+        self.n = n
+        self.rows = rows
+        self.den = den
+
+    def __bool__(self):
+        return bool(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.den == other.den
+            and self.rows == other.rows
+            and self.ctx.p == other.ctx.p
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.rows, self.den))
+
+    def __repr__(self):
+        return f"Poly(p={self.ctx.p}, n={self.n}, rows={self.rows!r}, den={self.den})"
+
+
+def _poly(ctx, n, rows, den):
+    """Poly from pairs (k, row), rows of one length and k < n, over den != 0,
+    made canonical: zero rows and trailing zero columns dropped, n least, den
+    positive and least."""
+    live = sorted(kr for kr in rows if any(kr[1]))
+    if not live:
+        return Poly(ctx, 1, (), 1)
+    size = len(live[0][1])
+    while not any(row[size - 1] for _, row in live):
+        size -= 1
+    g = gcd(n, *[k for k, _ in live]) if n > 1 else 1
+    h = den
+    for _, row in live:
+        if h == 1:
+            break
+        h = gcd(h, *row)
+    if den < 0:
+        h = -h
+    if size < len(live[0][1]):
+        live = [(k, row[:size]) for k, row in live]
+    if h == 1:
+        return Poly(ctx, n // g, tuple((k // g, tuple(row)) for k, row in live), den)
+    return Poly(
+        ctx, n // g, tuple((k // g, tuple(a // h for a in row)) for k, row in live), den // h
+    )
+
+
+def _add_row(out, k, row):
+    """out[k] += row, rows of one length."""
+    if k in out:
+        out[k] = [a + b for a, b in zip(out[k], row)]
+    else:
+        out[k] = row
+
+
+def _times_terms(x, y, n, p):
+    """Product of two sums of terms {k: a} * [(k, a), ...] over p**(1/n)."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y:
+            k, ab = i + j, a * b
+            if k >= n:
+                k, ab = k - n, ab * p
+            out[k] = out[k] + ab if k in out else ab
+    return {k: a for k, a in out.items() if a}
 
 
 def degree(f):
-    return len(f) - 1 if f else -1
+    return len(f.rows[0][1]) - 1 if f.rows else -1
+
+
+def from_elements(ctx, coeffs):
+    """The polynomial sum of coeffs[i] * X**i, from field elements."""
+    n = lcm(1, *(c.n for c in coeffs))
+    den = lcm(1, *(c.den for c in coeffs))
+    out = {}
+    for i, c in enumerate(coeffs):
+        s, q = n // c.n, den // c.den
+        for k, a in c.terms:
+            out.setdefault(k * s, [0] * len(coeffs))[i] = a * q
+    return _poly(ctx, n, out.items(), den)
 
 
 def from_rationals(ctx, qs):
-    return trim([ctx.from_rational(q) for q in qs])
+    return from_elements(ctx, [ctx.from_rational(q) for q in qs])
 
 
-def add(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else None
-        b = g[i] if i < len(g) else None
-        if a is None:
-            out.append(b)
-        elif b is None:
-            out.append(a)
-        else:
-            out.append(a + b)
-    return trim(out)
-
-
-def neg(f):
-    return [-c for c in f]
+def coefficient(f, i):
+    """The coefficient of X**i, as a field element."""
+    return _reduced(f.ctx, f.n, [(k, row[i]) for k, row in f.rows if row[i]], f.den)
 
 
 def sub(f, g):
-    return add(f, neg(g))
+    n, den = lcm(f.n, g.n), lcm(f.den, g.den)
+    size = max(degree(f), degree(g)) + 1
+    out = {}
+    for h, sign in ((f, 1), (g, -1)):
+        s, c = n // h.n, sign * (den // h.den)
+        for k, row in h.rows:
+            _add_row(out, k * s, [c * a for a in row] + [0] * (size - len(row)))
+    return _poly(f.ctx, n, out.items(), den)
 
 
-def scale(f, a):
-    """Multiply every coefficient by the field element a."""
-    if not a:
-        return []
-    return trim([c * a for c in f])
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def mul(f, g):
-    if not f or not g:
-        return []
-    ctx = f[0].ctx
-    out = [ctx.zero() for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return trim(out)
-
-
-def mul_linear(f, root):
-    """f(X) * (X - root), one coefficient shift and one scale pass."""
-    if not f:
-        return []
-    ctx = f[0].ctx
-    out = [ctx.zero()] + list(f)
-    for i, c in enumerate(f):
-        out[i] = out[i] - c * root
-    return trim(out)
+    n, p = lcm(f.n, g.n), f.ctx.p
+    sf, sg = n // f.n, n // g.n
+    out = {}
+    for kf, rf in f.rows:
+        for kg, rg in g.rows:
+            k, c = kf * sf + kg * sg, 1
+            if k >= n:
+                k, c = k - n, p
+            _add_row(out, k, [c * a for a in _convolve(rf, rg)])
+    return _poly(f.ctx, n, out.items(), f.den * g.den)
 
 
 def from_roots(ctx, roots_with_mult):
-    """Monic polynomial prod (X - x)**m from [(x, m), ...]."""
-    f = [ctx.one()]
+    """Monic polynomial prod (X - x)**m from [(x, m), ...].
+
+    With x = U / d, each factor is (d*X - U) / d: the rows shift up one place
+    times d, and each term of U subtracts a multiple of every row from the
+    row it lands in.  One canonical form at the end.
+    """
+    p, n, den, rows = ctx.p, 1, 1, {0: [1]}
     for x, m in roots_with_mult:
+        big = lcm(n, x.n)
+        s, t = big // n, big // x.n
+        n, rows = big, {k * s: row for k, row in rows.items()}
         for _ in range(m):
-            f = mul_linear(f, x)
-    return f
+            out = {}
+            for k, row in rows.items():
+                _add_row(out, k, [0] + [x.den * a for a in row])
+                for j, a in x.terms:
+                    idx, c = k + j * t, -a
+                    if idx >= n:
+                        idx, c = idx - n, c * p
+                    _add_row(out, idx, [c * b for b in row] + [0])
+            rows = out
+        den *= x.den**m
+    return _poly(ctx, n, rows.items(), den)
 
 
-def eval_at(f, x):
-    if not f:
-        if isinstance(x, Element):
-            return x.ctx.zero()
-        raise ZeroPolynomial("cannot infer context evaluating the zero polynomial")
-    acc = f[0].ctx.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def antiderivative(f, c):
+    """c times the antiderivative of f that vanishes at 0, over one
+    denominator: row entry i is scaled by c * lcm(1..deg+1) / (i + 1)."""
+    size = degree(f) + 1
+    m = lcm(1, *range(1, size + 1))
+    factors = [c * m // (i + 1) for i in range(size)]
+    rows = [(k, [0] + [a * q for a, q in zip(row, factors)]) for k, row in f.rows]
+    return _poly(f.ctx, f.n, rows, f.den * m)
 
 
 def derivative(f):
-    return trim([c.scale(i) for i, c in enumerate(f)][1:])
+    rows = [(k, [i * a for i, a in enumerate(row)][1:]) for k, row in f.rows]
+    return _poly(f.ctx, f.n, rows, f.den)
+
+
+def eval_at(f, x):
+    """f(x), one field element: a homogeneous integer Horner per row when x
+    is rational, else one Horner over the columns in Z[p**(1/n)]."""
+    ctx = f.ctx
+    if not f.rows:
+        return ctx.zero()
+    size, d = len(f.rows[0][1]), x.den
+    den = f.den * d ** (size - 1)
+    if x.n == 1:
+        a = x.terms[0][1] if x.terms else 0
+        terms = []
+        for k, row in f.rows:
+            # sum of row[i] * a**i * d**(size - 1 - i)
+            acc, dp = 0, 1
+            for c in reversed(row):
+                acc = acc * a + c * dp
+                dp *= d
+            if acc:
+                terms.append((k, acc))
+        return _reduced(ctx, f.n, terms, den)
+    n = lcm(f.n, x.n)
+    s, t = n // f.n, n // x.n
+    unit = [(j * t, a) for j, a in x.terms]
+    acc, dp = {}, 1
+    for i in range(size - 1, -1, -1):
+        acc = _times_terms(acc, unit, n, ctx.p)
+        for k, row in f.rows:
+            if row[i]:
+                acc[k * s] = acc.get(k * s, 0) + row[i] * dp
+        dp *= d
+    return _reduced(ctx, n, sorted(ka for ka in acc.items() if ka[1]), den)
+
+
+def _taylor_shift(row, a):
+    """The integer polynomial row(X + a), by the in-place Horner scheme."""
+    c = list(row)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return tuple(c)
 
 
 def translate(f, b):
-    """f(X + b) by Horner; cheap when b is a field element of small support."""
-    if not f or not b:
-        return trim(f)
-    ctx = f[0].ctx
-    out = [f[-1]]
-    for c in reversed(f[:-1]):
-        # out <- out*(X+b) + c
-        new = [ctx.zero()] + out
-        for i, oc in enumerate(out):
-            new[i] = new[i] + oc * b
-        new[0] = new[0] + c
-        out = new
-    return trim(out)
+    """f(X + b).  For a rational integer b, the Taylor shift of each row;
+    else f(b * (Y + 1)) at Y = X / b."""
+    if not b or degree(f) < 1:
+        return f
+    if b.n == 1 and b.den == 1:
+        a = b.terms[0][1]
+        return Poly(f.ctx, f.n, tuple((k, _taylor_shift(row, a)) for k, row in f.rows), f.den)
+    return scale_arg(translate(scale_arg(f, b), f.ctx.one()), b.inverse())
 
 
 def scale_arg(f, u):
-    """f(u * X): coefficient i picks up u**i."""
-    if not f:
-        return []
-    ctx = f[0].ctx
-    out, power = [], ctx.one()
-    for i, c in enumerate(f):
-        out.append(c * power if i else c)
-        power = power * u
-    return trim(out)
+    """f(u * X): column i is multiplied by u**i.
+
+    With u = U / d, column i gets U**i * d**(deg - i) over den * d**deg; the
+    terms of U**i move each entry to another row, a whole power of p carried
+    out whenever its exponent passes 1.
+    """
+    if not f.rows:
+        return f
+    p, size = f.ctx.p, len(f.rows[0][1])
+    n = lcm(f.n, u.n)
+    s, t = n // f.n, n // u.n
+    d = u.den
+    unit = [(j * t, a) for j, a in u.terms]
+    out = {}
+    power, dp = {0: 1}, d ** (size - 1)
+    for i in range(size):
+        for k, row in f.rows:
+            c = row[i]
+            if not c:
+                continue
+            c *= dp
+            for j, b in power.items():
+                idx = k * s + j
+                if idx >= n:
+                    idx, b = idx - n, b * p
+                if idx not in out:
+                    out[idx] = [0] * size
+                out[idx][i] += c * b
+        power = _times_terms(power, unit, n, p)
+        dp //= d
+    return _poly(f.ctx, n, out.items(), f.den * d ** (size - 1))
+
+
+def scaled_valuations(f):
+    """n * v(c_i) for each coefficient c_i of f, an int, or None for c_i = 0.
+
+    Rows come in increasing k, so a coefficient whose entry in some row is
+    prime to p has met its least term there (any entry divisible by p sits
+    at n or above) and later rows are skipped for it.
+    """
+    p, n = f.ctx.p, f.n
+    out = [None] * (degree(f) + 1)
+    for k, row in f.rows:
+        for i, a in enumerate(row):
+            if a:
+                w = out[i]
+                if w is not None and w < n:
+                    continue
+                v = k if a % p else _vp_int(a, p) * n + k
+                if w is None or v < w:
+                    out[i] = v
+    if f.den % p == 0:
+        shift = _vp_int(f.den, p) * n
+        out = [None if w is None else w - shift for w in out]
+    return out
 
 
 def primitive(f, ctx):
@@ -148,13 +344,28 @@ def primitive(f, ctx):
     polynomial mod the maximal ideal.  Raises ZeroPolynomial for the zero
     polynomial.
     """
-    if not f:
+    if not f.rows:
         raise ZeroPolynomial("zero polynomial has no primitive part")
-    v = min(c.val() for c in f if c)
-    if v == 0:
-        return list(f), v
-    inv = ctx.uniformizer_power(v).inverse()
-    return [c * inv for c in f], v
+    n, p = f.n, ctx.p
+    w = min(v for v in scaled_valuations(f) if v is not None)
+    if w == 0:
+        return f, Fraction(0)
+    # f / p**(w/n) = (f * den / p**(w/n + e)) / (den / p**e), e = v_p(den):
+    # the entries' least n * v_p(a) + k is w + n * e, so row k moves to
+    # (k - w - n * e) mod n, its entries times p**floor((k - w - n * e) / n),
+    # a power that divides them exactly when it is negative
+    e = _vp_int(f.den, p) if f.den % p == 0 else 0
+    rows = []
+    for k, row in f.rows:
+        q, r = divmod(k - w - n * e, n)
+        if q > 0:
+            c = p**q
+            row = [a * c for a in row]
+        elif q < 0:
+            c = p**-q
+            row = [a // c for a in row]
+        rows.append((r, row))
+    return _poly(ctx, n, rows, f.den // p**e), Fraction(w, n)
 
 
 def reduction(f, ctx):
@@ -162,34 +373,33 @@ def reduction(f, ctx):
 
     A coefficient of negative valuation raises ``NegativeValuation``.
     """
-    return fppoly.normalize([c.residue() for c in f], ctx.p)
+    p = ctx.p
+    if f.den % p == 0:
+        raise NegativeValuation("a coefficient has negative valuation")
+    if not f.rows or f.rows[0][0]:
+        return []
+    inv = pow(f.den, -1, p)
+    return fppoly.normalize([a * inv for a in f.rows[0][1]], p)
 
 
 def divmod_k(f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = trim(f)
-    g = trim(g)
-    dg = degree(g)
-    inv = g[-1].inverse()
-    ctx = g[-1].ctx
-    q = [ctx.zero() for _ in range(max(1, len(f) - dg))]
+    ctx, dg = g.ctx, degree(g)
+    inv = coefficient(g, dg).inverse()
+    q = [ctx.zero()] * max(1, degree(f) - dg + 1)
     while degree(f) >= dg:
-        c = f[-1] * inv
         k = degree(f) - dg
-        q[k] = c
-        for i, gi in enumerate(g):
-            f[i + k] = f[i + k] - c * gi
-        f.pop()  # the leading term cancels exactly
-        f = trim(f)
-    return trim(q), trim(f)
+        q[k] = coefficient(f, degree(f)) * inv
+        # the leading term cancels exactly
+        f = sub(f, mul(from_elements(ctx, [ctx.zero()] * k + [q[k]]), g))
+    return from_elements(ctx, q), f
 
 
 def gcd_k(f, g):
     """Monic gcd over the field K (plain Euclid; exact arithmetic)."""
-    f, g = trim(f), trim(g)
     while g:
         f, g = g, divmod_k(f, g)[1]
     if not f:
-        return []
-    return scale(f, f[-1].inverse())
+        return f
+    return mul(f, from_elements(f.ctx, [coefficient(f, degree(f)).inverse()]))

@@ -7,12 +7,14 @@ divisibility by X**m adds m roots of infinite valuation.  That
 correspondence is the only root information the rest of the package ever
 uses — no root is ever found explicitly.
 
-The blow-up engine needs only two readings of the polygon: how many roots
-lie in the open unit disc, and the least positive root valuation.  Both
-come from one pass over the coefficient valuations, with no hull
-(``positive_roots``).  The hull itself (``newton_polygon``) is built for
-``classify --emit-newton`` and as the tests' reference reading.  Whether a
-cover is integral is one scan over its coefficients, in
+Both readings below work on n * val(a_i), the integers that
+``kpoly.scaled_valuations`` reads off the rows of f in one pass, and build a
+``Fraction`` only for what they return.  The blow-up engine needs two
+readings of the polygon: how many roots lie in the open unit disc, and the
+least positive root valuation.  Both come from one pass over those integers,
+with no hull (``positive_roots``).  The hull itself (``newton_polygon``) is
+built for ``classify --emit-newton`` and as the tests' reference reading.
+Whether a cover is integral is one scan over its coefficient valuations, in
 ``oracle.fundamental_model``.
 """
 
@@ -53,11 +55,11 @@ class NewtonPolygon:
 
 
 def newton_polygon(f):
-    """Lower convex hull of (i, val(a_i)); monotone chain over exact rationals."""
-    f = kpoly.trim(f)
+    """Lower convex hull of (i, val(a_i)); monotone chain over n * val(a_i)."""
     if not f:
         raise ZeroPolynomial("newton polygon of the zero polynomial")
-    pts = [(i, c.val()) for i, c in enumerate(f) if c]
+    n = f.n
+    pts = [(i, w) for i, w in enumerate(kpoly.scaled_valuations(f)) if w is not None]
     # pts is nonempty (leading coefficient) and already sorted by i
     hull = []
     for pt in pts:
@@ -73,12 +75,12 @@ def newton_polygon(f):
         hull.append(pt)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append(Segment(Fraction(y2 - y1, x2 - x1), x2 - x1))
+        segments.append(Segment(Fraction(y2 - y1, n * (x2 - x1)), x2 - x1))
     return NewtonPolygon(
-        vertices=tuple(hull),
+        vertices=tuple((i, Fraction(w, n)) for i, w in hull),
         segments=tuple(segments),
         x_order=pts[0][0],
-        degree=len(f) - 1,
+        degree=kpoly.degree(f),
     )
 
 
@@ -101,15 +103,21 @@ def positive_roots(f):
     across fibers.  The segments of negative slope end where the least
     valuation is first attained, at (count, v), so count is that index.  nu
     is the smallest positive *finite* root valuation, the least
-    (v(a_i) - v) / (count - i) over i < count; None means every root in the
-    disc is exactly at the center (or there are none), so nothing new
-    separates at any scale.
+    (v(a_i) - v) / (count - i) over i < count, compared as integer pairs;
+    None means every root in the disc is exactly at the center (or there are
+    none), so nothing new separates at any scale.
     """
-    pts = [(i, c.val()) for i, c in enumerate(f) if c]
+    pts = [(i, w) for i, w in enumerate(kpoly.scaled_valuations(f)) if w is not None]
     if not pts:
         raise ZeroPolynomial("Newton reading of the zero polynomial")
     count, least = min(pts, key=lambda pt: pt[1])
-    return count, min(((v - least) / (count - i) for i, v in pts if i < count), default=None)
+    rise, run = None, 1
+    for i, w in pts:
+        if i >= count:
+            break
+        if rise is None or (w - least) * run < rise * (count - i):
+            rise, run = w - least, count - i
+    return count, None if rise is None else Fraction(rise, f.n * run)
 
 
 def positive_root_count(f):

@@ -11,16 +11,18 @@ survive contraction.  Agreement with the discrete classifier is then a
 genuine two-route check: same dual graphs, computed from different inputs by
 different mathematics.
 
-Each blow-up reads every translated fiber polynomial once: its count of
-roots in the open disc and its least positive root valuation come from one
-pass over the coefficient valuations (``newton.positive_roots``), with no
-convex hull.  Each residue is lifted once, and each residual polynomial is
-stripped of its rational roots by synthetic division.  Branch values, their
-labels and the critical points over them are read from
-``cover.branch_data``, never recomputed here.  A disc maps
-onto its image, so the image holds exactly the branch values whose tracks
-the disc carries: an image disc is named by its radius and those labels,
-and the downstairs tree needs no valuation test.
+Tracks are ``kpoly.Poly`` values, integer rows over one denominator, so the
+translation to a residue's integer lift is an integer Taylor shift of each
+row, and the rescaling by p**nu moves entries between rows.  Each blow-up
+reads every translated fiber polynomial once: its count of roots in the open
+disc and its least positive root valuation come from one pass over the
+coefficient valuations (``newton.positive_roots``), with no convex hull.
+Each residue is lifted once, and each residual polynomial is stripped of its
+rational roots by synthetic division.  Branch values, their labels and the
+critical points over them are read from ``cover.branch_data``, never
+recomputed here.  A disc maps onto its image, so the image holds exactly the
+branch values whose tracks the disc carries: an image disc is named by its
+radius and those labels, and the downstairs tree needs no valuation test.
 
 Conventions.  A "track" is a pair (label, branch value); its carried
 polynomial V always has content 0, so its reduction is a nonzero polynomial
@@ -114,7 +116,7 @@ class _Node:
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
-        self.tracks = tracks  # label -> primitive kpoly coefficients
+        self.tracks = tracks  # label -> primitive kpoly.Poly
         self.points = points  # label -> ((x, m), ...) critical points in the disc
         self.m = m  # local degree of the cover on this disc
         self.down_radius = down_radius  # Fraction, radius of the image disc
@@ -191,9 +193,10 @@ def fundamental_model(cover):
     """
     ctx = cover.ctx
     unit = False
-    for i, c in enumerate(cover.beta[:-1]):
-        if c and (v := c.val()) <= 0:
-            if v < 0:
+    for i, w in enumerate(kpoly.scaled_valuations(cover.beta)[:-1]):
+        if w is not None and w <= 0:
+            if w < 0:
+                v = Fraction(w, cover.beta.n)
                 raise NotIntegralCover(f"coefficient {i} has valuation {v} < 0")
             unit = True
     if unit:
@@ -207,7 +210,7 @@ def fundamental_model(cover):
         if bp.value and bp.value.val() < 0:
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         # no primitive part: beta is monic and integral and lambda integral, so content 0
-        carried[bp.label] = kpoly.sub(cover.beta, [bp.value])
+        carried[bp.label] = kpoly.sub(cover.beta, kpoly.from_elements(ctx, [bp.value]))
         points[bp.label] = bp.points
     root = _Node("C", None, None, carried, points, ctx.p, Fraction(0))
     root.marks.append(("inf", ctx.p))

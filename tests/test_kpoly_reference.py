@@ -1,0 +1,227 @@
+"""The integer-row layout of kpoly against a reference on lists of field elements.
+
+The reference below keeps every coefficient as its own ``Element`` and does
+each operation the textbook way (Horner for translation and evaluation, one
+power of u per coefficient, the content as the least coefficient valuation).
+It is slow and obviously right; the layout must agree with it exactly and
+come out canonical.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from padicover import fppoly, kpoly
+from padicover.field import FieldContext, NegativeValuation
+from padicover.newton import positive_roots
+
+
+# ---------------------------------------------------------------------------
+# the reference: polynomials as trimmed lists of Elements
+
+
+def trim(f):
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def ref_translate(f, b):
+    out = []
+    for c in reversed(f):
+        # out <- out * (X + b) + c
+        new = [c * 0] + out
+        for i, oc in enumerate(out):
+            new[i] = new[i] + oc * b
+        new[0] = new[0] + c
+        out = new
+    return trim(out)
+
+
+def ref_scale_arg(f, u):
+    return trim([c * u**i for i, c in enumerate(f)])
+
+
+def ref_primitive(f, ctx):
+    v = min(c.val() for c in f if c)
+    inv = ctx.uniformizer_power(-v)
+    return [c * inv for c in f], v
+
+
+def ref_reduction(f, ctx):
+    return fppoly.normalize([c.residue() for c in f], ctx.p)
+
+
+def ref_eval_at(f, x):
+    acc = x.ctx.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def ref_from_roots(ctx, roots):
+    f = [ctx.one()]
+    for x, m in roots:
+        for _ in range(m):
+            f = trim([a - b * x for a, b in zip([ctx.zero()] + f, f + [ctx.zero()])])
+    return f
+
+
+def ref_positive_roots(f):
+    pts = [(i, c.val()) for i, c in enumerate(f) if c]
+    count, least = min(pts, key=lambda pt: pt[1])
+    return count, min(((v - least) / (count - i) for i, v in pts if i < count), default=None)
+
+
+# ---------------------------------------------------------------------------
+# reading a layout without kpoly
+
+
+def elements(f):
+    """The coefficients of a layout, built from its rows by field arithmetic."""
+    ctx = f.ctx
+    size = kpoly.degree(f) + 1
+    out = [ctx.zero()] * size
+    for k, row in f.rows:
+        power = ctx.uniformizer_power(Fraction(k, f.n))
+        for i, a in enumerate(row):
+            out[i] = out[i] + ctx.from_rational(Fraction(a, f.den)) * power
+    return out
+
+
+def assert_canonical(f):
+    """Rows sorted and nonzero, one length with a nonzero last column, n and
+    den least."""
+    if not f:
+        assert (f.n, f.rows, f.den) == (1, (), 1)
+        return
+    ks = [k for k, _ in f.rows]
+    assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < f.n
+    assert len({len(row) for _, row in f.rows}) == 1
+    assert all(any(row) and all(type(a) is int for a in row) for _, row in f.rows)
+    assert any(row[-1] for _, row in f.rows)
+    assert gcd(f.n, *ks) == 1
+    assert f.den > 0 and gcd(f.den, *[a for _, row in f.rows for a in row]) == 1
+
+
+def same(f, reference):
+    """The layout f holds exactly the reference list, canonically."""
+    assert_canonical(f)
+    assert elements(f) == trim(reference)
+    assert f == kpoly.from_elements(f.ctx, reference)
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def random_element(rng, ctx, n, terms=3):
+    """Up to ``terms`` terms a/d * p**(k/n), k possibly negative, d
+    sometimes divisible by p."""
+    p, x = ctx.p, ctx.zero()
+    for _ in range(rng.randint(1, terms)):
+        k = rng.randint(-n, 3 * n)
+        a = rng.randint(-30, 30)
+        d = rng.choice([1, 1, 2, 3, p, p * p, 2 * p])
+        x = x + ctx.from_rational(Fraction(a, d)) * ctx.uniformizer_power(Fraction(k, n))
+    return x
+
+
+def random_poly(rng, ctx):
+    n = rng.randint(1, 4)
+    coeffs = [
+        random_element(rng, ctx, rng.choice([n, 1]), 2) if rng.random() < 0.85 else ctx.zero()
+        for _ in range(rng.randint(1, 6))
+    ]
+    return coeffs
+
+
+def cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = FieldContext(rng.choice([3, 5, 7]), 1)
+        coeffs = random_poly(rng, ctx)
+        f = kpoly.from_elements(ctx, coeffs)
+        if f:
+            yield rng, ctx, coeffs, f
+
+
+def test_from_elements_round_trips():
+    kinds = set()
+    for _, ctx, coeffs, f in cases(1, 300):
+        same(f, coeffs)
+        kinds.update(
+            kind
+            for kind, hit in (
+                ("n > 1", f.n > 1),
+                ("p | den", f.den % ctx.p == 0),
+                ("several rows", len(f.rows) > 1),
+            )
+            if hit
+        )
+    assert kinds == {"n > 1", "p | den", "several rows"}
+
+
+def test_translate():
+    for rng, ctx, coeffs, f in cases(2, 200):
+        integer = ctx.from_rational(rng.randint(-2 * ctx.p, 2 * ctx.p))
+        several = random_element(rng, ctx, rng.randint(1, 4))
+        for b in (integer, several, ctx.from_rational(Fraction(rng.randint(1, 9), ctx.p))):
+            same(kpoly.translate(f, b), ref_translate(coeffs, b))
+
+
+def test_scale_arg():
+    for rng, ctx, coeffs, f in cases(3, 200):
+        monomial = ctx.uniformizer_power(Fraction(rng.randint(-4, 8), rng.randint(1, 4)))
+        several = random_element(rng, ctx, rng.randint(1, 4))
+        for u in (monomial, several, ctx.zero()):
+            same(kpoly.scale_arg(f, u), ref_scale_arg(coeffs, u))
+
+
+def test_primitive_and_reduction():
+    negative = 0
+    for _, ctx, coeffs, f in cases(4, 300):
+        g, v = kpoly.primitive(f, ctx)
+        h, w = ref_primitive(coeffs, ctx)
+        same(g, h)
+        assert v == w and type(v) is Fraction
+        assert kpoly.reduction(g, ctx) == ref_reduction(h, ctx)
+        assert kpoly.reduction(g, ctx)  # content 0: a nonzero reduction
+        if min(c.val() for c in coeffs if c) < 0:
+            negative += 1
+            with pytest.raises(NegativeValuation):
+                kpoly.reduction(f, ctx)
+        else:
+            assert kpoly.reduction(f, ctx) == ref_reduction(coeffs, ctx)
+    assert negative > 20
+
+
+def test_eval_at():
+    for rng, ctx, coeffs, f in cases(5, 200):
+        for x in (
+            ctx.from_rational(Fraction(rng.randint(-20, 20), rng.choice([1, 2, ctx.p]))),
+            random_element(rng, ctx, rng.randint(1, 4)),
+            ctx.zero(),
+        ):
+            assert kpoly.eval_at(f, x) == ref_eval_at(coeffs, x)
+
+
+def test_from_roots():
+    rng = random.Random(6)
+    for _ in range(100):
+        ctx = FieldContext(rng.choice([3, 5, 7]), 1)
+        roots = [
+            (random_element(rng, ctx, rng.randint(1, 4), rng.choice([1, 2])), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        same(kpoly.from_roots(ctx, roots), ref_from_roots(ctx, roots))
+
+
+def test_positive_roots():
+    for _, ctx, coeffs, f in cases(7, 300):
+        assert positive_roots(f) == ref_positive_roots(coeffs)
+        g = kpoly.primitive(f, ctx)[0]
+        assert positive_roots(g) == ref_positive_roots(elements(g))

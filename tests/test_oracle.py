@@ -1,5 +1,7 @@
 """Blow-up engine: agreement with the classifier and its failure modes."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +33,10 @@ def rational_cover(p, points, e=1):
     return from_critical_divisor(
         [(ctx.from_rational(Fraction(x)), m) for x, m in points], ctx
     )
+
+
+def coefficients(f):
+    return [kpoly.coefficient(f, i) for i in range(kpoly.degree(f) + 1)]
 
 
 def assert_agrees(cover):
@@ -206,7 +212,7 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
         for den in (1, 2, p, p * p):
             for _ in range(20):
                 cover = random_divisor_cover(rng, p, den)
-                low = [(i, c.val()) for i, c in enumerate(cover.beta[:-1]) if c]
+                low = [(i, c.val()) for i, c in enumerate(coefficients(cover.beta)[:-1]) if c]
                 negative = [(i, v) for i, v in low if v < 0]
                 try:
                     state = fundamental_model(cover)
@@ -223,9 +229,9 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
                 assert all(v > 0 for _, v in low)
                 tracks = state.nodes["C"].tracks
                 for bp in branch_data(cover):
-                    track = kpoly.sub(cover.beta, [bp.value])
+                    track = kpoly.sub(cover.beta, kpoly.from_elements(cover.ctx, [bp.value]))
                     assert tracks[bp.label] == track
-                    assert min(c.val() for c in track if c) == 0
+                    assert min(c.val() for c in coefficients(track) if c) == 0
                 seen["admitted"] += 1
     assert seen == {"admitted": 128, "coefficient": 106, "reduction": 6}
 
@@ -233,7 +239,7 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
 def test_repeated_residual_root_outside_fp_is_an_error():
     # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root
     ctx = FieldContext(5, 1)
-    poly = [ctx.from_rational(Fraction(c)) for c in (4, 5, -4, 0, 1)]
+    poly = kpoly.from_rationals(ctx, (4, 5, -4, 0, 1))
     node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
         _residual_table(node, {"a": kpoly.reduction(poly, ctx)}, ctx.p)
@@ -327,3 +333,20 @@ def test_seeded_random_covers_agree_or_are_refused():
         "AllPointsCoalesce": 3,
         "NotSimpleReduction": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "p, seed, digest",
+    [
+        (101, 1, "c8b03490dc75e137f37eed44fd1a4d42b7626809a72de5e8dd87060dc1038fbf"),
+        (101, 2, "7b27326de00642b7cf4529c7ec316b2d49c3d9ff5b8146edaa3329f7b7c14da3"),
+        (211, 1, "87043c8713df54003d5195ccec69b4875c05c6e33cf2ba49dbe6bb8d7542d1a8"),
+    ],
+)
+def test_large_prime_runs_are_pinned(p, seed, digest):
+    # the model, trace and e of a random cover at a large p, pinned by the
+    # sha256 of their canonical JSON; the two routes must agree
+    cover = planted.random_integral_cover(random.Random(seed), p)
+    result, _ = assert_agrees(cover)
+    doc = {"model": result.model.to_json(), "trace": result.trace_json(), "e": result.e}
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest

@@ -59,7 +59,7 @@ def test_kpoly_affine_substitution_matches_eval():
     K = FieldContext(5, 2)
     for _ in range(40):
         f = [K.element([rng.randint(-9, 9), rng.randint(-9, 9)]) for _ in range(rng.randint(1, 5))]
-        f = kpoly.trim(f)
+        f = kpoly.from_elements(K, f)
         if not f:
             continue
         a = K.element([rng.randint(1, 9), rng.randint(0, 3)])
@@ -75,10 +75,11 @@ def test_kpoly_primitive_and_content():
     f = kpoly.from_rationals(K, [25, 10, 5])
     g, c = kpoly.primitive(f, K)
     assert c == 1
-    assert min(c.val() for c in g if c) == 0
+    vals = [kpoly.coefficient(g, i).val() for i in range(kpoly.degree(g) + 1)]
+    assert min(v for v in vals if v is not None) == 0
     assert kpoly.reduction(g, K) == [0, 2, 1]
     with pytest.raises(ZeroPolynomial):
-        kpoly.primitive([], K)
+        kpoly.primitive(kpoly.from_rationals(K, []), K)
 
 
 def test_kpoly_divmod_roundtrip():
@@ -90,7 +91,7 @@ def test_kpoly_divmod_roundtrip():
         if not f or not g:
             continue
         q, r = kpoly.divmod_k(f, g)
-        assert kpoly.add(kpoly.mul(q, g), r) == f
+        assert kpoly.sub(f, kpoly.mul(q, g)) == r
         assert kpoly.degree(r) < kpoly.degree(g)
 
 
@@ -109,11 +110,11 @@ def test_kpoly_calculus():
     # that vanishes at 0
     K = FieldContext(5, 2)
     points = [(K.pi(), 3), (K.from_rational(Fraction(1, 3)), 3)]
-    beta = list(from_critical_divisor(points, K).beta)
+    beta = from_critical_divisor(points, K).beta
     dbeta = kpoly.from_roots(K, [(x, m - 1) for x, m in points])
-    assert kpoly.derivative(beta) == [c.scale(5) for c in dbeta]
+    assert kpoly.derivative(beta) == kpoly.mul(dbeta, kpoly.from_rationals(K, [5]))
     assert not kpoly.eval_at(beta, K.zero())
-    assert beta[-1] == K.one()
+    assert kpoly.coefficient(beta, 5) == K.one()
 
 
 def test_kpoly_from_roots_kills_roots():
@@ -123,4 +124,4 @@ def test_kpoly_from_roots_kills_roots():
     assert kpoly.degree(f) == 3
     for x, _ in pts:
         assert not kpoly.eval_at(f, x)
-    assert f[-1] == K.one()
+    assert kpoly.coefficient(f, 3) == K.one()

@@ -92,7 +92,6 @@ TEST_ONLY = [
     "fppoly.mul",
     "kpoly.derivative",
     "kpoly.from_rationals",
-    "kpoly.mul",
     "newton.root_valuations",
 ]
 
