@@ -14,8 +14,10 @@ by the threshold p/u, where u = n1 + n2 - p - 1 counts the excess of the two
 fibers.  Below the threshold the pair behaves like two independent arms
 hanging off a shared component; at the threshold they fuse; above it the
 fibers split into s = u + 1 groups described by an admissible partition pair.
-Those pairs are generated group by group under their constraints, not
-filtered from all multiset partitions of the two fibers.
+Those pairs are built group by group under their constraints, each group's
+second-fiber parts drawn with exactly the count and sum they need, and the
+splits of each remainder found once per call, in a memo local to it.  The
+rigid part of a model is built once; each partition choice adds its leaves.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -148,44 +150,69 @@ def _submultisets(parts, most):
             yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
 
 
-def _groupings(fiber1, fiber2, last=()):
-    """The splits of two equal-sum fibers ((value, count) pairs) into groups
-    (d, g1, g2), parts descending; see admissible_partitions.  `last` is
-    (-head, sort key) of the previous group: groups with equal heads come in
-    sort-key order, so each split comes once."""
-    if not fiber1:
-        yield ()
+def _draws(parts, count, total, left):
+    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
+    count) pairs, values descending, `left` parts in all) with exactly
+    `count` parts summing to exactly `total`."""
+    if not count:
+        if not total:
+            yield (), parts
         return
-    (head, c), tail = fiber1[0], fiber1[1:]
-    rest1 = ((head, c - 1),) * (c > 1) + tail
-    for more1, left1 in _submultisets(rest1, sum(v * n for v, n in rest1)):
-        d = head + sum(more1)
-        for g2, left2 in _submultisets(fiber2, d):
-            if sum(g2) != d or len(more1) + len(g2) != d:
-                continue
-            group = (d, (head,) + more1, g2)
-            order = (-head, _group_sort_key(group))
-            if order >= last:
-                yield from ((group,) + more for more in _groupings(left1, left2, order))
+    if count > left or not count <= total <= count * parts[0][0]:
+        return
+    (v, c), tail = parts[0], parts[1:]
+    left -= c
+    for k in range(max(0, count - left), min(c, count, total // v) + 1):
+        for chosen, rest in _draws(tail, count - k, total - k * v, left):
+            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
 
 
 def admissible_partitions(p, profile1, profile2):
     """All partition pairs of the two fibers, in canonical order.
 
     Each group (d, g1, g2) is built under its constraints (Knuth, TAOCP 4A,
-    7.2.1.5): the largest part left in fiber 1 heads it, the rest of g1 is
-    any sub-multiset of what is left of fiber 1, and g2 is a sub-multiset of
-    fiber 2 with sum d = sum(g1) and d + 1 - len(g1) parts.  Summed over the
-    groups, len(g1) + len(g2) = d + 1 gives exactly u + 1 = n1 + n2 - p of
-    them, so there is no pair when u < 1.
+    7.2.1.5), with nothing generated and then thrown away: the largest part
+    left in fiber 1 heads it, the rest of g1 is any sub-multiset of what is
+    left of fiber 1 with sum at most what is left of fiber 2 minus the head,
+    and g2 is drawn with exactly d + 1 - len(g1) parts summing to exactly
+    d = sum(g1).  Summed over the groups, len(g1) + len(g2) = d + 1 gives
+    exactly u + 1 = n1 + n2 - p of them, so there is no pair when u < 1.
+    Groups come in (head, sort key) order, so each pair comes once: the
+    splits of a remainder of the two fibers are found once per call, in a
+    dict local to it, and a group keeps those whose first group it precedes.
     """
     profile1 = check_profile(p, profile1)
     profile2 = check_profile(p, profile2)
     if pair_excess(p, profile1, profile2) < 1:
         return ()
+    memo = {}
+
+    def splits(left1, left2):
+        """(order of the first group, ((sort key, group), ...)) per split."""
+        if not left1:
+            return [((), ())]
+        found = memo.get((left1, left2))
+        if found is None:
+            found = memo[left1, left2] = []
+            (head, c), tail = left1[0], left1[1:]
+            rest1 = ((head, c - 1),) * (c > 1) + tail
+            n2 = sum(n for _, n in left2)
+            for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
+                d = head + sum(more1)
+                for g2, rest2 in _draws(left2, d - len(more1), d, n2):
+                    g1 = (head,) + more1
+                    key = (-d, tuple(-x for x in g1), tuple(-x for x in g2))
+                    order, entry = (-head, key), (key, (d, g1[::-1], g2[::-1]))
+                    found.extend(
+                        (order, (entry,) + more)
+                        for first, more in splits(rest, rest2)
+                        if not first or first >= order
+                    )
+        return found
+
     fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
-    found = [PartitionPair.from_groups(p, groups) for groups in _groupings(*fibers)]
-    return tuple(sorted(found, key=lambda pp: [_group_sort_key(g) for g in pp.groups]))
+    found = sorted(tuple(sorted(entries)) for _, entries in splits(*fibers))
+    return tuple(PartitionPair(tuple(group for _, group in entries)) for entries in found)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +282,27 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
 
 
 class _Builder:
-    """Accumulates components of both trees and emits a DualGraphPair."""
+    """Accumulates the rigid components of both trees (marks as tuples) and
+    emits one DualGraphPair per choice of near-tail leaves."""
 
     def __init__(self, p):
         self.p = p
-        self.x_marks = {"C": [("inf", p)]}
-        self.y_marks = {"D": ["inf"]}
+        self.x_marks = {"C": (("inf", p),)}
+        self.y_marks = {"D": ("inf",)}
         self.x_edges = []
         self.y_edges = []
         self.vertical = {"C": VerticalMap("D", p, "inseparable")}
-        self.partitions = []
 
     def add_ordinary_arm(self, label, profile):
         n = len(profile)
         if n == 1:
             # totally ramified fiber: the single point sits on the root
-            self.x_marks["C"].append((label, profile[0]))
-            self.y_marks["D"].append(label)
+            self.x_marks["C"] += ((label, profile[0]),)
+            self.y_marks["D"] += (label,)
             return
         cx, dy = f"C'({label})", f"D'({label})"
-        self.x_marks[cx] = [(label, m) for m in profile]
-        self.y_marks[dy] = [label]
+        self.x_marks[cx] = tuple((label, m) for m in profile)
+        self.y_marks[dy] = (label,)
         t = Fraction(1, n - 1)
         self.x_edges.append(("C", cx, t))
         self.y_edges.append(("D", dy, self.p * t))
@@ -283,14 +310,15 @@ class _Builder:
             dy, self.p, "etale", notes=("wild above junction image",)
         )
 
-    def add_tail(self, report, partition=None):
+    def add_tail(self, report):
+        """The tail's rigid part; a near tail's leaves C_i come from _near_leaves."""
         a, b = report.pair
         eps = report.epsilon
         prof1, prof2 = report.profiles
         cx, dy = f"C'({a},{b})", f"D'({a},{b})"
         if report.regime == "far":
-            self.x_marks[cx] = []
-            self.y_marks[dy] = []
+            self.x_marks[cx] = ()
+            self.y_marks[dy] = ()
             self.x_edges.append(("C", cx, eps / self.p))
             self.y_edges.append(("D", dy, eps))
             self.vertical[cx] = VerticalMap(dy, self.p, "inseparable")
@@ -298,56 +326,64 @@ class _Builder:
                 n = len(prof)
                 nu = Fraction(self.p - report.excess * eps, self.p * (n - 1))
                 leaf_x, leaf_y = f"C({label})", f"D({label})"
-                self.x_marks[leaf_x] = [(label, m) for m in prof]
-                self.y_marks[leaf_y] = [label]
+                self.x_marks[leaf_x] = tuple((label, m) for m in prof)
+                self.y_marks[leaf_y] = (label,)
                 self.x_edges.append((cx, leaf_x, nu))
                 self.y_edges.append((dy, leaf_y, self.p * nu))
                 self.vertical[leaf_x] = VerticalMap(
                     leaf_y, self.p, "etale", notes=("wild above junction image",)
                 )
         elif report.regime == "critical":
-            self.x_marks[cx] = [(a, m) for m in prof1] + [(b, m) for m in prof2]
-            self.y_marks[dy] = [a, b]
+            self.x_marks[cx] = tuple((a, m) for m in prof1) + tuple((b, m) for m in prof2)
+            self.y_marks[dy] = (a, b)
             self.x_edges.append(("C", cx, eps / self.p))
             self.y_edges.append(("D", dy, eps))
             self.vertical[cx] = VerticalMap(
                 dy, self.p, "etale", notes=("wild above one unramified point",)
             )
         else:  # near
-            if partition is None:
-                raise InadmissiblePartition(
-                    "a near-threshold tail needs a partition pair"
-                )
             eps0 = report.threshold
-            eps1 = eps - eps0
             d1y = f"D_1({a},{b})"
-            self.x_marks[cx] = []
-            self.y_marks[dy] = []
-            self.y_marks[d1y] = [a, b]
+            self.x_marks[cx] = ()
+            self.y_marks[dy] = ()
+            self.y_marks[d1y] = (a, b)
             self.x_edges.append(("C", cx, eps0 / self.p))
             self.y_edges.append(("D", dy, eps0))
-            self.y_edges.append((dy, d1y, eps1))
+            self.y_edges.append((dy, d1y, eps - eps0))
             self.vertical[cx] = VerticalMap(dy, self.p, "etale")
-            for i, (d, g1, g2) in enumerate(partition.groups, start=1):
-                leaf = f"C_{i}({a},{b})"
-                self.x_marks[leaf] = [(a, m) for m in g1] + [(b, m) for m in g2]
-                self.x_edges.append((cx, leaf, eps1 / d))
-                self.vertical[leaf] = VerticalMap(d1y, d, "etale", notes=("tame",))
-            self.partitions.append(((a, b), partition.groups))
 
-    def build(self):
-        pair = DualGraphPair(
-            p=self.p,
-            x_root="C",
-            y_root="D",
-            x_marks={k: tuple(v) for k, v in self.x_marks.items()},
-            y_marks={k: tuple(v) for k, v in self.y_marks.items()},
-            x_edges=list(self.x_edges),
-            y_edges=list(self.y_edges),
-            vertical=dict(self.vertical),
-            partitions=tuple(sorted(self.partitions)),
-        )
-        return pair.validate()
+    def build(self, choices=()):
+        """The model with the leaves of each (marks, edges, maps, entry) choice."""
+        x_marks, x_edges, vertical = dict(self.x_marks), list(self.x_edges), dict(self.vertical)
+        for marks, edges, maps, _ in choices:
+            x_marks.update(marks)
+            x_edges += edges
+            vertical.update(maps)
+        return DualGraphPair(
+            p=self.p, x_root="C", y_root="D", x_marks=x_marks, y_marks=dict(self.y_marks),
+            x_edges=x_edges, y_edges=list(self.y_edges), vertical=vertical,
+            partitions=tuple(sorted(entry for *_, entry in choices)),
+        ).validate()
+
+
+def _near_leaves(report):
+    """Per partition pair of a near tail, the leaves C_i it adds, as
+    (marks, edges, maps, (pair, groups)); each leaf of degree d hangs at
+    thickness epsilon_1 / d, computed once per d."""
+    a, b = report.pair
+    cx, d1y = f"C'({a},{b})", f"D_1({a},{b})"
+    eps1 = report.epsilon - report.threshold
+    by_degree = {}
+    for partition in report.partitions:
+        marks, edges, maps = {}, [], {}
+        for i, (d, g1, g2) in enumerate(partition.groups, start=1):
+            if d not in by_degree:
+                by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
+            leaf = f"C_{i}({a},{b})"
+            marks[leaf] = tuple((a, m) for m in g1) + tuple((b, m) for m in g2)
+            edges.append((cx, leaf, by_degree[d][0]))
+            maps[leaf] = by_degree[d][1]
+        yield marks, edges, maps, ((a, b), partition.groups)
 
 
 @dataclass(frozen=True)
@@ -369,26 +405,19 @@ class Classification:
 
 def assemble(p, ordinary, tail_reports):
     """All candidate full models: one per choice of a partition pair for
-    each near-threshold tail (other regimes are rigid)."""
-    choice_sets = []
+    each near-threshold tail (other regimes are rigid).  The rigid part is
+    built once; each choice adds only the leaves of its near tails."""
+    skeleton = _Builder(p)
+    for label, prof in ordinary:
+        skeleton.add_ordinary_arm(label, prof)
     for rep in tail_reports:
-        if rep.regime == "near":
-            choice_sets.append([(rep, pp) for pp in rep.partitions])
-        else:
-            choice_sets.append([(rep, None)])
-    models = []
-    for combo in itertools.product(*choice_sets) if choice_sets else [()]:
-        b = _Builder(p)
-        for label, prof in ordinary:
-            b.add_ordinary_arm(label, prof)
-        for rep, pp in combo:
-            b.add_tail(rep, pp)
-        models.append(b.build())
+        skeleton.add_tail(rep)
+    choice_sets = [_near_leaves(rep) for rep in tail_reports if rep.regime == "near"]
     return Classification(
         p=p,
         ordinary=tuple((lbl, tuple(prof)) for lbl, prof in ordinary),
         tails=tuple(tail_reports),
-        models=tuple(models),
+        models=tuple(skeleton.build(combo) for combo in itertools.product(*choice_sets)),
     )
 
 

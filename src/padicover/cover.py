@@ -13,15 +13,16 @@ fiber profiles (multiplicities of points in each ramified fiber, padded with
 all come out of that divisor by grouping and counting alone.  beta is built
 in one pass over the integer rows of that product (``kpoly.antiderivative``).
 ``branch_data`` returns the branch points and checks the degree count; it is
-the one place a branch value is computed: each ``BranchPoint`` carries its
-display label and the critical points over it, and the classifier, the
-blow-up engine and the command line all read those.
+the one place a branch value is computed, once per cover: each
+``BranchPoint`` carries its display label and the critical points over it,
+and the classifier, the blow-up engine and the command line all read those.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kpoly
 from .field import Element, FieldContext
@@ -91,6 +92,42 @@ class Cover:
     ctx: FieldContext
     critical: CriticalDivisor
 
+    @cached_property
+    def branch_points(self):
+        """The finite branch points, computed on first use; see branch_data."""
+        groups = {}
+        for x, m in self.critical.points:
+            groups.setdefault(kpoly.eval_at(self.beta, x), []).append((x, m))
+        keyed = []
+        for lam, points in groups.items():
+            mults = sorted((m for _, m in points), reverse=True)
+            ramified = sum(mults)
+            if ramified > self.ctx.p:
+                raise InvalidDivisor(
+                    f"critical points over {lam!r} carry total multiplicity {ramified} > p"
+                )
+            try:
+                strings = lam.to_strings()
+            except ValueError as exc:
+                i = self.critical.points.index(points[0])
+                raise InvalidDivisor(
+                    f"the branch value over critical point {i} (m = {points[0][1]}) has a "
+                    f"coefficient over the {sys.get_int_max_str_digits()}-digit limit "
+                    "for writing integers"
+                ) from exc
+            label = strings[0] if len(strings) == 1 else "(" + ",".join(strings) + ")"
+            profile = tuple(mults) + (1,) * (self.ctx.p - ramified)
+            keyed.append((strings, BranchPoint(lam, profile, label, tuple(points))))
+        # canonical order: by value strings, purely for deterministic output
+        keyed.sort(key=lambda pair: pair[0])
+        branch = tuple(bp for _, bp in keyed)
+        total = sum(len(bp.profile) for bp in branch)
+        r = len(branch) + 1
+        expected = (r - 2) * self.ctx.p + 1
+        if total != expected:
+            raise RHViolation(f"sum n = {total}, expected (r-2)p+1 = {expected} for r={r}")
+        return branch
+
 
 def from_critical_divisor(div, ctx):
     """The unique monic degree-p cover with the given critical divisor.
@@ -118,42 +155,14 @@ def branch_data(cover):
 
     Groups the critical points by branch value and reads off the fiber
     profiles; infinity is implicit, with profile (p,).  This is the one place
-    a branch value is computed and labelled.  The Riemann-Hurwitz count
-    sum n = (r - 2) p + 1 is checked here (RHViolation).  A value whose label
-    would pass Python's int-to-string digit limit raises InvalidDivisor.
+    a branch value is computed and labelled, and it happens once per cover:
+    the tuple is kept on the immutable cover (``Cover.branch_points``), so
+    the classifier and the oracle of one request share it.  The
+    Riemann-Hurwitz count sum n = (r - 2) p + 1 is checked here
+    (RHViolation).  A value whose label would pass Python's int-to-string
+    digit limit raises InvalidDivisor.
     """
-    groups = {}
-    for x, m in cover.critical.points:
-        groups.setdefault(kpoly.eval_at(cover.beta, x), []).append((x, m))
-    keyed = []
-    for lam, points in groups.items():
-        mults = sorted((m for _, m in points), reverse=True)
-        ramified = sum(mults)
-        if ramified > cover.ctx.p:
-            raise InvalidDivisor(
-                f"critical points over {lam!r} carry total multiplicity {ramified} > p"
-            )
-        try:
-            strings = lam.to_strings()
-        except ValueError as exc:
-            i = cover.critical.points.index(points[0])
-            raise InvalidDivisor(
-                f"the branch value over critical point {i} (m = {points[0][1]}) has a "
-                f"coefficient over the {sys.get_int_max_str_digits()}-digit limit "
-                "for writing integers"
-            ) from exc
-        label = strings[0] if len(strings) == 1 else "(" + ",".join(strings) + ")"
-        profile = tuple(mults) + (1,) * (cover.ctx.p - ramified)
-        keyed.append((strings, BranchPoint(lam, profile, label, tuple(points))))
-    # canonical order: by value strings, purely for deterministic output
-    keyed.sort(key=lambda pair: pair[0])
-    branch = tuple(bp for _, bp in keyed)
-    total = sum(len(bp.profile) for bp in branch)
-    r = len(branch) + 1
-    expected = (r - 2) * cover.ctx.p + 1
-    if total != expected:
-        raise RHViolation(f"sum n = {total}, expected (r-2)p+1 = {expected} for r={r}")
-    return branch
+    return cover.branch_points
 
 
 def cover_from_json(doc):

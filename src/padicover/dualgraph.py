@@ -124,11 +124,11 @@ class DualGraphPair:
                 raise InvalidDualGraph(
                     f"image of x-edge {a}-{b} is not a downstairs edge {ya}-{yb}"
                 )
-            e_p = self.vertical[b].degree
-            if y_edge_map[(ya, yb)] != e_p * t_up:
+            e_p, t_down = self.vertical[b].degree, y_edge_map[(ya, yb)]
+            # t_down == e_p * t_up, cross-multiplied to build no Fraction
+            if t_down.numerator * t_up.denominator != e_p * t_up.numerator * t_down.denominator:
                 raise InvalidDualGraph(
-                    f"scaling law broken on {a}-{b}: down {y_edge_map[(ya, yb)]} "
-                    f"!= {e_p} * {t_up}"
+                    f"scaling law broken on {a}-{b}: down {t_down} != {e_p} * {t_up}"
                 )
         return self
 

@@ -1,11 +1,17 @@
 """Reduction-type classifier: regime formulas, partitions, full models."""
 
+import hashlib
+import json
+import random
+from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from padicover import cli
 from padicover.classifier import (
     ClassifierError,
     InadmissiblePartition,
@@ -299,6 +305,68 @@ def test_partition_invariants_across_profiles():
                 assert sorted(merged2) == sorted(prof2)
 
 
+def reference_partitions(p, prof1, prof2):
+    """Every split of the two fibers into u + 1 groups (d, g1, g2) with
+    sum(g1) = sum(g2) = d and len(g1) + len(g2) = d + 1, by brute force: the
+    group of fiber 1's largest part left tries every pair of sub-multisets
+    of what is left, with no pruning.  Canonical order, as PartitionPairs."""
+
+    def sub_multisets(parts):
+        counts = Counter(parts)
+        for ks in product(*(range(c + 1) for c in counts.values())):
+            chosen = Counter(dict(zip(counts, ks)))
+            yield tuple(sorted(chosen.elements())), list((counts - chosen).elements())
+
+    def splits(left1, left2):
+        if not left1:
+            if not left2:
+                yield ()
+            return
+        rest1 = sorted(left1)
+        head = rest1.pop()
+        for more1, after1 in sub_multisets(rest1):
+            for g2, after2 in sub_multisets(left2):
+                d = head + sum(more1)
+                if sum(g2) == d and len(more1) + 1 + len(g2) == d + 1:
+                    for more in splits(after1, after2):
+                        yield ((d, (head,) + more1, g2),) + more
+
+    u = len(prof1) + len(prof2) - p - 1
+    found = {
+        PartitionPair.from_groups(p, groups)
+        for groups in splits(list(prof1), list(prof2))
+        if len(groups) == u + 1
+    }
+
+    def order(pp):  # largest d first, then largest parts first
+        return [(-d, [-x for x in g1[::-1]], [-x for x in g2[::-1]]) for d, g1, g2 in pp.groups]
+
+    return tuple(sorted(found, key=order))
+
+
+def test_partition_enumeration_is_complete():
+    cases = [
+        (p, prof1, prof2)
+        for p in (5, 7)
+        for prof1, prof2 in product(all_profiles(p), repeat=2)
+        if len(prof1) + len(prof2) - p - 1 >= 1
+    ]
+    rng = random.Random(11)
+    for p in (11, 13):
+        near = [
+            (p, prof1, prof2)
+            for prof1, prof2 in product(all_profiles(p), repeat=2)
+            if len(prof1) + len(prof2) - p - 1 >= 1
+        ]
+        cases += rng.sample(near, 40)
+    total = 0
+    for p, prof1, prof2 in cases:
+        want = reference_partitions(p, prof1, prof2)
+        assert admissible_partitions(p, prof1, prof2) == want, (p, prof1, prof2)
+        total += len(want)
+    assert total > len(cases)
+
+
 def test_large_near_pair():
     ones = (1,) * 29
     pps = admissible_partitions(31, (2,) + ones, (2,) + ones)
@@ -322,8 +390,6 @@ def test_large_near_pair():
 )
 def test_partition_enumeration_order_free(case):
     p, prof1, prof2 = case
-    import random
-
     shuffled1, shuffled2 = list(prof1), list(prof2)
     random.Random(hash(case)).shuffle(shuffled1)
     random.Random(~hash(case)).shuffle(shuffled2)
@@ -345,6 +411,92 @@ def test_partition_validation_errors():
     with pytest.raises(InadmissiblePartition):
         # count identity broken: d + 1 = 5 but 2 + 2 parts
         PartitionPair.from_groups(5, [(4, (3, 1), (2, 2)), (1, (1,), (1,))])
+
+
+# sha256 of the canonical JSON of `classify --profiles --emit both` for every
+# near pair at p = 7 and 11 whose ramification fits one cover, at the fixed
+# distance p + 1/2 (a third point takes up the rest of Riemann-Hurwitz), and
+# for covers with two and three near tails, whose models run over the product
+# of the tails' partition choices.  Rewrite it with
+# `PYTHONPATH=src python tests/test_classifier.py`.
+FORMULA_GOLDEN = Path(__file__).parent / "formula_golden.json"
+
+
+def _spec(name, profile, partner=None, epsilon=None):
+    spec = {"name": name, "profile": list(profile)}
+    if partner is not None:
+        spec.update(tail_with=partner, epsilon=str(epsilon))
+    return spec
+
+
+def _ones(count):
+    return (1,) * count
+
+
+MULTI_TAIL_DOCS = {
+    "p7-two-tails-balanced": (7, [
+        _spec("a", (2,) + _ones(5), "b", F(15, 2)), _spec("b", (2,) + _ones(5)),
+        _spec("c", (2,) + _ones(5), "d", 8), _spec("d", (2,) + _ones(5)),
+        _spec("e", (3,) + _ones(4)),
+    ]),
+    "p7-two-tails-unbalanced": (7, [
+        _spec("a", (3,) + _ones(4), "b", F(15, 2)), _spec("b", (2,) + _ones(5)),
+        _spec("c", (2,) + _ones(5), "d", F(23, 3)), _spec("d", (2,) + _ones(5)),
+        _spec("e", (2,) + _ones(5)),
+    ]),
+    "p11-two-tails-3x4": (11, [
+        _spec("a", (2, 2) + _ones(7), "b", F(23, 2)), _spec("b", (4,) + _ones(7)),
+        _spec("c", (2,) + _ones(9), "d", 12), _spec("d", (3, 2) + _ones(6)),
+        _spec("e", (2,) + _ones(9)),
+    ]),
+    "p11-two-tails-2x3": (11, [
+        _spec("a", (3,) + _ones(8), "b", 12), _spec("b", (3,) + _ones(8)),
+        _spec("c", (2, 2) + _ones(7), "d", F(23, 2)), _spec("d", (4,) + _ones(7)),
+        _spec("e", (2,) + _ones(9)),
+    ]),
+    "p11-three-tails": (11, [
+        _spec("a", (2,) + _ones(9), "b", F(23, 2)), _spec("b", (2,) + _ones(9)),
+        _spec("c", (2,) + _ones(9), "d", 12), _spec("d", (2,) + _ones(9)),
+        _spec("e", (2,) + _ones(9), "f", F(35, 3)), _spec("f", (2,) + _ones(9)),
+        _spec("g", (5,) + _ones(6)),
+    ]),
+}
+
+
+def formula_docs():
+    docs = {}
+    for p in (7, 11):
+        ramified = [pr for pr in all_profiles(p) if len(pr) < p]
+        for pr1, pr2 in combinations_with_replacement(ramified, 2):
+            u = len(pr1) + len(pr2) - p - 1
+            rest = (p - 1) - (p - len(pr1)) - (p - len(pr2))
+            if u < 1 or rest < 0:
+                continue
+            specs = [_spec("a", pr1, "b", F(2 * p + 1, 2)), _spec("b", pr2)]
+            if rest:
+                specs.append(_spec("c", (rest + 1,) + _ones(p - rest - 1)))
+            name = "p{}-near-{}-{}".format(
+                p, ".".join(map(str, pr1)), ".".join(map(str, pr2))
+            )
+            docs[name] = (p, specs)
+    docs.update(MULTI_TAIL_DOCS)
+    return docs
+
+
+def formula_outputs():
+    got = {}
+    for name, (p, specs) in formula_docs().items():
+        doc = cli._classification_doc(classify_formula(p, specs), "both", "formula")
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        got[name] = hashlib.sha256(canonical.encode()).hexdigest()
+    return got
+
+
+def test_formula_output_is_pinned():
+    docs = formula_docs()
+    assert sum(name.startswith("p7-near") for name in docs) == 19
+    assert sum(name.startswith("p11-near") for name in docs) == 246
+    assert formula_outputs() == json.loads(FORMULA_GOLDEN.read_text())
 
 
 # -- exact mode ---------------------------------------------------------------
@@ -531,3 +683,9 @@ def test_json_and_dot_deterministic():
     docs = [m.to_json() for m in near.models]
     assert docs[0]["partitions"][0]["groups"][0]["d"] == 4
     assert docs[1]["partitions"][0]["groups"][0]["d"] == 3
+
+
+if __name__ == "__main__":
+    rows = formula_outputs()
+    body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
+    FORMULA_GOLDEN.write_text("{\n" + body + "\n}\n")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padicover import cli, planted
+from padicover import cli, kpoly, planted
 from padicover.dualgraph import DualGraphPair
 from padicover.field import PRIME_BOUND
 
@@ -43,6 +43,20 @@ def test_classify_emits_the_branch_tree(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "branch_tree" in doc
     assert "error" not in doc["branch_tree"]
+
+
+def test_verify_evaluates_beta_once_per_critical_point(tmp_path, capsys, monkeypatch):
+    # the classifier and the oracle share the branch points kept on the cover
+    original, points = kpoly.eval_at, []
+
+    def counting(f, x):
+        points.append(x)
+        return original(f, x)
+
+    monkeypatch.setattr(kpoly, "eval_at", counting)
+    assert run_main(tmp_path, "verify", "--cover", DOCSTRING_COVER) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "AGREE"
+    assert len(points) == len(set(points)) == len(DOCSTRING_COVER["critical"]) == 3
 
 
 # the formula-mode example of the cli docstring
