@@ -18,7 +18,9 @@ extraction and reduction, so those run on the rows directly:
   ``scale_arg``.
 * ``scale_arg`` multiplies column i by u**i, moving entries between rows and
   carrying whole powers of p when an exponent passes 1.
-* ``primitive`` is one row shift by the content valuation and one gcd.
+* ``rescale``, the blow-up's change of chart, finds each entry's row and
+  power of p from its exponent index, in one pass.
+* ``primitive`` divides by the content through ``rescale``.
 * ``reduction`` reads the k = 0 row mod p: the other rows lie in the maximal
   ideal, and p divides den exactly when some coefficient is not integral.
 * ``scaled_valuations`` gives n times the valuation of each coefficient as an
@@ -313,6 +315,28 @@ def scale_arg(f, u):
     return _poly(f.ctx, n, out.items(), f.den * d ** (size - 1))
 
 
+def rescale(f, nu, c):
+    """(f(p**nu * X) - f(0)) / p**c for rationals nu >= 0 and c, in one pass.
+
+    The constant column is left out: the oracle carries constants apart.
+    Over N = lcm(n, denominators of nu and c), entry i of row k stands at
+    p**(E/N) with E = k*s + i*J - C >= -C (s = N/n, J = N*nu, C = N*c), so
+    over den * p**-low, low = min(0, floor(-C/N)), it goes to row E mod N
+    times p**((E - low*N) // N).
+    """
+    p, size = f.ctx.p, degree(f) + 1
+    n = lcm(f.n, nu.denominator, c.denominator)
+    s, J, C = n // f.n, nu.numerator * n // nu.denominator, c.numerator * n // c.denominator
+    low = min(0, -C // n)
+    out = {}
+    for k, row in f.rows:
+        for i in range(1, size):
+            if row[i]:
+                q, r = divmod(k * s + i * J - C - low * n, n)
+                out.setdefault(r, [0] * size)[i] = row[i] * p**q
+    return _poly(f.ctx, n, out.items(), f.den * p**-low)
+
+
 def scaled_valuations(f):
     """n * v(c_i) for each coefficient c_i of f, an int, or None for c_i = 0.
 
@@ -338,34 +362,16 @@ def scaled_valuations(f):
 
 
 def primitive(f, ctx):
-    """(f / u, v) where u is the canonical uniformizer power of content valuation v.
-
-    The result has content valuation exactly 0, so it reduces to a nonzero
-    polynomial mod the maximal ideal.  Raises ZeroPolynomial for the zero
-    polynomial.
+    """(f / p**v, v) for the content valuation v of f: ``rescale`` with nu = 0
+    divides all but the constant term, which is added back divided.  The
+    result has content 0, so it reduces to a nonzero polynomial mod the
+    maximal ideal.  Raises ZeroPolynomial for the zero polynomial.
     """
     if not f.rows:
         raise ZeroPolynomial("zero polynomial has no primitive part")
-    n, p = f.n, ctx.p
-    w = min(v for v in scaled_valuations(f) if v is not None)
-    if w == 0:
-        return f, Fraction(0)
-    # f / p**(w/n) = (f * den / p**(w/n + e)) / (den / p**e), e = v_p(den):
-    # the entries' least n * v_p(a) + k is w + n * e, so row k moves to
-    # (k - w - n * e) mod n, its entries times p**floor((k - w - n * e) / n),
-    # a power that divides them exactly when it is negative
-    e = _vp_int(f.den, p) if f.den % p == 0 else 0
-    rows = []
-    for k, row in f.rows:
-        q, r = divmod(k - w - n * e, n)
-        if q > 0:
-            c = p**q
-            row = [a * c for a in row]
-        elif q < 0:
-            c = p**-q
-            row = [a // c for a in row]
-        rows.append((r, row))
-    return _poly(ctx, n, rows, f.den // p**e), Fraction(w, n)
+    v = Fraction(min(w for w in scaled_valuations(f) if w is not None), f.n)
+    constant = coefficient(f, 0) * ctx.uniformizer_power(-v)
+    return sub(rescale(f, Fraction(0), v), from_elements(ctx, [-constant])), v
 
 
 def reduction(f, ctx):

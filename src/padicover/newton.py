@@ -12,7 +12,8 @@ Both readings below work on n * val(a_i), the integers that
 ``Fraction`` only for what they return.  The blow-up engine needs two
 readings of the polygon: how many roots lie in the open unit disc, and the
 least positive root valuation.  Both come from one pass over those integers,
-with no hull (``positive_roots``).  The hull itself (``newton_polygon``) is
+with no hull (``positive_roots``, which takes the list, so the engine reads
+every fiber of a disc off one).  The hull itself (``newton_polygon``) is
 built for ``classify --emit-newton`` and as the tests' reference reading.
 Whether a cover is integral is one scan over its coefficient valuations, in
 ``oracle.fundamental_model``.
@@ -95,9 +96,10 @@ def root_valuations(f):
     return out + [None] * np.x_order
 
 
-def positive_roots(f):
+def positive_roots(vals, n):
     """(count, nu): the roots of strictly positive valuation, in one pass.
 
+    ``vals`` lists n * v(a_i) for each coefficient a_i, None for a_i = 0.
     count is the number of roots inside the open unit disc of the current
     chart (the root 0 included), the quantity the blow-up engine compares
     across fibers.  The segments of negative slope end where the least
@@ -107,7 +109,7 @@ def positive_roots(f):
     None means every root in the disc is exactly at the center (or there are
     none), so nothing new separates at any scale.
     """
-    pts = [(i, w) for i, w in enumerate(kpoly.scaled_valuations(f)) if w is not None]
+    pts = [(i, w) for i, w in enumerate(vals) if w is not None]
     if not pts:
         raise ZeroPolynomial("Newton reading of the zero polynomial")
     count, least = min(pts, key=lambda pt: pt[1])
@@ -117,9 +119,9 @@ def positive_roots(f):
             break
         if rise is None or (w - least) * run < rise * (count - i):
             rise, run = w - least, count - i
-    return count, None if rise is None else Fraction(rise, f.n * run)
+    return count, None if rise is None else Fraction(rise, n * run)
 
 
 def positive_root_count(f):
-    """The count of ``positive_roots``."""
-    return positive_roots(f)[0]
+    """The count of ``positive_roots`` for the coefficients of f."""
+    return positive_roots(kpoly.scaled_valuations(f), f.n)[0]

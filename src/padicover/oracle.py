@@ -11,35 +11,39 @@ survive contraction.  Agreement with the discrete classifier is then a
 genuine two-route check: same dual graphs, computed from different inputs by
 different mathematics.
 
-Tracks are ``kpoly.Poly`` values, integer rows over one denominator, so the
-translation to a residue's integer lift is an integer Taylor shift of each
-row, and the rescaling by p**nu moves entries between rows.  Each blow-up
-reads every translated fiber polynomial once: its count of roots in the open
-disc and its least positive root valuation come from one pass over the
-coefficient valuations (``newton.positive_roots``), with no convex hull.
-Each residue is lifted once, and each residual polynomial is stripped of its
-rational roots by synthetic division.  Branch values, their labels and the
-critical points over them are read from ``cover.branch_data``, never
-recomputed here.  A disc maps onto its image, so the image holds exactly the
-branch values whose tracks the disc carries: an image disc is named by its
-radius and those labels, and the downstairs tree needs no valuation test.
+A disc's fiber polynomials differ only in their constant terms, so a disc
+holds one ``kpoly.Poly`` and each fiber a constant (Conventions).  A blow-up
+translates it once, an integer Taylor shift of each row, reads its
+coefficient valuations once for every fiber's Newton polygon
+(``newton.positive_roots``, no convex hull) and rescales it in one pass
+(``kpoly.rescale``).  Residual polynomials lose their rational roots by
+synthetic division, once per distinct residue.  Branch values, labels and
+critical points come from ``cover.branch_data``.  A disc maps onto its
+image, so the image holds exactly the branch values whose tracks the disc
+carries: an image disc is named by its radius and those labels, and the
+downstairs tree needs no valuation test.
 
-Conventions.  A "track" is a pair (label, branch value); its carried
-polynomial V always has content 0, so its reduction is a nonzero polynomial
-over F_p whose degree equals the number of fiber points (with multiplicity)
-in the current closed disc.  A track also carries the critical points of its
-fiber that lie in the disc, in the disc's coordinate: a fiber point of
-multiplicity m >= 2 is exactly such a critical point of index m, so the
-distinct points in a disc are the Newton root count less the sum of (m - 1)
-over the critical points inside it, and no gcd over the field is needed.
+Conventions.  A "track" is a pair (label, branch value).  A disc holds a
+core B, beta in the disc's chart less its constant term, and each track an
+offset kappa; the track's polynomial is V = B + kappa (at the root B = beta,
+kappa = -lambda).  A blow-up divides every fiber by the same p**(m * nu),
+as the content check enforces, so the translated core's new constant moves
+into the offsets.  V has content 0, so its reduction is a nonzero
+polynomial over F_p whose degree is the number of fiber points (with
+multiplicity) in the closed disc.  As reductions differ by constants, the
+core's derivative alone decides separability, and fibers whose offsets
+differ mod the maximal ideal share no residual root: gcd(B + a, B + b)
+divides a - b.  A disc keeps its fibers' critical points inside it, in its
+coordinate, by residue: a fiber point of multiplicity m >= 2 is exactly a
+critical point of index m, so the distinct points at a residue are the
+Newton root count less the sum of (m - 1) over the critical points there.
 Radii are arbitrary rationals (the field layer has no fixed e), so one pass
 separates everything.  Every blow-up is centered at an F_p-rational
 residue; a residual root outside F_p that is repeated, or shared by two
-fibers, is reported as an error rather than silently mishandled
-(ResidualRootOutsideFp).  Rational critical points do not rule this out:
-among the 450 seeded random covers of the differential test, all with
-rational critical points, 29 are refused this way, every one for a shared
-root; a repeated one has not been observed.
+fibers, is reported as an error (ResidualRootOutsideFp).  Rational critical
+points do not rule this out: among the 450 seeded random covers of the
+differential test, all with rational critical points, 29 are refused this
+way, every one for a shared root; a repeated one has not been observed.
 """
 
 from __future__ import annotations
@@ -79,8 +83,10 @@ class ResidualRootOutsideFp(OracleError):
     The engine only lifts rational centers; a multiple root of a residual
     polynomial outside the prime field, or one shared by two fibers, would
     require an unramified extension of the base to continue, so the run
-    stops loudly instead.  Covers with rational critical points reach this
-    too: the shared kind refuses 29 of the 450 seeded random covers in the
+    stops loudly instead.  Residual polynomials of one disc differ by
+    constants, so two fibers share such a root exactly when their offsets
+    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  The
+    shared kind refuses 29 of the 450 seeded random covers in the
     differential test; the repeated kind has not been seen.
     """
 
@@ -97,12 +103,13 @@ MAX_BLOWUPS = 2048
 
 
 class _Node:
-    """One upstairs disc: its carried fiber polynomials and bookkeeping."""
+    """One upstairs disc: its core, its fibers' offsets, and bookkeeping."""
 
     __slots__ = (
         "name",
         "parent",
         "thickness",
+        "core",
         "tracks",
         "points",
         "m",
@@ -112,12 +119,13 @@ class _Node:
         "kind",
     )
 
-    def __init__(self, name, parent, thickness, tracks, points, m, down_radius):
+    def __init__(self, name, parent, thickness, core, tracks, points, m, down_radius):
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
-        self.tracks = tracks  # label -> primitive kpoly.Poly
-        self.points = points  # label -> ((x, m), ...) critical points in the disc
+        self.core = core  # kpoly.Poly, beta in the disc's chart less its constant
+        self.tracks = tracks  # label -> offset: the fiber's polynomial is core + offset
+        self.points = points  # residue -> label -> [(x, m), ...] critical points
         self.m = m  # local degree of the cover on this disc
         self.down_radius = down_radius  # Fraction, radius of the image disc
         self.marks = []
@@ -189,7 +197,7 @@ def fundamental_model(cover):
     the first coefficient of negative valuation or else by the reduction.
     The chart at infinity then needs no test (X**p * beta(1/X) reduces to 1),
     which is why only finite fibers need work, and each track beta - lambda
-    of an integral branch value lambda already has content 0.
+    (core beta, offset -lambda) of an integral lambda has content 0.
     """
     ctx = cover.ctx
     unit = False
@@ -205,14 +213,13 @@ def fundamental_model(cover):
     # no reversed-chart test: every b_i with i < p has v > 0, so X**p * beta(1/X) reduces to 1
     branch = branch_data(cover)
     state = ModelState(ctx, [bp.label for bp in branch])
-    carried, points = {}, {}
+    offsets = {}
     for bp in branch:
         if bp.value and bp.value.val() < 0:
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
-        # no primitive part: beta is monic and integral and lambda integral, so content 0
-        carried[bp.label] = kpoly.sub(cover.beta, kpoly.from_elements(ctx, [bp.value]))
-        points[bp.label] = bp.points
-    root = _Node("C", None, None, carried, points, ctx.p, Fraction(0))
+        offsets[bp.label] = -bp.value
+    points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
+    root = _Node("C", None, None, cover.beta, offsets, points, ctx.p, Fraction(0))
     root.marks.append(("inf", ctx.p))
     state.nodes["C"] = root
     return state
@@ -222,177 +229,181 @@ def fundamental_model(cover):
 # one blow-up
 
 
-def _repeated(points, lift):
-    """Sum of (m - 1) over the critical points in the open disc at lift."""
-    return sum(m - 1 for x, m in points if not (d := x - lift) or d.val() > 0)
+def _by_residue(points):
+    """Critical points (label, x, m) as residue -> label -> [(x, m), ...]; a
+    point outside the closed unit disc is in no child disc and is dropped."""
+    out = {}
+    for label, x, m in points:
+        if not x or x.val() >= 0:
+            out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
+    return out
 
 
-def blow_up(ctx, tracks, points, lift, mults):
-    """Blow up the unit disc at an F_p-rational residue, rescaling every track.
+def blow_up(ctx, node, wbar, mults):
+    """Blow up the node's unit disc at an F_p-rational residue; return the child.
 
-    ``tracks`` maps labels to primitive polynomials on the current disc and
-    ``points`` to their critical points.  ``lift`` is the residue's integer
-    lift in 0..p-1, as a field element.  ``mults`` maps each label whose
-    reduction has the residue as a root to that root's multiplicity, as the
-    residual table reads it; an empty ``mults`` raises CenterNotRoot.  Each
-    translated track is read once, in one pass over its coefficient
-    valuations: its root count in the open disc must equal the residual
-    multiplicity, and the increment nu is the least positive root valuation
-    over all of them, the radius at which something first separates.  Only
-    the tracks in ``mults`` are carried into the child, with the critical
-    points inside it.  Returns the child's (tracks, points, nu, m).
+    ``mults`` maps each label whose reduction has the residue wbar as a root
+    to its multiplicity; none raises CenterNotRoot.  The core is translated
+    once and its new constant moves into the offsets.  A fiber's Newton
+    reading is the core's valuation list with its offset's at index 0: its
+    count in the open disc must be the multiplicity, and nu is the least
+    positive root valuation over all fibers.  Each fiber's content in the
+    child's chart, the least of the core's and its offset's, must be m * nu;
+    one ``kpoly.rescale`` moves the core there and the offsets are divided
+    by p**(m * nu).  The child carries the fibers in ``mults`` and the
+    critical points inside it.
     """
     if not mults:
-        raise CenterNotRoot(f"residue {lift!r} is not a root of any carried fiber")
-    shifted = {}
-    nu = None
-    for label in sorted(mults):
-        g = kpoly.translate(tracks[label], lift)
-        shifted[label] = g
-        total, v = newton.positive_roots(g)
+        raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber on {node.name}")
+    lift = ctx.from_rational(wbar)
+    g = kpoly.translate(node.core, lift)
+    shift = kpoly.coefficient(g, 0)
+    offsets = {label: node.tracks[label] + shift for label in sorted(mults)}
+    n = lcm(g.n, *(c.n for c in offsets.values()))
+    vals = [None if w is None else w * (n // g.n) for w in kpoly.scaled_valuations(g)]
+    kappa_val, nu = {}, None
+    for label, c in offsets.items():
+        kappa_val[label] = w = c.val()
+        vals[0] = None if w is None else w.numerator * (n // w.denominator)
+        total, v = newton.positive_roots(vals, n)
         if total != mults[label]:
             raise OracleError(
-                f"fiber {label} at residue {lift!r}: {total} roots in the disc by the "
-                f"Newton polygon, {mults[label]} by the residual multiplicity"
+                f"fiber {label} at residue {wbar} on {node.name}: {total} roots in the disc "
+                f"by the Newton polygon, {mults[label]} by the residual multiplicity"
             )
         if v is not None and (nu is None or v < nu):
             nu = v
     m_values = sorted(set(mults.values()))
     if len(m_values) != 1:
         raise OracleError(
-            f"local degree mismatch at residue {lift!r}: {dict(sorted(mults.items()))}"
+            f"local degree mismatch at residue {wbar} on {node.name}: "
+            f"{dict(sorted(mults.items()))}"
         )
     m = m_values[0]
     if nu is None:
         raise CenterNotRoot(
-            f"all fiber points at residue {lift!r} coincide; nothing separates"
+            f"all fiber points at residue {wbar} on {node.name} coincide; nothing separates"
         )
-    scale, unscale = ctx.uniformizer_power(nu), ctx.uniformizer_power(-nu)
-    carried, inside = {}, {}
-    for label in sorted(mults):
-        prim, content = kpoly.primitive(kpoly.scale_arg(shifted[label], scale), ctx)
-        if content != m * nu:
+    mnu = m * nu
+    # the core's content in the child's chart: the least v(c_i) + i * nu, i >= 1
+    a, b = nu.numerator, nu.denominator
+    core_content = Fraction(
+        min(w * b + i * a * n for i, w in enumerate(vals) if i and w is not None), n * b
+    )
+    unscale, shrink = ctx.uniformizer_power(-nu), ctx.uniformizer_power(-mnu)
+    here = node.points.get(wbar, {})
+    inside = []
+    for label, c in offsets.items():
+        w = kappa_val[label]
+        content = core_content if w is None else min(core_content, w)
+        if content != mnu:
             raise OracleError(
-                f"fiber {label} at residue {lift!r}: image radius increment {content}, "
-                f"not m * nu = {m * nu}"
+                f"fiber {label} at residue {wbar} on {node.name}: image radius increment "
+                f"{content}, not m * nu = {mnu}"
             )
-        carried[label] = prim
-        inside[label] = tuple(
-            (d * unscale, mx)
-            for x, mx in points[label]
-            if not (d := x - lift) or d.val() >= nu
-        )
-    return carried, inside, nu, m
+        offsets[label] = c * shrink
+        for x, mx in here.get(label, ()):
+            if not (d := x - lift) or d.val() >= nu:
+                inside.append((label, d * unscale, mx))
+    core, points = kpoly.rescale(g, nu, mnu), _by_residue(inside)
+    name, radius = f"{node.name}.{wbar}", node.down_radius + mnu
+    return _Node(name, node.name, nu, core, offsets, points, m, radius)
 
 
 # ---------------------------------------------------------------------------
 # the separation loop
 
 
-def _residual_table(node, reductions, p):
-    """Residual roots per track, with irrational residues handled honestly.
+def _residual_table(node, core, p):
+    """Residual roots per fiber, with irrational residues handled honestly.
 
-    ``reductions`` maps each track of the node to its reduction, in label
-    order.  Returns (table, extra_marks) where table maps a rational residue
-    to {label: multiplicity} and extra_marks lists simple marks at residues
-    outside F_p.  A repeated irrational root, or one shared between two
-    tracks, raises ResidualRootOutsideFp.
+    ``core`` is the reduction of the node's core; a fiber's is that plus its
+    offset's residue, and is read once per distinct residue.  Returns
+    (table, extra_marks, reductions): a rational residue -> {label:
+    multiplicity}, simple marks outside F_p, and label -> reduction.  A
+    repeated irrational root, or one of two fibers with equal offset
+    residues, raises ResidualRootOutsideFp.
     """
-    table = {}
-    cofactors = {}
-    extra_marks = []
-    for label, hbar in reductions.items():
-        if fppoly.degree(hbar) != node.m:
-            raise OracleError(
-                f"residual degree {fppoly.degree(hbar)} on {node.name} "
-                f"differs from local degree {node.m}"
-            )
-        roots, cofactor = fppoly.rational_roots(hbar, p)
-        for wbar, mult in roots.items():
-            table.setdefault(wbar, {})[label] = mult
-        if fppoly.degree(cofactor) > 0:
-            if not fppoly.is_squarefree(cofactor, p):
+    table, extra_marks, reductions = {}, [], {}
+    readings, shared = {}, {}
+    for label in sorted(node.tracks):
+        a = node.tracks[label].residue()
+        if a not in readings:
+            hbar = fppoly.normalize([a] + core[1:], p)
+            if fppoly.degree(hbar) != node.m:
+                raise OracleError(
+                    f"residual degree {fppoly.degree(hbar)} on {node.name} "
+                    f"differs from local degree {node.m}"
+                )
+            roots, cofactor = fppoly.rational_roots(hbar, p)
+            if fppoly.degree(cofactor) > 0 and not fppoly.is_squarefree(cofactor, p):
                 raise ResidualRootOutsideFp(
                     f"repeated residual root outside F_{p} on {node.name} "
                     f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
                 )
-            cofactors[label] = cofactor
+            readings[a] = hbar, roots, cofactor
+        reductions[label], roots, cofactor = readings[a]
+        for wbar, mult in roots.items():
+            table.setdefault(wbar, {})[label] = mult
+        if fppoly.degree(cofactor) > 0:
+            shared.setdefault(a, []).append(label)
             extra_marks.extend([(label, 1)] * fppoly.degree(cofactor))
-    labels = sorted(cofactors)
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            if fppoly.degree(fppoly.gcd(cofactors[la], cofactors[lb], p)) > 0:
-                raise ResidualRootOutsideFp(
-                    f"fibers {la} and {lb} share a residual root outside F_{p} "
-                    f"on {node.name}"
-                )
-    return table, extra_marks
-
-
-def _set_kind(node, reductions, p):
-    verdicts = {not fppoly.deriv(hbar, p) for hbar in reductions.values()}
-    if len(verdicts) != 1:
-        raise OracleError(f"inconsistent separability verdicts on {node.name}")
-    node.kind = "inseparable" if verdicts.pop() else "etale"
+    for labels in shared.values():
+        if len(labels) > 1:
+            raise ResidualRootOutsideFp(
+                f"fibers {labels[0]} and {labels[1]} share a residual root outside F_{p} "
+                f"on {node.name}"
+            )
+    return table, extra_marks, reductions
 
 
 def separate_fibers(cover):
     """Blow up until every fiber point sits alone, and return the full state.
 
-    Each track is reduced once per node: the node's kind, its residual table
-    and the stage records all read that one reduction.  The count k of
-    distinct fiber points at a residue decides between a mark (k = 1) and a
-    blow-up, and is the stage's k.  Each residue is lifted once, for the
-    count and the blow-up.  Raises NonTermination after MAX_BLOWUPS blow-ups.
+    The core is reduced once per node: the node's kind, its residual table
+    and the stage records all read that reduction.  The count k of distinct
+    fiber points at a residue decides between a mark (k = 1) and a blow-up,
+    and is the stage's k.  Raises NonTermination after MAX_BLOWUPS blow-ups.
     """
     state = fundamental_model(cover)
     ctx = state.ctx
     stack = ["C"]
     while stack:
         node = state.nodes[stack.pop()]
-        reductions = {
-            label: kpoly.reduction(node.tracks[label], ctx)
-            for label in sorted(node.tracks)
-        }
-        _set_kind(node, reductions, ctx.p)
-        table, extra_marks = _residual_table(node, reductions, ctx.p)
+        core = kpoly.reduction(node.core, ctx)
+        node.kind = "etale" if fppoly.deriv(core, ctx.p) else "inseparable"
+        table, extra_marks, reductions = _residual_table(node, core, ctx.p)
         node.marks.extend(extra_marks)
         for wbar in sorted(table):
             parts = table[wbar]
-            # a residual root of multiplicity t is t fiber points in the disc
-            lift = ctx.from_rational(wbar)
-            k = sum(
-                t - _repeated(node.points[label], lift) for label, t in parts.items()
-            )
+            # t fiber points per residual root of multiplicity t, m - 1 too many per critical point
+            here = node.points.get(wbar, {})
+            k = sum(t - sum(m - 1 for _, m in here.get(label, ())) for label, t in parts.items())
             if k == 1:
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            tracks, points, nu, m = blow_up(ctx, node.tracks, node.points, lift, parts)
+            child = blow_up(ctx, node, wbar, parts)
             if len(state.stages) >= MAX_BLOWUPS:
                 raise NonTermination(
                     f"exceeded {MAX_BLOWUPS} blow-ups; the model is not separating"
                 )
-            child_name = f"{node.name}.{wbar}"
-            child = _Node(
-                child_name, node.name, nu, tracks, points, m, node.down_radius + m * nu
-            )
-            state.nodes[child_name] = child
-            node.children.append(child_name)
+            state.nodes[child.name] = child
+            node.children.append(child.name)
             participants = tuple(sorted(parts))
             state.stages.append(
                 Stage(
-                    node=child_name,
+                    node=child.name,
                     parent=node.name,
                     residue=wbar,
-                    nu=nu,
-                    m=m,
+                    nu=child.thickness,
+                    m=child.m,
                     k=k,
                     participants=participants,
                     residuals={la: fppoly.fmt(reductions[la]) for la in participants},
                 )
             )
-            stack.append(child_name)
+            stack.append(child.name)
     return state
 
 

@@ -45,6 +45,11 @@ def ref_scale_arg(f, u):
     return trim([c * u**i for i, c in enumerate(f)])
 
 
+def ref_rescale(f, nu, c):
+    ctx = f[0].ctx
+    return trim([ctx.zero()] + [f[i] * ctx.uniformizer_power(i * nu - c) for i in range(1, len(f))])
+
+
 def ref_primitive(f, ctx):
     v = min(c.val() for c in f if c)
     inv = ctx.uniformizer_power(-v)
@@ -181,6 +186,14 @@ def test_scale_arg():
             same(kpoly.scale_arg(f, u), ref_scale_arg(coeffs, u))
 
 
+def test_rescale():
+    # nu >= 0 with mixed denominators, c of either sign, the constant dropped
+    for rng, ctx, coeffs, f in cases(8, 200):
+        nu = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        same(kpoly.rescale(f, nu, c), ref_rescale(coeffs, nu, c))
+
+
 def test_primitive_and_reduction():
     negative = 0
     for _, ctx, coeffs, f in cases(4, 300):
@@ -222,6 +235,6 @@ def test_from_roots():
 
 def test_positive_roots():
     for _, ctx, coeffs, f in cases(7, 300):
-        assert positive_roots(f) == ref_positive_roots(coeffs)
+        assert positive_roots(kpoly.scaled_valuations(f), f.n) == ref_positive_roots(coeffs)
         g = kpoly.primitive(f, ctx)[0]
-        assert positive_roots(g) == ref_positive_roots(elements(g))
+        assert positive_roots(kpoly.scaled_valuations(g), g.n) == ref_positive_roots(elements(g))

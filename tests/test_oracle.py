@@ -133,28 +133,32 @@ def test_near_with_conjugate_groups_is_reported_not_fudged():
         run_oracle(cover)
 
 
+def carried(node, label):
+    """A fiber's polynomial on a node: the node's core plus the fiber's offset."""
+    return kpoly.sub(node.core, kpoly.from_elements(node.core.ctx, [-node.tracks[label]]))
+
+
 def blow_up_root(cover, residue):
     """Blow up the naive model of a cover at a residue, with the residual
     multiplicities there read off the root's residual table."""
     state = fundamental_model(cover)
     root = state.nodes["C"]
-    reductions = {label: kpoly.reduction(h, state.ctx) for label, h in root.tracks.items()}
-    table, _ = _residual_table(root, reductions, state.ctx.p)
-    mults = table.get(residue, {})
-    lift = state.ctx.from_rational(residue)
-    return blow_up(state.ctx, root.tracks, root.points, lift, mults)
+    table, _, _ = _residual_table(root, kpoly.reduction(root.core, state.ctx), state.ctx.p)
+    return blow_up(state.ctx, root, residue, table.get(residue, {}))
 
 
 def test_blow_up_rejects_a_center_that_is_not_a_root():
     cover = rational_cover(5, [(0, 5)])
-    with pytest.raises(CenterNotRoot, match="not a root"):
+    with pytest.raises(CenterNotRoot, match="not a root") as info:
         blow_up_root(cover, 3)
+    assert str(info.value).endswith(" on C")
 
 
 def test_blow_up_rejects_a_center_where_nothing_separates():
     cover = rational_cover(5, [(0, 5)])
-    with pytest.raises(CenterNotRoot, match="nothing separates"):
+    with pytest.raises(CenterNotRoot, match="nothing separates") as info:
         blow_up_root(cover, 0)
+    assert str(info.value) == "all fiber points at residue 0 on C coincide; nothing separates"
 
 
 def test_non_integral_cover_is_refused():
@@ -205,7 +209,8 @@ def random_divisor_cover(rng, p, den):
 
 def test_admission_is_one_scan_over_the_lower_coefficients():
     # refused exactly when a non-leading coefficient of beta is nonzero with
-    # valuation <= 0; an admitted track is beta - lambda itself, content 0
+    # valuation <= 0; an admitted track is beta - lambda itself, content 0:
+    # the root's core is beta and the track's offset is -lambda
     rng = random.Random(11)
     seen = Counter()
     for p in (3, 5, 7):
@@ -227,22 +232,25 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
                     seen["coefficient" if negative else "reduction"] += 1
                     continue
                 assert all(v > 0 for _, v in low)
-                tracks = state.nodes["C"].tracks
+                root = state.nodes["C"]
+                assert root.core == cover.beta
                 for bp in branch_data(cover):
                     track = kpoly.sub(cover.beta, kpoly.from_elements(cover.ctx, [bp.value]))
-                    assert tracks[bp.label] == track
+                    assert root.tracks[bp.label] == -bp.value
+                    assert carried(root, bp.label) == track
                     assert min(c.val() for c in coefficients(track) if c) == 0
                 seen["admitted"] += 1
     assert seen == {"admitted": 128, "coefficient": 106, "reduction": 6}
 
 
 def test_repeated_residual_root_outside_fp_is_an_error():
-    # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root
+    # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root;
+    # the core 5X - 4X**2 + X**4 carries the fiber with offset 4
     ctx = FieldContext(5, 1)
-    poly = kpoly.from_rationals(ctx, (4, 5, -4, 0, 1))
-    node = _Node("C", None, None, {"a": poly}, {"a": ()}, 4, Fraction(0))
+    core = kpoly.from_rationals(ctx, (0, 5, -4, 0, 1))
+    node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
-        _residual_table(node, {"a": kpoly.reduction(poly, ctx)}, ctx.p)
+        _residual_table(node, kpoly.reduction(core, ctx), ctx.p)
 
 
 def test_stage_budget_is_a_loud_failure(monkeypatch):
@@ -271,10 +279,13 @@ def test_blow_up_past_the_separating_radius_is_a_typed_error(monkeypatch):
     # the image radius is not m * nu (a check that survives python -O); the
     # root count stays true, so the count check passes
     true_readings = newton.positive_roots
-    monkeypatch.setattr(newton, "positive_roots", lambda g: (true_readings(g)[0], Fraction(2)))
+    monkeypatch.setattr(
+        newton, "positive_roots", lambda vals, n: (true_readings(vals, n)[0], Fraction(2))
+    )
     cover = rational_cover(5, [(5, 3), (0, 2), (-1, 2)])
-    with pytest.raises(OracleError, match="image radius increment"):
+    with pytest.raises(OracleError, match="image radius increment") as info:
         blow_up_root(cover, 0)
+    assert " at residue 0 on C: image radius increment " in str(info.value)
 
 
 def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
@@ -284,14 +295,14 @@ def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
     expected = []
     blow_up_once = oracle.blow_up
 
-    def counted(ctx, tracks, points, lift, mults):
+    def counted(ctx, node, wbar, mults):
         k = 0
         for label in mults:
-            g = kpoly.translate(tracks[label], lift)
+            g = kpoly.translate(carried(node, label), ctx.from_rational(wbar))
             squarefree = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
             k += newton.positive_root_count(g) - squarefree
         expected.append(k)
-        return blow_up_once(ctx, tracks, points, lift, mults)
+        return blow_up_once(ctx, node, wbar, mults)
 
     monkeypatch.setattr(oracle, "blow_up", counted)
     rng = random.Random(3)
@@ -307,6 +318,43 @@ def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
         assert [stage.k for stage in stages] == expected
         compared += len(stages)
     assert compared > len(covers)
+
+
+def test_each_fiber_is_the_core_plus_a_constant_offset():
+    # every stage against the per-fiber blow-up it replaces: the parent's
+    # polynomial for the fiber, translated to the center, its argument scaled
+    # by p**nu, then divided by its content, which must be m * nu, is the
+    # child's core plus the fiber's offset; the core keeps constant term 0
+    rng = random.Random(12)
+    covers = [inst.cover for inst in planted.suite()]
+    covers += [
+        planted.random_integral_cover(rng, p, e)
+        for p in (3, 5, 7, 11)
+        for e in (1, 2)
+        for _ in range(8)
+    ]
+    checked, shared = 0, 0
+    for cover in covers:
+        try:
+            state = separate_fibers(cover)
+        except ResidualRootOutsideFp:
+            continue
+        ctx = state.ctx
+        assert not kpoly.coefficient(state.nodes["C"].core, 0)
+        for stage in state.stages:
+            parent, child = state.nodes[stage.parent], state.nodes[stage.node]
+            assert not kpoly.coefficient(child.core, 0)
+            assert sorted(child.tracks) == list(stage.participants)
+            lift = ctx.from_rational(stage.residue)
+            for label in stage.participants:
+                g = kpoly.translate(carried(parent, label), lift)
+                scaled = kpoly.scale_arg(g, ctx.uniformizer_power(stage.nu))
+                prim, content = kpoly.primitive(scaled, ctx)
+                assert content == stage.m * stage.nu
+                assert carried(child, label) == prim
+                checked += 1
+            shared += len(stage.participants) > 1
+    assert (checked, shared) == (353, 67)
 
 
 def test_seeded_random_covers_agree_or_are_refused():
