@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import branchtree
 from .cover import branch_data
-from .dualgraph import DualGraphPair, VerticalMap
+from .dualgraph import DualGraphPair, VerticalMap, group_key, groups_json
 
 
 class ClassifierError(ValueError):
@@ -88,56 +88,6 @@ def check_profile(p, profile):
 # partition pairs
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Grouped splitting of two fibers: groups (d, parts1, parts2).
-
-    Each group has total d on both sides and len(parts1) + len(parts2)
-    = d + 1.  Groups are kept in canonical order (largest d first, then
-    largest parts); parts are stored ascending.
-    """
-
-    groups: tuple
-
-    @classmethod
-    def from_groups(cls, p, groups):
-        canon = []
-        for d, g1, g2 in groups:
-            g1 = tuple(sorted(g1))
-            g2 = tuple(sorted(g2))
-            if sum(g1) != d or sum(g2) != d:
-                raise InadmissiblePartition(
-                    f"group sums {sum(g1)}, {sum(g2)} differ from d = {d}"
-                )
-            if len(g1) + len(g2) != d + 1:
-                raise InadmissiblePartition(
-                    f"group (d={d}) has {len(g1)} + {len(g2)} parts, "
-                    f"expected d + 1 = {d + 1}"
-                )
-            canon.append((d, g1, g2))
-        if len(canon) < 2:
-            raise InadmissiblePartition("a partition pair needs at least 2 groups")
-        if sum(d for d, _, _ in canon) != p:
-            raise InadmissiblePartition("group degrees do not sum to p")
-        canon.sort(key=_group_sort_key)
-        return cls(tuple(canon))
-
-    def to_json(self):
-        return [
-            {"d": d, "fiber1": list(g1), "fiber2": list(g2)}
-            for d, g1, g2 in self.groups
-        ]
-
-
-def _group_sort_key(group):
-    d, g1, g2 = group
-    return (
-        -d,
-        tuple(-x for x in sorted(g1, reverse=True)),
-        tuple(-x for x in sorted(g2, reverse=True)),
-    )
-
-
 def _submultisets(parts, most):
     """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
     count) pairs, values descending) with sum at most `most`."""
@@ -168,7 +118,9 @@ def _draws(parts, count, total, left):
 
 
 def admissible_partitions(p, profile1, profile2):
-    """All partition pairs of the two fibers, in canonical order.
+    """All partition pairs of the two fibers, in canonical order: each a
+    tuple of groups (d, parts1, parts2), parts ascending, the groups in
+    ``dualgraph.group_key`` order.
 
     Each group (d, g1, g2) is built under its constraints (Knuth, TAOCP 4A,
     7.2.1.5), with nothing generated and then thrown away: the largest part
@@ -200,9 +152,9 @@ def admissible_partitions(p, profile1, profile2):
             for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
                 d = head + sum(more1)
                 for g2, rest2 in _draws(left2, d - len(more1), d, n2):
-                    g1 = (head,) + more1
-                    key = (-d, tuple(-x for x in g1), tuple(-x for x in g2))
-                    order, entry = (-head, key), (key, (d, g1[::-1], g2[::-1]))
+                    group = (d, more1[::-1] + (head,), g2[::-1])
+                    key = group_key(group)
+                    order, entry = (-head, key), (key, group)
                     found.extend(
                         (order, (entry,) + more)
                         for first, more in splits(rest, rest2)
@@ -212,7 +164,7 @@ def admissible_partitions(p, profile1, profile2):
 
     fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
     found = sorted(tuple(sorted(entries)) for _, entries in splits(*fibers))
-    return tuple(PartitionPair(tuple(group for _, group in entries)) for entries in found)
+    return tuple(tuple(group for _, group in entries) for entries in found)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +183,7 @@ class TailReport:
     excess: int
     threshold: Fraction
     regime: str
-    partitions: tuple  # of PartitionPair; empty unless regime == "near"
+    partitions: tuple  # of tuples of groups; empty unless regime == "near"
 
     def to_json(self):
         from .field import fmt_rat
@@ -243,7 +195,7 @@ class TailReport:
             "excess": self.excess,
             "threshold": fmt_rat(self.threshold),
             "regime": self.regime,
-            "partitions": [pp.to_json() for pp in self.partitions],
+            "partitions": [groups_json(groups) for groups in self.partitions],
         }
 
 
@@ -374,16 +326,16 @@ def _near_leaves(report):
     cx, d1y = f"C'({a},{b})", f"D_1({a},{b})"
     eps1 = report.epsilon - report.threshold
     by_degree = {}
-    for partition in report.partitions:
+    for groups in report.partitions:
         marks, edges, maps = {}, [], {}
-        for i, (d, g1, g2) in enumerate(partition.groups, start=1):
+        for i, (d, g1, g2) in enumerate(groups, start=1):
             if d not in by_degree:
                 by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
             leaf = f"C_{i}({a},{b})"
             marks[leaf] = tuple((a, m) for m in g1) + tuple((b, m) for m in g2)
             edges.append((cx, leaf, by_degree[d][0]))
             maps[leaf] = by_degree[d][1]
-        yield marks, edges, maps, ((a, b), partition.groups)
+        yield marks, edges, maps, ((a, b), groups)
 
 
 @dataclass(frozen=True)
@@ -430,6 +382,8 @@ def classify_formula(p, branch_specs):
         name = spec["name"]
         if name in by_name:
             raise InvalidProfile(f"duplicate branch point name {name!r}")
+        if name == "inf":
+            raise InvalidProfile("the branch point name 'inf' is reserved for infinity")
         by_name[name] = spec
     profiles = {n: check_profile(p, s["profile"]) for n, s in by_name.items()}
     pairs = {}

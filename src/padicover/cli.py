@@ -22,7 +22,10 @@ reports is the least ramification index over which the cover and every
 blow-up radius are defined, the lcm of the input's e and the denominators of
 the radii in the oracle's stages.  Exact mode builds beta densely and takes
 p <= 1000 (``cover.EXACT_P_BOUND``; verify of a random cover takes 1-2 s at
-p = 401 and 503 and 5-6 s at p = 809); a larger p exits 3.
+p = 401 and 503 and 5-6 s at p = 809); a larger p exits 3.  It also takes
+e <= 1000 (``cover.EXACT_E_BOUND``): every label is written as e rationals,
+so the output grows with e (67 KB for a 3-point cover at p = 5 and
+e = 1000); a larger e exits 3.
 
 Formula mode skips the field entirely and names the branch points with their
 fiber profiles; a colliding pair carries the valuation of the difference::

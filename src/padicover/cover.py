@@ -38,6 +38,12 @@ class InvalidDivisor(ValueError):
 # a branch value over Python's 4,300-digit limit (exit 3).
 EXACT_P_BOUND = 1000
 
+# The input's e only sets the dense format, but every label is written in it:
+# a vector of e rationals per branch value.  Output grows linearly in e, and
+# nothing bounds it otherwise: classify of a 3-point p = 5 cover printed 67 KB
+# at e = 1,000 and 64 MB at e = 10**6; at e = 10**8 it ran out of a 2 GB cap.
+EXACT_E_BOUND = 1000
+
 
 class RHViolation(AssertionError):
     """The degree count failed — internal inconsistency, never expected."""
@@ -129,8 +135,8 @@ class Cover:
         return branch
 
 
-def from_critical_divisor(div, ctx):
-    """The unique monic degree-p cover with the given critical divisor.
+def from_critical_divisor(points, ctx):
+    """The unique monic degree-p cover with critical points [(x, m), ...].
 
     beta' = p * prod (X - x)**(m-1) and beta(0) = 0; integrating divides the
     degree-j coefficient by j+1 <= p, so when every x is integral the only
@@ -142,10 +148,9 @@ def from_critical_divisor(div, ctx):
             f"exact mode takes p <= {EXACT_P_BOUND}, got p = {ctx.p}; "
             f"formula mode (--profiles) takes larger p"
         )
-    if not isinstance(div, CriticalDivisor):
-        div = CriticalDivisor(tuple(div), ctx.p)
-    if div.p != ctx.p:
-        raise InvalidDivisor(f"divisor for p = {div.p} given a field with p = {ctx.p}")
+    if ctx.e > EXACT_E_BOUND:
+        raise InvalidDivisor(f"exact mode takes e <= {EXACT_E_BOUND}, got e = {ctx.e}")
+    div = CriticalDivisor(tuple(points), ctx.p)
     dbeta = kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points])
     return Cover(kpoly.antiderivative(dbeta, ctx.p), ctx, div)
 
@@ -176,4 +181,4 @@ def cover_from_json(doc):
     for entry in doc["critical"]:
         raw = entry["x"]
         points.append((ctx.element(raw if isinstance(raw, (list, tuple)) else [raw]), entry["m"]))
-    return from_critical_divisor(CriticalDivisor(tuple(points), ctx.p), ctx)
+    return from_critical_divisor(points, ctx)

@@ -32,6 +32,17 @@ class InvalidDualGraph(ValueError):
     """A structural law failed (not a tree, scaling law broken, bad degrees)."""
 
 
+def group_key(group):
+    """The canonical order of the groups (d, parts1, parts2) of a partition
+    pair, parts ascending: largest d first, then largest parts first."""
+    d, g1, g2 = group
+    return -d, tuple(-x for x in reversed(g1)), tuple(-x for x in reversed(g2))
+
+
+def groups_json(groups):
+    return [{"d": d, "fiber1": list(g1), "fiber2": list(g2)} for d, g1, g2 in groups]
+
+
 def _children(comps, edges):
     """name -> [(child, thickness), ...] for one side of the pair."""
     ch = {name: [] for name in comps}
@@ -205,13 +216,7 @@ class DualGraphPair:
                 ],
             },
             "partitions": [
-                {
-                    "pair": list(pair),
-                    "groups": [
-                        {"d": d, "fiber1": list(g1), "fiber2": list(g2)}
-                        for d, g1, g2 in groups
-                    ],
-                }
+                {"pair": list(pair), "groups": groups_json(groups)}
                 for pair, groups in self.partitions
             ],
         }
@@ -223,29 +228,34 @@ class DualGraphPair:
             marks = ",".join(
                 f"{lbl}^{m}" if m > 1 else lbl for lbl, m in sorted(self.x_marks[name])
             )
-            label = name if not marks else f"{name}\\n[{marks}]"
-            lines.append(f'    "x_{name}" [label="{label}"];')
+            label = _dot(name) if not marks else f"{_dot(name)}\\n[{_dot(marks)}]"
+            lines.append(f'    "x_{_dot(name)}" [label="{label}"];')
         for a, b, t in sorted(self.x_edges, key=lambda e: (e[0], e[1])):
             lines.append(
-                f'    "x_{a}" -> "x_{b}" [label="{fmt_rat(t)}", dir=none];'
+                f'    "x_{_dot(a)}" -> "x_{_dot(b)}" [label="{fmt_rat(t)}", dir=none];'
             )
         lines.append("  }")
         lines.append('  subgraph cluster_y { label="Y_k"; style=rounded;')
         for name in sorted(self.y_marks):
             marks = ",".join(sorted(self.y_marks[name]))
-            label = name if not marks else f"{name}\\n[{marks}]"
-            lines.append(f'    "y_{name}" [label="{label}"];')
+            label = _dot(name) if not marks else f"{_dot(name)}\\n[{_dot(marks)}]"
+            lines.append(f'    "y_{_dot(name)}" [label="{label}"];')
         for a, b, t in sorted(self.y_edges, key=lambda e: (e[0], e[1])):
             lines.append(
-                f'    "y_{a}" -> "y_{b}" [label="{fmt_rat(t)}", dir=none];'
+                f'    "y_{_dot(a)}" -> "y_{_dot(b)}" [label="{fmt_rat(t)}", dir=none];'
             )
         lines.append("  }")
         for name in sorted(self.x_marks):
             vm = self.vertical[name]
             kind = "insep" if vm.kind == "inseparable" else "et"
             lines.append(
-                f'  "x_{name}" -> "y_{vm.target}" '
+                f'  "x_{_dot(name)}" -> "y_{_dot(vm.target)}" '
                 f'[style=dashed, label="{vm.degree} {kind}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot(text):
+    """text inside a DOT quoted string: backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -8,32 +8,33 @@ deg + 1, one shared n, the least its rows need, and one positive den, the
 least with gcd(den, every entry) = 1.  So the layout is canonical, equality
 compares it, and no coefficient is stored as a field element.
 
-The blow-up engine needs affine substitutions X -> u*X + b, content
-extraction and reduction, so those run on the rows directly:
+The workloads decide which operations are row kernels: those that building a
+cover, ``branch_data`` and the blow-up engine call.
 
+* ``from_roots`` and ``antiderivative`` build beta, one pass each.
+* ``eval_at`` at a rational point is a homogeneous integer Horner per row,
+  else one Horner over the columns in Z[p**(1/n)] (planted covers, e > 1).
 * ``translate`` by a rational integer is the integer Taylor shift of each row
   (the classical in-place Horner scheme; von zur Gathen and Gerhard, ISSAC
   1997).  It keeps the layout canonical: the shift is unimodular over Z.
-  Translation by any other element is built from that shift and
-  ``scale_arg``.
-* ``scale_arg`` multiplies column i by u**i, moving entries between rows and
-  carrying whole powers of p when an exponent passes 1.
 * ``rescale``, the blow-up's change of chart, finds each entry's row and
   power of p from its exponent index, in one pass.
-* ``primitive`` divides by the content through ``rescale``.
 * ``reduction`` reads the k = 0 row mod p: the other rows lie in the maximal
   ideal, and p divides den exactly when some coefficient is not integral.
 * ``scaled_valuations`` gives n times the valuation of each coefficient as an
   int, in one pass; the Newton readings of :mod:`padicover.newton` use it.
+* ``coefficient`` and ``from_elements`` convert between rows and elements.
 
-``eval_at`` at a rational point is a homogeneous integer Horner per row;
-``gcd_k`` and ``divmod_k`` (Euclid over K) go through ``coefficient``, which
-builds one coefficient as a field element.
+No workload runs the rest, so they go through ``elements`` and the arithmetic
+of :mod:`padicover.field`: ``sub``, ``mul``, ``scale_arg``, ``translate`` by
+any other element, ``primitive`` (``rescale`` plus the constant term),
+``divmod_k`` and ``gcd_k``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from . import fppoly
@@ -154,37 +155,23 @@ def coefficient(f, i):
     return _reduced(f.ctx, f.n, [(k, row[i]) for k, row in f.rows if row[i]], f.den)
 
 
+def elements(f):
+    """The coefficients of f from X**0 up, as field elements."""
+    return [coefficient(f, i) for i in range(degree(f) + 1)]
+
+
 def sub(f, g):
-    n, den = lcm(f.n, g.n), lcm(f.den, g.den)
-    size = max(degree(f), degree(g)) + 1
-    out = {}
-    for h, sign in ((f, 1), (g, -1)):
-        s, c = n // h.n, sign * (den // h.den)
-        for k, row in h.rows:
-            _add_row(out, k * s, [c * a for a in row] + [0] * (size - len(row)))
-    return _poly(f.ctx, n, out.items(), den)
-
-
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    pairs = zip_longest(elements(f), elements(g), fillvalue=f.ctx.zero())
+    return from_elements(f.ctx, [a - b for a, b in pairs])
 
 
 def mul(f, g):
-    n, p = lcm(f.n, g.n), f.ctx.p
-    sf, sg = n // f.n, n // g.n
-    out = {}
-    for kf, rf in f.rows:
-        for kg, rg in g.rows:
-            k, c = kf * sf + kg * sg, 1
-            if k >= n:
-                k, c = k - n, p
-            _add_row(out, k, [c * a for a in _convolve(rf, rg)])
-    return _poly(f.ctx, n, out.items(), f.den * g.den)
+    a, b = elements(f), elements(g)
+    out = [f.ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return from_elements(f.ctx, out)
 
 
 def from_roots(ctx, roots_with_mult):
@@ -282,37 +269,8 @@ def translate(f, b):
 
 
 def scale_arg(f, u):
-    """f(u * X): column i is multiplied by u**i.
-
-    With u = U / d, column i gets U**i * d**(deg - i) over den * d**deg; the
-    terms of U**i move each entry to another row, a whole power of p carried
-    out whenever its exponent passes 1.
-    """
-    if not f.rows:
-        return f
-    p, size = f.ctx.p, len(f.rows[0][1])
-    n = lcm(f.n, u.n)
-    s, t = n // f.n, n // u.n
-    d = u.den
-    unit = [(j * t, a) for j, a in u.terms]
-    out = {}
-    power, dp = {0: 1}, d ** (size - 1)
-    for i in range(size):
-        for k, row in f.rows:
-            c = row[i]
-            if not c:
-                continue
-            c *= dp
-            for j, b in power.items():
-                idx = k * s + j
-                if idx >= n:
-                    idx, b = idx - n, b * p
-                if idx not in out:
-                    out[idx] = [0] * size
-                out[idx][i] += c * b
-        power = _times_terms(power, unit, n, p)
-        dp //= d
-    return _poly(f.ctx, n, out.items(), f.den * d ** (size - 1))
+    """f(u * X): coefficient i times u**i."""
+    return from_elements(f.ctx, [c * u**i for i, c in enumerate(elements(f))])
 
 
 def rescale(f, nu, c):
@@ -361,7 +319,7 @@ def scaled_valuations(f):
     return out
 
 
-def primitive(f, ctx):
+def primitive(f):
     """(f / p**v, v) for the content valuation v of f: ``rescale`` with nu = 0
     divides all but the constant term, which is added back divided.  The
     result has content 0, so it reduces to a nonzero polynomial mod the
@@ -370,16 +328,16 @@ def primitive(f, ctx):
     if not f.rows:
         raise ZeroPolynomial("zero polynomial has no primitive part")
     v = Fraction(min(w for w in scaled_valuations(f) if w is not None), f.n)
-    constant = coefficient(f, 0) * ctx.uniformizer_power(-v)
-    return sub(rescale(f, Fraction(0), v), from_elements(ctx, [-constant])), v
+    constant = coefficient(f, 0) * f.ctx.uniformizer_power(-v)
+    return sub(rescale(f, Fraction(0), v), from_elements(f.ctx, [-constant])), v
 
 
-def reduction(f, ctx):
+def reduction(f):
     """Coefficientwise residues, as an F_p polynomial.
 
     A coefficient of negative valuation raises ``NegativeValuation``.
     """
-    p = ctx.p
+    p = f.ctx.p
     if f.den % p == 0:
         raise NegativeValuation("a coefficient has negative valuation")
     if not f.rows or f.rows[0][0]:

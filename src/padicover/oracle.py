@@ -1,6 +1,8 @@
 """Independent verification of reduction types by explicit fiberwise blow-ups.
 
-Nothing here knows about thresholds, excesses, or partition combinatorics.
+Nothing here knows about thresholds, excesses, or partition combinatorics,
+and nothing is imported from the classifier; the canonical order of partition
+groups comes from ``dualgraph``.
 The engine carries one polynomial per ramified fiber — beta minus the branch
 value, rewritten in the coordinate of the current disc and stripped to
 primitive form — and repeatedly blows up wherever two or more fiber points
@@ -54,7 +56,7 @@ from math import lcm
 
 from . import fppoly, kpoly, newton
 from .cover import branch_data
-from .dualgraph import DualGraphPair, VerticalMap
+from .dualgraph import DualGraphPair, VerticalMap, group_key
 from .field import fmt_rat
 
 
@@ -208,7 +210,7 @@ def fundamental_model(cover):
                 raise NotIntegralCover(f"coefficient {i} has valuation {v} < 0")
             unit = True
     if unit:
-        red = fppoly.fmt(kpoly.reduction(cover.beta, ctx))
+        red = fppoly.fmt(kpoly.reduction(cover.beta))
         raise NotIntegralCover(f"reduction is {red}, not X^{ctx.p}")
     # no reversed-chart test: every b_i with i < p has v > 0, so X**p * beta(1/X) reduces to 1
     branch = branch_data(cover)
@@ -370,7 +372,7 @@ def separate_fibers(cover):
     stack = ["C"]
     while stack:
         node = state.nodes[stack.pop()]
-        core = kpoly.reduction(node.core, ctx)
+        core = kpoly.reduction(node.core)
         node.kind = "etale" if fppoly.deriv(core, ctx.p) else "inseparable"
         table, extra_marks, reductions = _residual_table(node, core, ctx.p)
         node.marks.extend(extra_marks)
@@ -459,10 +461,11 @@ def _extract_partitions(state, target, y_marks):
 
     Wherever two branch values share their deepest disc and that disc has
     several upstairs components over it, each component contributes a group:
-    its local degree together with the mark multiplicities from both fibers.
+    its local degree d together with the mark multiplicities from both
+    fibers, which must sum to d on each side and number d + 1 in all.  The
+    groups come in ``dualgraph.group_key`` order.  That the degrees over the
+    disc sum to p is checked by ``DualGraphPair.validate``.
     """
-    from .classifier import PartitionPair
-
     by_disc = {}
     for name, node in state.nodes.items():
         by_disc.setdefault(target[name], []).append(node)
@@ -485,9 +488,14 @@ def _extract_partitions(state, target, y_marks):
                     f"component over {disc_name} carries marks {stray} "
                     f"from outside the colliding pair"
                 )
-            groups.append((node.m, g1, g2))
-        pair = PartitionPair.from_groups(state.ctx.p, groups)
-        out.append(((la, lb), pair.groups))
+            d = node.m
+            if sum(g1) != d or sum(g2) != d or len(g1) + len(g2) != d + 1:
+                raise OracleError(
+                    f"component {node.name} over {disc_name} of degree {d} carries "
+                    f"parts {g1} and {g2}, not two splittings of {d} into {d + 1} parts"
+                )
+            groups.append((d, g1, g2))
+        out.append(((la, lb), tuple(sorted(groups, key=group_key))))
     return tuple(sorted(out))
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -11,13 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from padicover import cli
+from padicover import cli, oracle
 from padicover.classifier import (
     ClassifierError,
-    InadmissiblePartition,
     InvalidProfile,
     NotSimpleReduction,
-    PartitionPair,
     ThresholdUndefined,
     admissible_partitions,
     analyze_tail,
@@ -25,7 +24,7 @@ from padicover.classifier import (
     classify_formula,
 )
 from padicover.cover import from_critical_divisor
-from padicover.dualgraph import DualGraphPair, InvalidDualGraph
+from padicover.dualgraph import DualGraphPair, InvalidDualGraph, group_key
 from padicover.field import FieldContext
 
 
@@ -215,7 +214,7 @@ SHOWCASE_14 = (
 
 def test_near_partitions_unbalanced_pair():
     pps = admissible_partitions(5, (3, 1, 1), (2, 1, 1, 1))
-    assert tuple(pp.groups for pp in pps) == SHOWCASE_04
+    assert pps == SHOWCASE_04
     res = classify_formula(
         5,
         [
@@ -248,7 +247,7 @@ def test_near_partitions_unbalanced_pair():
 
 def test_near_partitions_balanced_pair():
     pps = admissible_partitions(5, (2, 1, 1, 1), (2, 1, 1, 1))
-    assert tuple(pp.groups for pp in pps) == SHOWCASE_14
+    assert pps == SHOWCASE_14
     res = classify_formula(
         5,
         [
@@ -293,10 +292,10 @@ def test_partition_invariants_across_profiles():
                 continue
             pps = admissible_partitions(p, prof1, prof2)
             assert len(set(pps)) == len(pps)
-            for pp in pps:
-                assert len(pp.groups) == u + 1
+            for groups in pps:
+                assert len(groups) == u + 1
                 merged1, merged2 = [], []
-                for d, g1, g2 in pp.groups:
+                for d, g1, g2 in groups:
                     assert sum(g1) == sum(g2) == d
                     assert len(g1) + len(g2) == d + 1
                     merged1.extend(g1)
@@ -309,7 +308,8 @@ def reference_partitions(p, prof1, prof2):
     """Every split of the two fibers into u + 1 groups (d, g1, g2) with
     sum(g1) = sum(g2) = d and len(g1) + len(g2) = d + 1, by brute force: the
     group of fiber 1's largest part left tries every pair of sub-multisets
-    of what is left, with no pruning.  Canonical order, as PartitionPairs."""
+    of what is left, with no pruning.  Canonical order: parts ascending,
+    groups by ``group_key``, pairs by their groups' keys."""
 
     def sub_multisets(parts):
         counts = Counter(parts)
@@ -329,19 +329,15 @@ def reference_partitions(p, prof1, prof2):
                 d = head + sum(more1)
                 if sum(g2) == d and len(more1) + 1 + len(g2) == d + 1:
                     for more in splits(after1, after2):
-                        yield ((d, (head,) + more1, g2),) + more
+                        yield ((d, more1 + (head,), g2),) + more
 
     u = len(prof1) + len(prof2) - p - 1
     found = {
-        PartitionPair.from_groups(p, groups)
+        tuple(sorted(groups, key=group_key))
         for groups in splits(list(prof1), list(prof2))
         if len(groups) == u + 1
     }
-
-    def order(pp):  # largest d first, then largest parts first
-        return [(-d, [-x for x in g1[::-1]], [-x for x in g2[::-1]]) for d, g1, g2 in pp.groups]
-
-    return tuple(sorted(found, key=order))
+    return tuple(sorted(found, key=lambda groups: [group_key(g) for g in groups]))
 
 
 def test_partition_enumeration_is_complete():
@@ -370,11 +366,11 @@ def test_partition_enumeration_is_complete():
 def test_large_near_pair():
     ones = (1,) * 29
     pps = admissible_partitions(31, (2,) + ones, (2,) + ones)
-    assert [pp.groups for pp in pps] == [
+    assert list(pps) == [
         ((3, (1, 2), (1, 2)),) + ((1, (1,), (1,)),) * 28,
         ((2, (2,), (1, 1)), (2, (1, 1), (2,))) + ((1, (1,), (1,)),) * 27,
     ]
-    assert all(len(pp.groups) == 29 for pp in pps)  # u + 1 = 30 + 30 - 31
+    assert all(len(groups) == 29 for groups in pps)  # u + 1 = 30 + 30 - 31
 
 
 @given(
@@ -398,19 +394,36 @@ def test_partition_enumeration_order_free(case):
     )
 
 
-def test_partition_validation_errors():
+# a near cover whose blow-up model has the groups (3, (1, 1, 1), (3,)) and
+# (2, (2,), (1, 1)) over the pair's deepest disc
+NEAR_DOC = {"p": 5, "critical": [{"x": "5", "m": 3}, {"x": "0", "m": 2}, {"x": "-23", "m": 2}]}
+
+
+def test_partition_validation_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(InvalidProfile):
         admissible_partitions(5, (3, 1), (2, 1, 1, 1))
     with pytest.raises(InvalidProfile):
         admissible_partitions(5, (3, 1, 1, 0), (2, 1, 1, 1))
-    with pytest.raises(InadmissiblePartition):
-        PartitionPair.from_groups(5, [(5, (3, 1, 1), (2, 1, 1, 1))])
-    with pytest.raises(InadmissiblePartition):
-        # group sums disagree
-        PartitionPair.from_groups(5, [(4, (3, 1), (2, 1)), (1, (1,), (1,))])
-    with pytest.raises(InadmissiblePartition):
-        # count identity broken: d + 1 = 5 but 2 + 2 parts
-        PartitionPair.from_groups(5, [(4, (3, 1), (2, 2)), (1, (1,), (1,))])
+    # the blow-up route checks each group it reads off its model: a bad
+    # group is an engine error (exit 4), never a disagreement (exit 1)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_DOC))
+    separate = oracle.separate_fibers
+    for marks in (
+        [("0", 1), ("78125/12", 1), ("78125/12", 1)],  # sums 1 and 2, d = 2
+        [("0", 2), ("78125/12", 2)],  # 1 + 1 parts, d + 1 = 3
+    ):
+
+        def tampered(cover, marks=marks):
+            state = separate(cover)
+            (node,) = [n for n in state.nodes.values() if n.m == 2]
+            node.marks = list(marks)
+            return state
+
+        monkeypatch.setattr(oracle, "separate_fibers", tampered)
+        assert cli.main(["verify", "--cover", str(path)]) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "not two splittings of 2 into 3 parts" in error
 
 
 # sha256 of the canonical JSON of `classify --profiles --emit both` for every
@@ -531,7 +544,7 @@ def test_exact_near_balanced_tail():
     assert tail.pair == ("-625/4", "0")
     assert (tail.epsilon, tail.threshold, tail.regime) == (F(4), F(5, 2), "near")
     assert res.ordinary == (("-28", (3, 1, 1)),)
-    assert tuple(pp.groups for pp in tail.partitions) == SHOWCASE_14
+    assert tail.partitions == SHOWCASE_14
     assert len(res.models) == 2
 
 
@@ -683,6 +696,16 @@ def test_json_and_dot_deterministic():
     docs = [m.to_json() for m in near.models]
     assert docs[0]["partitions"][0]["groups"][0]["d"] == 4
     assert docs[1]["partitions"][0]["groups"][0]["d"] == 3
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    specs = [{"name": 'a"b\\c', "profile": [3, 1, 1]}, {"name": "mu", "profile": [3, 1, 1]}]
+    model = classify_formula(5, specs).model
+    for line in model.to_dot().splitlines():
+        # outside its quoted strings, no line holds a quote or a backslash
+        bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+        assert '"' not in bare and "\\" not in bare, line
+    assert '"x_C\'(a\\"b\\\\c)"' in model.to_dot()
 
 
 if __name__ == "__main__":

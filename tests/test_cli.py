@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from padicover import cli, kpoly, planted
+from padicover.cover import EXACT_E_BOUND
 from padicover.dualgraph import DualGraphPair
 from padicover.field import PRIME_BOUND
 
@@ -155,7 +156,20 @@ EXIT_CODES = {
         {"p": MERSENNE_61, "critical": [{"x": "0", "m": MERSENNE_61}]},
         3,
     ),
+    "exact-mode-at-e-bound": (
+        "classify",
+        "--cover",
+        {**DOCSTRING_COVER, "e": EXACT_E_BOUND},
+        0,
+    ),
+    "exact-mode-above-e-bound": (
+        "classify",
+        "--cover",
+        {**DOCSTRING_COVER, "e": EXACT_E_BOUND + 1},
+        3,
+    ),
     "duplicate-name": ("classify", "--profiles", formula(TAIL_0, LAM, ONE, ONE), 3),
+    "name-inf": ("classify", "--profiles", formula(("inf", [3, 1, 1], {}), LAM, ONE), 3),
     "unknown-partner": (
         "classify",
         "--profiles",

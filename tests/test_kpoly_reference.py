@@ -4,7 +4,9 @@ The reference below keeps every coefficient as its own ``Element`` and does
 each operation the textbook way (Horner for translation and evaluation, one
 power of u per coefficient, the content as the least coefficient valuation).
 It is slow and obviously right; the layout must agree with it exactly and
-come out canonical.
+come out canonical.  The operations kpoly itself writes on field elements
+(``sub``, ``mul``, ``scale_arg``) are also checked against its row kernels
+(``eval_at``, ``from_roots``, ``rescale``), which share no code with them.
 """
 
 import random
@@ -186,6 +188,39 @@ def test_scale_arg():
             same(kpoly.scale_arg(f, u), ref_scale_arg(coeffs, u))
 
 
+def test_scale_arg_by_a_power_of_p_is_rescale():
+    # scale_arg works on field elements; rescale is the row kernel
+    for rng, ctx, coeffs, f in cases(9, 200):
+        q = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        scaled = kpoly.rescale(f, q, Fraction(0))
+        tail = [kpoly.coefficient(scaled, i) for i in range(1, kpoly.degree(f) + 1)]
+        want = kpoly.from_elements(ctx, [kpoly.coefficient(f, 0)] + tail)
+        assert kpoly.scale_arg(f, ctx.uniformizer_power(q)) == want
+
+
+def test_mul_of_linear_factors_is_from_roots():
+    rng = random.Random(10)
+    for _ in range(100):
+        ctx = FieldContext(rng.choice([3, 5, 7]), 1)
+        roots = [
+            (random_element(rng, ctx, rng.randint(1, 4), rng.choice([1, 2])), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        product = kpoly.from_elements(ctx, [ctx.one()])
+        for x, m in roots:
+            for _ in range(m):
+                product = kpoly.mul(product, kpoly.from_elements(ctx, [-x, ctx.one()]))
+        assert product == kpoly.from_roots(ctx, roots)
+
+
+def test_sub_evaluates_to_the_difference():
+    # at a rational point eval_at is the integer Horner per row
+    for rng, ctx, coeffs, f in cases(11, 200):
+        g = kpoly.from_elements(ctx, random_poly(rng, ctx))
+        x = ctx.from_rational(Fraction(rng.randint(-20, 20), rng.choice([1, 2, ctx.p])))
+        assert kpoly.eval_at(kpoly.sub(f, g), x) == kpoly.eval_at(f, x) - kpoly.eval_at(g, x)
+
+
 def test_rescale():
     # nu >= 0 with mixed denominators, c of either sign, the constant dropped
     for rng, ctx, coeffs, f in cases(8, 200):
@@ -197,18 +232,18 @@ def test_rescale():
 def test_primitive_and_reduction():
     negative = 0
     for _, ctx, coeffs, f in cases(4, 300):
-        g, v = kpoly.primitive(f, ctx)
+        g, v = kpoly.primitive(f)
         h, w = ref_primitive(coeffs, ctx)
         same(g, h)
         assert v == w and type(v) is Fraction
-        assert kpoly.reduction(g, ctx) == ref_reduction(h, ctx)
-        assert kpoly.reduction(g, ctx)  # content 0: a nonzero reduction
+        assert kpoly.reduction(g) == ref_reduction(h, ctx)
+        assert kpoly.reduction(g)  # content 0: a nonzero reduction
         if min(c.val() for c in coeffs if c) < 0:
             negative += 1
             with pytest.raises(NegativeValuation):
-                kpoly.reduction(f, ctx)
+                kpoly.reduction(f)
         else:
-            assert kpoly.reduction(f, ctx) == ref_reduction(coeffs, ctx)
+            assert kpoly.reduction(f) == ref_reduction(coeffs, ctx)
     assert negative > 20
 
 
@@ -236,5 +271,5 @@ def test_from_roots():
 def test_positive_roots():
     for _, ctx, coeffs, f in cases(7, 300):
         assert positive_roots(kpoly.scaled_valuations(f), f.n) == ref_positive_roots(coeffs)
-        g = kpoly.primitive(f, ctx)[0]
+        g = kpoly.primitive(f)[0]
         assert positive_roots(kpoly.scaled_valuations(g), g.n) == ref_positive_roots(elements(g))

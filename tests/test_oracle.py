@@ -143,7 +143,7 @@ def blow_up_root(cover, residue):
     multiplicities there read off the root's residual table."""
     state = fundamental_model(cover)
     root = state.nodes["C"]
-    table, _, _ = _residual_table(root, kpoly.reduction(root.core, state.ctx), state.ctx.p)
+    table, _, _ = _residual_table(root, kpoly.reduction(root.core), state.ctx.p)
     return blow_up(state.ctx, root, residue, table.get(residue, {}))
 
 
@@ -226,7 +226,7 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
                         i, v = negative[0]
                         assert exc.witness == f"coefficient {i} has valuation {v} < 0"
                     else:
-                        red = fppoly.fmt(kpoly.reduction(cover.beta, cover.ctx))
+                        red = fppoly.fmt(kpoly.reduction(cover.beta))
                         assert exc.witness == f"reduction is {red}, not X^{p}"
                     assert any(v <= 0 for _, v in low)
                     seen["coefficient" if negative else "reduction"] += 1
@@ -250,7 +250,7 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     core = kpoly.from_rationals(ctx, (0, 5, -4, 0, 1))
     node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, Fraction(0))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
-        _residual_table(node, kpoly.reduction(core, ctx), ctx.p)
+        _residual_table(node, kpoly.reduction(core), ctx.p)
 
 
 def test_stage_budget_is_a_loud_failure(monkeypatch):
@@ -349,7 +349,7 @@ def test_each_fiber_is_the_core_plus_a_constant_offset():
             for label in stage.participants:
                 g = kpoly.translate(carried(parent, label), lift)
                 scaled = kpoly.scale_arg(g, ctx.uniformizer_power(stage.nu))
-                prim, content = kpoly.primitive(scaled, ctx)
+                prim, content = kpoly.primitive(scaled)
                 assert content == stage.m * stage.nu
                 assert carried(child, label) == prim
                 checked += 1

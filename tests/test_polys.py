@@ -73,13 +73,13 @@ def test_kpoly_affine_substitution_matches_eval():
 def test_kpoly_primitive_and_content():
     K = FieldContext(5, 2)
     f = kpoly.from_rationals(K, [25, 10, 5])
-    g, c = kpoly.primitive(f, K)
+    g, c = kpoly.primitive(f)
     assert c == 1
     vals = [kpoly.coefficient(g, i).val() for i in range(kpoly.degree(g) + 1)]
     assert min(v for v in vals if v is not None) == 0
-    assert kpoly.reduction(g, K) == [0, 2, 1]
+    assert kpoly.reduction(g) == [0, 2, 1]
     with pytest.raises(ZeroPolynomial):
-        kpoly.primitive(kpoly.from_rationals(K, []), K)
+        kpoly.primitive(kpoly.from_rationals(K, []))
 
 
 def test_kpoly_divmod_roundtrip():

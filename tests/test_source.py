@@ -52,6 +52,33 @@ def test_the_float_rule_sees_each_kind_of_use():
     assert found == [".nan", "1.5", "float", "import inf"]
 
 
+def _imported_modules(tree):
+    """Last components of the modules a source imports, at any depth:
+    ``import a.b``, ``from .b import x`` and ``from . import b`` all give b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rpartition(".")[2]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_the_two_routes_import_nothing_from_each_other():
+    # verify checks the classifier against the blow-ups: a shared decision
+    # would be checked against itself
+    for module, other in (("oracle", "classifier"), ("classifier", "oracle")):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        assert other not in set(_imported_modules(tree)), f"{module}.py imports {other}"
+
+
+def test_the_import_rule_sees_each_kind_of_import():
+    source = "import a.b\nfrom .c import x\nfrom . import d\ndef f():\n    from .e import y\n"
+    assert sorted(_imported_modules(ast.parse(source))) == ["b", "c", "d", "e"]
+
+
 def _references(module, node):
     """(module, name) pairs a statement of ``module`` names: bare names (taken
     as its own module's), ``mod.name``, ``from mod import name``, and the
