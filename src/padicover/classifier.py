@@ -376,7 +376,9 @@ def assemble(p, ordinary, tail_reports):
 def classify_formula(p, branch_specs):
     """Formula mode: branch_specs is a list of dicts with keys
     name, profile, and optionally tail_with + epsilon (on one member of
-    each tail pair).  No field arithmetic happens."""
+    each tail pair).  No field arithmetic happens.  The profiles must
+    satisfy Riemann-Hurwitz: infinity is totally ramified, so the sum of
+    p - n over the finite branch points, n the fiber size, is p - 1."""
     by_name = {}
     for spec in branch_specs:
         name = spec["name"]
@@ -386,6 +388,12 @@ def classify_formula(p, branch_specs):
             raise InvalidProfile("the branch point name 'inf' is reserved for infinity")
         by_name[name] = spec
     profiles = {n: check_profile(p, s["profile"]) for n, s in by_name.items()}
+    ramification = sum(p - len(prof) for prof in profiles.values())
+    if ramification != p - 1:
+        raise InvalidProfile(
+            f"Riemann-Hurwitz fails: the sum of p - n over the finite branch points "
+            f"is {ramification}, not p - 1 = {p - 1}"
+        )
     pairs = {}
     for name, spec in sorted(by_name.items()):
         partner = spec.get("tail_with")

@@ -16,19 +16,24 @@ Input files are JSON.  Exact mode describes a cover by its critical divisor::
                                   {"x": "0", "m": 2}, {"x": "-1", "m": 2}]}
 
 ("x" may also be a list of e rational strings — coefficients over the
-pi-power basis, pi = p**(1/e).)  The input's e only sets that format: the
-arithmetic has no fixed ramification index.  The ``e`` that ``verify``
-reports is the least ramification index over which the cover and every
-blow-up radius are defined, the lcm of the input's e and the denominators of
-the radii in the oracle's stages.  Exact mode builds beta densely and takes
-p <= 1000 (``cover.EXACT_P_BOUND``; verify of a random cover takes 1-2 s at
-p = 401 and 503 and 5-6 s at p = 809); a larger p exits 3.  It also takes
-e <= 1000 (``cover.EXACT_E_BOUND``): every label is written as e rationals,
-so the output grows with e (67 KB for a 3-point cover at p = 5 and
-e = 1000); a larger e exits 3.
+pi-power basis, pi = p**(1/e).)  A rational, here and for "epsilon", is a
+JSON integer or a string "a" or "a/b" of ASCII digits, a with an optional
+sign, spaces allowed around it; a JSON float, a decimal point or an
+exponent exits 3.  The input's e only sets that format: the arithmetic has
+no fixed ramification index.  The ``e`` that ``verify`` reports is the
+least ramification index over which the cover and every blow-up radius are
+defined, the lcm of the input's e and the denominators of the radii in the
+oracle's stages.  Exact mode builds beta densely and takes p <= 1000
+(``cover.EXACT_P_BOUND``; verify of a random cover takes 0.4-0.6 s at
+p = 401, 0.5-0.8 s at p = 503 and 1.3-3.0 s at p = 809); a larger p exits
+3.  It also takes e <= 1000 (``cover.EXACT_E_BOUND``): every label is
+written as e rationals, so the output grows with e (67 KB for a 3-point
+cover at p = 5 and e = 1000); a larger e exits 3.
 
 Formula mode skips the field entirely and names the branch points with their
-fiber profiles; a colliding pair carries the valuation of the difference::
+fiber profiles; a colliding pair carries the valuation of the difference.
+The profiles must satisfy Riemann-Hurwitz, sum(p - n) = p - 1 over the
+finite branch points (n the number of parts), or the input exits 3::
 
     {"p": 5, "branch_points": [
         {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "7"},

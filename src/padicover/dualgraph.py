@@ -146,36 +146,39 @@ class DualGraphPair:
     # -- canonical comparison -------------------------------------------
 
     def canonical_key(self):
+        """Each subtree encoded once, thicknesses as (numerator, denominator)
+        pairs; built on every call, as a model is a mutable dataclass."""
         y_children = _children(self.y_marks, self.y_edges)
         x_children = _children(self.x_marks, self.x_edges)
-        y_ids = {}
+        y_order = {}  # name -> children in the order of their encodings
 
-        def y_enc(name, thick):
-            kids = sorted(y_enc(b, t) for b, t in y_children[name])
-            return (thick, tuple(sorted(self.y_marks[name])), tuple(kids))
+        def y_enc(name):
+            kids = sorted(
+                ((t.numerator, t.denominator), y_enc(b), b) for b, t in y_children[name]
+            )
+            y_order[name] = [b for _, _, b in kids]
+            return tuple(sorted(self.y_marks[name])), tuple(kid[:2] for kid in kids)
 
-        # assign canonical ids in the order of a DFS that visits children by
-        # their encodings (identical subtrees are interchangeable, so the
-        # resulting ids are well-defined up to swapping equal encodings)
-        def y_assign(name):
+        y_form = y_enc(self.y_root)
+        # canonical ids in the order of a DFS that visits children by their
+        # encodings (identical subtrees are interchangeable, so the ids are
+        # well-defined up to swapping equal encodings)
+        y_ids, stack = {}, [self.y_root]
+        while stack:
+            name = stack.pop()
             y_ids[name] = len(y_ids)
-            for b, _t in sorted(y_children[name], key=lambda bt: y_enc(bt[0], bt[1])):
-                y_assign(b)
+            stack.extend(reversed(y_order[name]))
 
-        y_assign(self.y_root)
-        y_form = y_enc(self.y_root, None)
-
-        def x_enc(name, thick):
+        def x_enc(name):
             vm = self.vertical[name]
-            kids = sorted(x_enc(b, t) for b, t in x_children[name])
+            kids = sorted(((t.numerator, t.denominator), x_enc(b)) for b, t in x_children[name])
             return (
-                thick,
                 tuple(sorted(self.x_marks[name])),
                 (y_ids[vm.target], vm.degree, vm.kind),
                 tuple(kids),
             )
 
-        return (y_form, x_enc(self.x_root, None), self.partitions)
+        return (y_form, x_enc(self.x_root), self.partitions)
 
     def is_isomorphic_to(self, other):
         return self.canonical_key() == other.canonical_key()

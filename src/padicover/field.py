@@ -10,11 +10,12 @@ a product folds p**(k/N) with k >= N into a factor p.  This is the layout of
 FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  ``Fraction`` appears
-only where rationals come in or go out: parsing, printing, valuations, and
-the Gauss-Jordan inverse of an element with several terms.  The valuation is
-normalized so that v(p) = 1; it is a plain ``Fraction``, and ``None`` stands
-for the infinite valuation of 0, so a comparison that forgets the zero case
-raises TypeError instead of answering.
+only where rationals come in or go out: parsing, printing, ``Element.val``
+and the Gauss-Jordan inverse of an element with several terms.  The
+valuation is normalized so that v(p) = 1; ``Element.scaled_val`` reads it as
+the int n * v over the element's own n, ``val`` as a ``Fraction``, and
+``None`` stands for the infinite valuation of 0, so a comparison that
+forgets the zero case raises TypeError instead of answering.
 
 X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
 distinct valuations v_p(a) + k/N - v_p(d) (their fractional parts k/N differ),
@@ -29,6 +30,7 @@ input and output format: vectors of e rationals over pi = p**(1/e).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -105,9 +107,23 @@ def _fmt(a, d):
     return str(a) if d == 1 else f"{a}/{d}"
 
 
+_RATIONAL = re.compile(r" *([+-]?[0-9]+)(?:/([0-9]+))? *")
+
+
 def parse_rat(s):
-    """Parse 'a' or 'a/b' into a Fraction."""
-    return Fraction(str(s).strip())
+    """A Fraction from an int, a Fraction, or a string 'a' or 'a/b'.
+
+    a and b are ASCII digits, a with an optional sign, and spaces may
+    surround the whole.  Anything else, a float, a bool, a decimal point or
+    an exponent, raises ValueError; a zero denominator raises
+    ZeroDivisionError.
+    """
+    if isinstance(s, str):
+        if match := _RATIONAL.fullmatch(s):
+            return Fraction(int(match[1]), int(match[2] or 1))
+    elif type(s) is int or isinstance(s, Fraction):
+        return Fraction(s)
+    raise ValueError(f"{s!r} is not a rational of the form a or a/b")
 
 
 class FieldContext:
@@ -276,8 +292,8 @@ class Element:
 
     # -- valuation and residue ------------------------------------------
 
-    def val(self):
-        """The valuation, a Fraction: min over terms of v_p(a) + k/n, minus v_p(den).
+    def scaled_val(self):
+        """n * v as an int: min over terms of n * v_p(a) + k, minus n * v_p(den).
 
         None for 0.  The minimum is attained exactly once because the fractional parts
         k/n are pairwise distinct for 0 <= k < n.
@@ -288,26 +304,27 @@ class Element:
             v = k if a % p else _vp_int(a, p) * n + k
             if best is None or v < best:
                 best = v
-        if best is None:
-            return None
-        if self.den % p == 0:
+        if best is not None and self.den % p == 0:
             best -= _vp_int(self.den, p) * n
-        return Fraction(best, n)
+        return best
+
+    def val(self):
+        """The valuation, a Fraction (None for 0)."""
+        w = self.scaled_val()
+        return None if w is None else Fraction(w, self.n)
 
     def residue(self):
-        """Image in F_p = residue field, for elements of valuation >= 0."""
-        if not self.terms:
+        """Image in F_p = residue field, for elements of valuation >= 0.
+
+        v < 0 exactly when p divides den (gcd(den, every a) = 1 leaves some a
+        prime to p), and only a k = 0 term can have valuation 0.
+        """
+        p, terms = self.ctx.p, self.terms
+        if self.den % p == 0:
+            raise NegativeValuation(f"element has valuation {self.val()} < 0")
+        if not terms or terms[0][0]:
             return 0
-        v = self.val()
-        if v < 0:
-            raise NegativeValuation(f"element has valuation {v} < 0")
-        if v > 0:
-            return 0
-        # only the k = 0 term can have valuation exactly 0, and then p divides
-        # neither its numerator nor den: v_p(a) = v_p(den) >= 1 would put p
-        # in every numerator, against gcd(den, every a) = 1
-        p = self.ctx.p
-        return self.terms[0][1] * pow(self.den, -1, p) % p
+        return terms[0][1] * pow(self.den, -1, p) % p
 
     # -- arithmetic ------------------------------------------------------
 

@@ -107,13 +107,21 @@ def root_multiplicity(f, w, p):
 
 
 def rational_roots(f, p):
-    """dict w -> multiplicity over F_p, plus the rootless cofactor."""
+    """dict w -> multiplicity over F_p, plus the rootless cofactor.
+
+    Each residue is tested by a Horner evaluation and stripped only at a
+    root; the scan stops once the cofactor is constant.
+    """
     roots = {}
     g = normalize(f, p)
     for w in range(p):
-        m, g = _strip_root(g, w, p)
-        if m:
-            roots[w] = m
+        if len(g) < 2:
+            break
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * w + c) % p
+        if not acc:
+            roots[w], g = _strip_root(g, w, p)
     return roots, g
 
 

@@ -8,12 +8,13 @@ correspondence is the only root information the rest of the package ever
 uses — no root is ever found explicitly.
 
 Both readings below work on n * val(a_i), the integers that
-``kpoly.scaled_valuations`` reads off the rows of f in one pass, and build a
-``Fraction`` only for what they return.  The blow-up engine needs two
-readings of the polygon: how many roots lie in the open unit disc, and the
-least positive root valuation.  Both come from one pass over those integers,
-with no hull (``positive_roots``, which takes the list, so the engine reads
-every fiber of a disc off one).  The hull itself (``newton_polygon``) is
+``kpoly.scaled_valuations`` reads off the rows of f in one pass.  The
+blow-up engine needs two readings of the polygon: how many roots lie in the
+open unit disc, and the least positive root valuation.  Both come from one
+pass over those integers, with no hull and no ``Fraction``
+(``positive_roots``, which takes the list, so the engine reads every fiber
+of a disc off one).  The hull itself (``newton_polygon``, ``Fraction``
+slopes and vertices) is
 built for ``classify --emit-newton`` and as the tests' reference reading.
 Whether a cover is integral is one scan over its coefficient valuations, in
 ``oracle.fundamental_model``.
@@ -96,18 +97,20 @@ def root_valuations(f):
     return out + [None] * np.x_order
 
 
-def positive_roots(vals, n):
-    """(count, nu): the roots of strictly positive valuation, in one pass.
+def positive_roots(vals):
+    """(count, rise, run): the roots of strictly positive valuation, in one pass.
 
     ``vals`` lists n * v(a_i) for each coefficient a_i, None for a_i = 0.
     count is the number of roots inside the open unit disc of the current
     chart (the root 0 included), the quantity the blow-up engine compares
     across fibers.  The segments of negative slope end where the least
-    valuation is first attained, at (count, v), so count is that index.  nu
-    is the smallest positive *finite* root valuation, the least
-    (v(a_i) - v) / (count - i) over i < count, compared as integer pairs;
-    None means every root in the disc is exactly at the center (or there are
-    none), so nothing new separates at any scale.
+    valuation is first attained, at (count, v), so count is that index.  The
+    smallest positive *finite* root valuation is nu = rise / (n * run), the
+    least (v(a_i) - v) / (count - i) over i < count, compared as integer
+    pairs.  The first i that attains it is kept, so run is the length of the
+    polygon's segment of slope -nu.  rise is None (and run 1) when every root
+    in the disc is exactly at the center (or there are none), so nothing new
+    separates at any scale.
     """
     pts = [(i, w) for i, w in enumerate(vals) if w is not None]
     if not pts:
@@ -119,9 +122,9 @@ def positive_roots(vals, n):
             break
         if rise is None or (w - least) * run < rise * (count - i):
             rise, run = w - least, count - i
-    return count, None if rise is None else Fraction(rise, n * run)
+    return count, rise, run
 
 
 def positive_root_count(f):
     """The count of ``positive_roots`` for the coefficients of f."""
-    return positive_roots(kpoly.scaled_valuations(f), f.n)[0]
+    return positive_roots(kpoly.scaled_valuations(f))[0]

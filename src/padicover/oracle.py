@@ -18,8 +18,11 @@ holds one ``kpoly.Poly`` and each fiber a constant (Conventions).  A blow-up
 translates it once, an integer Taylor shift of each row, reads its
 coefficient valuations once for every fiber's Newton polygon
 (``newton.positive_roots``, no convex hull) and rescales it in one pass
-(``kpoly.rescale``).  Residual polynomials lose their rational roots by
-synthetic division, once per distinct residue.  Branch values, labels and
+(``kpoly.rescale``).  Its valuations stay ints over one denominator, and a
+single ``Fraction`` radius is built once they are compared.  A residual
+polynomial, one per distinct offset residue, is evaluated at every residue
+by Horner's rule and divided by synthetic division only at a root, until its
+cofactor is constant (``fppoly.rational_roots``).  Branch values, labels and
 critical points come from ``cover.branch_data``.  A disc maps onto its
 image, so the image holds exactly the branch values whose tracks the disc
 carries: an image disc is named by its radius and those labels, and the
@@ -217,7 +220,7 @@ def fundamental_model(cover):
     state = ModelState(ctx, [bp.label for bp in branch])
     offsets = {}
     for bp in branch:
-        if bp.value and bp.value.val() < 0:
+        if bp.value.den % ctx.p == 0:  # v < 0 exactly when p divides den
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         offsets[bp.label] = -bp.value
     points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
@@ -236,7 +239,7 @@ def _by_residue(points):
     point outside the closed unit disc is in no child disc and is dropped."""
     out = {}
     for label, x, m in points:
-        if not x or x.val() >= 0:
+        if x.den % x.ctx.p:  # v(x) >= 0 exactly when p does not divide den
             out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
     return out
 
@@ -261,20 +264,21 @@ def blow_up(ctx, node, wbar, mults):
     g = kpoly.translate(node.core, lift)
     shift = kpoly.coefficient(g, 0)
     offsets = {label: node.tracks[label] + shift for label in sorted(mults)}
+    # every valuation below is an int over one n: n * v, and nu = rise / (n * run)
     n = lcm(g.n, *(c.n for c in offsets.values()))
     vals = [None if w is None else w * (n // g.n) for w in kpoly.scaled_valuations(g)]
-    kappa_val, nu = {}, None
+    kappa_val, rise, run = {}, None, 1
     for label, c in offsets.items():
-        kappa_val[label] = w = c.val()
-        vals[0] = None if w is None else w.numerator * (n // w.denominator)
-        total, v = newton.positive_roots(vals, n)
+        w = c.scaled_val()
+        kappa_val[label] = vals[0] = None if w is None else w * (n // c.n)
+        total, r, t = newton.positive_roots(vals)
         if total != mults[label]:
             raise OracleError(
                 f"fiber {label} at residue {wbar} on {node.name}: {total} roots in the disc "
                 f"by the Newton polygon, {mults[label]} by the residual multiplicity"
             )
-        if v is not None and (nu is None or v < nu):
-            nu = v
+        if r is not None and (rise is None or r * run < rise * t):
+            rise, run = r, t
     m_values = sorted(set(mults.values()))
     if len(m_values) != 1:
         raise OracleError(
@@ -282,30 +286,30 @@ def blow_up(ctx, node, wbar, mults):
             f"{dict(sorted(mults.items()))}"
         )
     m = m_values[0]
-    if nu is None:
+    if rise is None:
         raise CenterNotRoot(
             f"all fiber points at residue {wbar} on {node.name} coincide; nothing separates"
         )
+    nu = Fraction(rise, n * run)
     mnu = m * nu
-    # the core's content in the child's chart: the least v(c_i) + i * nu, i >= 1
-    a, b = nu.numerator, nu.denominator
-    core_content = Fraction(
-        min(w * b + i * a * n for i, w in enumerate(vals) if i and w is not None), n * b
-    )
+    # contents in the child's chart, times n * run: the core's is the least
+    # v(c_i) + i * nu over i >= 1, a fiber's the least of that and its offset's
+    core_content = min(w * run + i * rise for i, w in enumerate(vals) if i and w is not None)
     unscale, shrink = ctx.uniformizer_power(-nu), ctx.uniformizer_power(-mnu)
     here = node.points.get(wbar, {})
     inside = []
     for label, c in offsets.items():
         w = kappa_val[label]
-        content = core_content if w is None else min(core_content, w)
-        if content != mnu:
+        content = core_content if w is None else min(core_content, w * run)
+        if content != m * rise:
             raise OracleError(
                 f"fiber {label} at residue {wbar} on {node.name}: image radius increment "
-                f"{content}, not m * nu = {mnu}"
+                f"{Fraction(content, n * run)}, not m * nu = {mnu}"
             )
         offsets[label] = c * shrink
         for x, mx in here.get(label, ()):
-            if not (d := x - lift) or d.val() >= nu:
+            # inside the child exactly when v(x - lift) >= nu
+            if not (d := x - lift) or d.scaled_val() * n * run >= rise * d.n:
                 inside.append((label, d * unscale, mx))
     core, points = kpoly.rescale(g, nu, mnu), _by_residue(inside)
     name, radius = f"{node.name}.{wbar}", node.down_radius + mnu
@@ -511,20 +515,22 @@ def assemble_model(state):
         vertical[name] = VerticalMap(target[name], node.m, node.kind)
         if node.parent is not None:
             x_edges.append((node.parent, name, node.thickness))
-    y_marks = {disc: [] for disc in discs.values()}
+    # image discs by radius, then name; a label's mark goes on the last disc
+    # that holds it, the deepest, and a disc's parent is the nearest one
+    # before it of smaller radius that holds all its labels
+    records = sorted((radius, name, frozenset(labels)) for (radius, labels), name in discs.items())
+    y_marks = {name: [] for name in discs.values()}
     y_marks["D"].append("inf")
-    for label in sorted(state.labels):
-        deepest = max((k for k in discs if label in k[1]), key=lambda k: k[0])
-        y_marks[discs[deepest]].append(label)
+    deepest = {label: name for _, name, labels in records for label in labels}
+    for label, name in deepest.items():
+        y_marks[name].append(label)
     y_marks = {name: tuple(sorted(marks)) for name, marks in y_marks.items()}
     y_edges = []
-    for key in sorted(discs, key=lambda k: (k[0], discs[k])):
-        # the parent: the disc of largest smaller radius holding these labels
-        radius, labels = key
-        outer = [k for k in discs if k[0] < radius and set(labels) <= set(k[1])]
-        if outer:
-            parent = max(outer, key=lambda k: k[0])
-            y_edges.append((discs[parent], discs[key], radius - parent[0]))
+    for j, (radius, name, labels) in enumerate(records):
+        for outer, parent, held in reversed(records[:j]):
+            if outer < radius and labels <= held:
+                y_edges.append((parent, name, radius - outer))
+                break
     partitions = _extract_partitions(state, target, y_marks)
     model = DualGraphPair(
         p=state.ctx.p,

@@ -49,9 +49,12 @@ def rational_cover(p, points, e=1):
 
 
 def test_ordinary_pair_model():
-    res = classify_formula(5, [{"name": "mu", "profile": [3, 1, 1]}])
+    # nu carries the rest of the ramification: (5 - 3) + (5 - 3) = p - 1
+    res = classify_formula(
+        5, [{"name": "mu", "profile": [3, 1, 1]}, {"name": "nu", "profile": [3, 1, 1]}]
+    )
     model = res.model
-    assert set(model.x_marks) == {"C", "C'(mu)"}
+    assert set(model.x_marks) == {"C", "C'(mu)", "C'(nu)"}
     assert edge_map(model, "x")["C'(mu)"] == ("C", F(1, 2))
     assert edge_map(model, "y")["D'(mu)"] == ("D", F(5, 2))
     assert model.x_marks["C'(mu)"] == (("mu", 3), ("mu", 1), ("mu", 1))
@@ -630,6 +633,20 @@ def showcase_far():
     ).model
 
 
+def showcase_near():
+    """The near showcase model whose partition has a group of degree 4; its
+    upstairs thicknesses include 1/2 and 1."""
+    models = classify_formula(
+        5,
+        [
+            {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "7"},
+            {"name": "lam", "profile": [2, 1, 1, 1]},
+            {"name": "1", "profile": [2, 1, 1, 1]},
+        ],
+    ).models
+    return next(m for m in models if m.partitions[0][1][0][0] == 4)
+
+
 def test_component_names_do_not_matter():
     a = showcase_far()
     b = rename_components(
@@ -638,6 +655,17 @@ def test_component_names_do_not_matter():
         {"D(lam)": "W", "D'(0,lam)": "dj"},
     )
     assert a.is_isomorphic_to(b)
+
+
+def test_edge_order_and_thickness_spelling_do_not_matter():
+    a, b = showcase_near(), showcase_near()
+    spelled = {F(1, 2): F(2, 4), F(1): 1}
+    b.x_edges = [(x, y, spelled.get(t, t)) for x, y, t in reversed(b.x_edges)]
+    b.y_edges = [(x, y, spelled.get(t, t)) for x, y, t in reversed(b.y_edges)]
+    assert [t for *_, t in b.x_edges if type(t) is int] == [1]
+    assert F(1, 2) in [t for *_, t in b.x_edges]
+    b.validate()
+    assert a.is_isomorphic_to(b) and b.is_isomorphic_to(a)
 
 
 def test_thickness_change_breaks_isomorphism():
@@ -658,6 +686,26 @@ def test_mark_multiplicity_is_compared():
     b = showcase_far()
     b.x_marks["C(0)"] = (("0", 3), ("0", 2), ("0", 1))
     assert not a.is_isomorphic_to(b)
+
+
+def with_vertical(model, name, **changes):
+    vm = model.vertical[name]
+    fields = {"target": vm.target, "degree": vm.degree, "kind": vm.kind, **changes}
+    model.vertical[name] = type(vm)(fields["target"], fields["degree"], fields["kind"], vm.notes)
+
+
+@pytest.mark.parametrize("change", ["degree", "kind", "group"])
+def test_vertical_maps_and_partition_groups_are_compared(change):
+    a, b = showcase_near(), showcase_near()
+    if change == "degree":
+        with_vertical(b, "C_2(0,lam)", degree=b.vertical["C_2(0,lam)"].degree + 1)
+    elif change == "kind":
+        with_vertical(b, "C'(0,lam)", kind="inseparable")
+    else:
+        ((pair, ((d, g1, g2), *rest)),) = b.partitions
+        b.partitions = ((pair, ((d, (2, 2), g2), *rest)),)
+        assert g1 != (2, 2)
+    assert not a.is_isomorphic_to(b) and not b.is_isomorphic_to(a)
 
 
 def test_scaling_law_enforced():

@@ -79,6 +79,12 @@ def cover_doc(p, points):
     return {"p": p, "critical": [{"x": str(x), "m": m} for x, m in points]}
 
 
+def docstring_cover_at(x):
+    """The docstring's cover with its first critical point moved to x."""
+    rest = DOCSTRING_COVER["critical"][1:]
+    return {**DOCSTRING_COVER, "critical": [{"x": x, "m": 3}, *rest]}
+
+
 def planted_doc():
     return exact_doc(planted.suite()[0].cover)
 
@@ -141,10 +147,7 @@ EXIT_CODES = {
         "--profiles",
         {
             "p": MERSENNE_61,
-            "branch_points": [
-                {"name": "0", "profile": [MERSENNE_61]},
-                {"name": "1", "profile": [MERSENNE_61 - 1, 1]},
-            ],
+            "branch_points": [{"name": "0", "profile": [MERSENNE_61]}],
         },
         0,
     ),
@@ -166,6 +169,17 @@ EXIT_CODES = {
         "classify",
         "--cover",
         {**DOCSTRING_COVER, "e": EXACT_E_BOUND + 1},
+        3,
+    ),
+    "rh-violation": ("classify", "--profiles", formula(("a", [2, 1, 1, 1], {})), 3),
+    # rationals only in the documented forms (an exponent builds a huge integer)
+    "x-exponent-form": ("verify", "--cover", docstring_cover_at("1e2000000"), 3),
+    "x-decimal-form": ("verify", "--cover", docstring_cover_at("0.5"), 3),
+    "x-json-float": ("verify", "--cover", docstring_cover_at(0.5), 3),
+    "epsilon-exponent-form": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": "lam", "epsilon": "7e0"}), LAM, ONE),
         3,
     ),
     "duplicate-name": ("classify", "--profiles", formula(TAIL_0, LAM, ONE, ONE), 3),

@@ -109,20 +109,23 @@ def test_positive_root_helpers():
             (K5.from_rational(2), 1),
         ],
     )
-    assert positive_roots(kpoly.scaled_valuations(f), f.n) == (2, 1)
+    assert positive_roots(kpoly.scaled_valuations(f)) == (2, 1, 1)
     assert positive_root_count(f) == 2
-    assert positive_roots([None, None, 0], 1) == (2, None)  # X^2: only the center
+    assert positive_roots([None, None, 0]) == (2, None, 1)  # X^2: only the center
 
 
 def hull_readings(f):
-    """The two readings off the hull: x_order plus the lengths of the
-    negative slopes, and the least of their negated slopes (or None)."""
+    """The readings off the hull: x_order plus the lengths of the negative
+    slopes, then the last negative segment, whose negated slope is the least
+    positive root valuation rise / (n * run), as its drop in n * v and its
+    length (None and 1 when there is no negative slope)."""
     np = newton_polygon(f)
     negative = [seg for seg in np.segments if seg.slope < 0]
-    return (
-        np.x_order + sum(seg.length for seg in negative),
-        min((-seg.slope for seg in negative), default=None),
-    )
+    count = np.x_order + sum(seg.length for seg in negative)
+    if not negative:
+        return count, None, 1
+    last = negative[-1]
+    return count, -last.slope * f.n * last.length, last.length
 
 
 def test_hull_free_readings_match_the_hull():
@@ -144,7 +147,7 @@ def test_hull_free_readings_match_the_hull():
         if not any(f):
             continue
         g = kpoly.from_elements(ctx, f)
-        readings = positive_roots(kpoly.scaled_valuations(g), g.n)
+        readings = positive_roots(kpoly.scaled_valuations(g))
         assert readings == hull_readings(g)
         vals = [c.val() for c in f if c]
         kinds.update(

@@ -275,13 +275,16 @@ def test_every_stage_scales_the_image_by_the_local_degree():
 
 
 def test_blow_up_past_the_separating_radius_is_a_typed_error(monkeypatch):
-    # the junction of this cover separates at nu = 1; nu = 2 overshoots, so
-    # the image radius is not m * nu (a check that survives python -O); the
-    # root count stays true, so the count check passes
+    # the junction of this cover separates at nu = 1; doubling every reading
+    # overshoots to nu = 2, so the image radius is not m * nu (a check that
+    # survives python -O); the root count stays true, so the count check passes
     true_readings = newton.positive_roots
-    monkeypatch.setattr(
-        newton, "positive_roots", lambda vals, n: (true_readings(vals, n)[0], Fraction(2))
-    )
+
+    def doubled(vals):
+        count, rise, run = true_readings(vals)
+        return count, None if rise is None else 2 * rise, run
+
+    monkeypatch.setattr(newton, "positive_roots", doubled)
     cover = rational_cover(5, [(5, 3), (0, 2), (-1, 2)])
     with pytest.raises(OracleError, match="image radius increment") as info:
         blow_up_root(cover, 0)

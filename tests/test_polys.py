@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,45 @@ def test_residual_roots_are_stripped_exactly():
             for w in range(p):
                 assert sum(c * w**i for i, c in enumerate(cofactor)) % p
                 assert fppoly.root_multiplicity(f, w, p) == roots.get(w, 0)
+
+
+def scan_rational_roots(f, p):
+    """The reference reading: every residue in turn, divided out by
+    ``divmod_fp`` while it is a root, whatever the cofactor's degree."""
+    roots, g = {}, fppoly.normalize(f, p)
+    for w in range(p):
+        while g and not fppoly.divmod_fp(g, [-w % p, 1], p)[1]:
+            g = fppoly.divmod_fp(g, [-w % p, 1], p)[0]
+            roots[w] = roots.get(w, 0) + 1
+    return roots, g
+
+
+def random_irreducible(rng, p, d):
+    """A monic irreducible polynomial of degree 2 or 3: one with no root."""
+    while True:
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if all(sum(c * w**i for i, c in enumerate(f)) % p for w in range(p)):
+            return f
+
+
+def test_rational_roots_match_the_per_residue_scan():
+    # random products of linear factors, irreducible factors of degree 2
+    # and 3, and a unit: rootless, constant and zero cofactors all occur
+    rng = random.Random(31)
+    cofactors = Counter()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for _ in range(40):
+            f = [rng.randrange(1, p)]
+            for _ in range(rng.randint(0, 5)):
+                f = fppoly.mul(f, [-rng.randrange(p) % p, 1], p)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                f = fppoly.mul(f, random_irreducible(rng, p, rng.choice([2, 3])), p)
+            if rng.random() < 0.02:
+                f = []
+            roots, cofactor = fppoly.rational_roots(f, p)
+            assert (roots, cofactor) == scan_rational_roots(f, p)
+            cofactors[min(fppoly.degree(cofactor), 1)] += 1
+    assert set(cofactors) == {-1, 0, 1}
 
 
 def test_kpoly_affine_substitution_matches_eval():
