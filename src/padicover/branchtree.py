@@ -2,12 +2,16 @@
 
 The finite branch values, all integral, are grouped by the nested-disc rule:
 two points sit strictly inside a common sub-disc of radius q exactly when
-v(a - b) > q.  Clusters of size >= 2 become components; the component at
-depth d (its internal minimal pairwise valuation) hangs below its enclosing
-cluster by an edge of thickness = difference of depths; marked points attach
-to the smallest cluster containing them.  The root is the unit-disc
-component, where the point at infinity also specializes (stored as the
-virtual mark "inf").
+v(a - b) > q.  The root D is the unit-disc component, where the point at
+infinity also specializes (the virtual mark "inf").  One recursive walk
+builds the rest: at a component of depth d the points split into the classes
+of v(a - b) > d; a class of one point is a mark of the component, and each
+larger class g becomes a child component, in order of its sorted labels.
+The child's depth is the least v(x - g[0]), read from the one member g[0]:
+v(a - b) >= min(v(a - g[0]), v(b - g[0])) by the ultrametric inequality, so
+that is the least pairwise valuation.  Its edge to the parent has thickness
+= depth - parent depth.  Components are named as the walk creates them: D,
+then v1, v2, ... depth first, the order of ``MetricTree.nodes``.
 
 A non-root leaf carrying exactly two marks directly below the root is a
 *simple tail*; the whole configuration has simple reduction when every
@@ -28,21 +32,14 @@ class AllPointsCoalesce(ValueError):
     """All marked points share one residue: no two specialize apart."""
 
 
-class VertexNotFound(KeyError):
-    """Asked about a vertex the tree does not have."""
-
-
 @dataclass
 class TreeNode:
     name: str
     depth: Fraction
+    thickness: Fraction | None  # depth below the parent; None on the root
+    parent: str | None
     marks: list = field(default_factory=list)  # mark labels, sorted
-    children: list = field(default_factory=list)  # TreeNode, sorted canonically
-    parent: str | None = None
-
-    @property
-    def is_leaf(self):
-        return not self.children
+    children: list = field(default_factory=list)  # TreeNode, in creation order
 
 
 @dataclass(frozen=True)
@@ -53,56 +50,36 @@ class Tail:
 
 @dataclass(frozen=True)
 class BranchClassification:
-    ordinary: tuple  # labels marked on the root
-    tails: tuple  # Tail entries
-    simple: bool
+    ordinary: tuple  # labels marked on the root, sorted
+    tails: tuple  # Tail entries, in order of their pairs
     offenders: tuple  # human-readable descriptions of non-simple clusters
 
 
+@dataclass
 class MetricTree:
-    def __init__(self, root, nodes):
-        self.root = root
-        self.nodes = nodes  # name -> TreeNode
-
-    def node(self, name):
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise VertexNotFound(f"no vertex named {name!r}") from None
-
-    def thickness(self, child_name):
-        """Edge length from a non-root vertex up to its parent."""
-        child = self.node(child_name)
-        if child.parent is None:
-            raise VertexNotFound(f"{child_name!r} is the root; no parent edge")
-        return child.depth - self.node(child.parent).depth
+    root: TreeNode
+    nodes: dict  # name -> TreeNode, in creation order: D, v1, v2, ...
 
     def to_json(self):
         out = []
-        for name in sorted(self.nodes, key=_name_key):
-            n = self.nodes[name]
+        for n in self.nodes.values():
             entry = {"name": n.name, "depth": fmt_rat(n.depth), "marks": list(n.marks)}
             if n.parent is not None:
                 entry["parent"] = n.parent
-                entry["thickness"] = fmt_rat(self.thickness(n.name))
+                entry["thickness"] = fmt_rat(n.thickness)
             out.append(entry)
         return {"vertices": out}
-
-def _name_key(name):
-    return (len(name), name)
 
 
 def _group(points, threshold):
     """Partition by the equivalence v(a-b) > threshold (ultrametric, so it is one)."""
     groups = []
     for label, x in points:
-        placed = False
         for g in groups:
             if (x - g[0][1]).val() > threshold:
                 g.append((label, x))
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([(label, x)])
     return groups
 
@@ -128,68 +105,39 @@ def build_branch_tree(points):
 
     root_groups = _group(pts, Fraction(0))
     if len(root_groups) < 2:
-        raise AllPointsCoalesce(
-            "all marked points share one residue; no two specialize apart"
-        )
-
+        raise AllPointsCoalesce("all marked points share one residue; no two specialize apart")
     nodes = {}
-    root = TreeNode(name="D", depth=Fraction(0), marks=["inf"], parent=None)
-    nodes[root.name] = root
-    counter = [0]
-
-    def build_cluster(group, parent):
-        # group has >= 2 points; its depth is the minimal pairwise valuation
-        depth = min(
-            (a - b).val()
-            for i, (_, a) in enumerate(group)
-            for _, b in group[i + 1 :]
-        )
-        counter[0] += 1
-        node = TreeNode(name=f"v{counter[0]}", depth=depth, parent=parent.name)
-        nodes[node.name] = node
-        attach(node, _group(group, depth))
-        return node
 
     def attach(node, groups):
-        subtrees = []
-        for g in groups:
-            if len(g) == 1:
-                node.marks.append(g[0][0])
-            else:
-                subtrees.append(g)
+        nodes[node.name] = node
+        node.marks += [g[0][0] for g in groups if len(g) == 1]
         node.marks.sort()
-        # deterministic construction order: by the sorted labels inside
-        subtrees.sort(key=lambda g: sorted(lbl for lbl, _ in g))
-        for g in subtrees:
-            node.children.append(build_cluster(g, node))
+        clusters = [g for g in groups if len(g) > 1]
+        for g in sorted(clusters, key=lambda g: sorted(lbl for lbl, _ in g)):
+            depth = min((x - g[0][1]).val() for _, x in g[1:])
+            child = TreeNode(f"v{len(nodes)}", depth, depth - node.depth, node.name)
+            node.children.append(child)
+            attach(child, _group(g, depth))
 
+    root = TreeNode("D", Fraction(0), None, None, ["inf"])
     attach(root, root_groups)
     return MetricTree(root, nodes)
 
 
 def classify_points(tree):
-    """Ordinary points, tails with their thickness, and the simple verdict."""
+    """Ordinary points, tails with their thickness, and the offending
+    clusters: every non-root component that is not a simple tail."""
     root = tree.root
     ordinary = tuple(m for m in root.marks if m != "inf")
     tails, offenders = [], []
-    for name in sorted(tree.nodes, key=_name_key):
-        node = tree.nodes[name]
+    for node in tree.nodes.values():
         if node is root:
             continue
-        depth_one = node.parent == root.name
-        if depth_one and node.is_leaf and len(node.marks) == 2:
-            tails.append(
-                Tail(pair=tuple(sorted(node.marks)), epsilon=tree.thickness(name))
-            )
+        if node.parent == root.name and not node.children and len(node.marks) == 2:
+            tails.append(Tail(pair=tuple(node.marks), epsilon=node.thickness))
         else:
-            shape = (
+            offenders.append(
                 f"cluster {node.name} (marks {{{', '.join(node.marks) or '-'}}}, "
                 f"{len(node.children)} sub-cluster(s), depth {fmt_rat(node.depth)})"
             )
-            offenders.append(shape)
-    return BranchClassification(
-        ordinary=ordinary,
-        tails=tuple(tails),
-        simple=not offenders,
-        offenders=tuple(offenders),
-    )
+    return BranchClassification(ordinary, tuple(tails), tuple(offenders))

@@ -434,35 +434,31 @@ def classify_cover(cover):
     """Exact mode: read branch data and residue geometry off a concrete
     cover whose branch values are all integral."""
     p = cover.ctx.p
-    labeled = []
-    for bp in branch_data(cover):
+    branch = branch_data(cover)
+    for bp in branch:
         if bp.value and bp.value.val() < 0:
             raise NonIntegralBranchValue(
                 f"branch value {bp.label} is not integral; move the branch values "
                 "into the unit disc by a change of coordinates"
             )
-        labeled.append((bp.label, bp.value, bp.profile))
-    if len(labeled) == 1:
-        lbl, _, prof = labeled[0]
-        return assemble(p, [(lbl, prof)], [])
-    if len(labeled) == 2:
-        (la, xa, pa), (lb, xb, pb) = sorted(labeled, key=lambda t: t[0])
-        gap = (xa - xb).val()
+    if len(branch) == 1:
+        return assemble(p, [(branch[0].label, branch[0].profile)], [])
+    if len(branch) == 2:
+        a, b = sorted(branch, key=lambda bp: bp.label)
+        gap = (a.value - b.value).val()
         if gap > 0:
             # two finite branch values force sum(n) = p + 1, so u = 0 and
             # analyze_tail reports the trichotomy as undefined
-            return assemble(p, [], [analyze_tail(p, (la, lb), pa, pb, gap)])
-    points = [(lbl, val) for lbl, val, _ in labeled]
-    tree = branchtree.build_branch_tree(points)
+            return assemble(
+                p, [], [analyze_tail(p, (a.label, b.label), a.profile, b.profile, gap)]
+            )
+    tree = branchtree.build_branch_tree((bp.label, bp.value) for bp in branch)
     verdict = branchtree.classify_points(tree)
-    if not verdict.simple:
+    if verdict.offenders:
         raise NotSimpleReduction(verdict.offenders)
-    prof_by = {lbl: prof for lbl, _, prof in labeled}
-    ordinary = [(lbl, prof_by[lbl]) for lbl in sorted(verdict.ordinary)]
-    tails = []
-    for tail in sorted(verdict.tails, key=lambda t: t.pair):
-        a, b = tail.pair
-        tails.append(analyze_tail(p, (a, b), prof_by[a], prof_by[b], tail.epsilon))
-    return assemble(p, ordinary, tails)
-
-
+    profile = {bp.label: bp.profile for bp in branch}
+    tails = [
+        analyze_tail(p, t.pair, profile[t.pair[0]], profile[t.pair[1]], t.epsilon)
+        for t in verdict.tails
+    ]
+    return assemble(p, [(lbl, profile[lbl]) for lbl in verdict.ordinary], tails)

@@ -373,15 +373,6 @@ class Element:
 
     __rmul__ = __mul__
 
-    def scale(self, q):
-        """Multiply by a plain rational (cheap path, exponents unchanged)."""
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        if not q:
-            return self.ctx.zero()
-        terms = [(k, a * q.numerator) for k, a in self.terms]
-        return _reduced(self.ctx, self.n, terms, self.den * q.denominator)
-
     def inverse(self):
         terms, n, p = self.terms, self.n, self.ctx.p
         if not terms:

@@ -12,8 +12,10 @@ The workloads decide which operations are row kernels: those that building a
 cover, ``branch_data`` and the blow-up engine call.
 
 * ``from_roots`` and ``antiderivative`` build beta, one pass each.
-* ``eval_at`` at a rational point is a homogeneous integer Horner per row,
-  else one Horner over the columns in Z[p**(1/n)] (planted covers, e > 1).
+* ``eval_at`` at a rational point is a homogeneous integer Horner per row;
+  at any other point (planted covers, e > 1) it is Horner over field
+  elements, so multiplication in Z[p**(1/n)] has the one definition in
+  :mod:`padicover.field`.
 * ``translate`` by a rational integer is the integer Taylor shift of each row
   (the classical in-place Horner scheme; von zur Gathen and Gerhard, ISSAC
   1997).  It keeps the layout canonical: the shift is unimodular over Z.
@@ -118,18 +120,6 @@ def _add_row(out, k, row):
         out[k] = row
 
 
-def _times_terms(x, y, n, p):
-    """Product of two sums of terms {k: a} * [(k, a), ...] over p**(1/n)."""
-    out = {}
-    for i, a in x.items():
-        for j, b in y:
-            k, ab = i + j, a * b
-            if k >= n:
-                k, ab = k - n, ab * p
-            out[k] = out[k] + ab if k in out else ab
-    return {k: a for k, a in out.items() if a}
-
-
 def degree(f):
     return len(f.rows[0][1]) - 1 if f.rows else -1
 
@@ -217,12 +207,11 @@ def derivative(f):
 
 def eval_at(f, x):
     """f(x), one field element: a homogeneous integer Horner per row when x
-    is rational, else one Horner over the columns in Z[p**(1/n)]."""
+    is rational, else Horner over field elements."""
     ctx = f.ctx
     if not f.rows:
         return ctx.zero()
     size, d = len(f.rows[0][1]), x.den
-    den = f.den * d ** (size - 1)
     if x.n == 1:
         a = x.terms[0][1] if x.terms else 0
         terms = []
@@ -234,18 +223,11 @@ def eval_at(f, x):
                 dp *= d
             if acc:
                 terms.append((k, acc))
-        return _reduced(ctx, f.n, terms, den)
-    n = lcm(f.n, x.n)
-    s, t = n // f.n, n // x.n
-    unit = [(j * t, a) for j, a in x.terms]
-    acc, dp = {}, 1
+        return _reduced(ctx, f.n, terms, f.den * d ** (size - 1))
+    acc = ctx.zero()
     for i in range(size - 1, -1, -1):
-        acc = _times_terms(acc, unit, n, ctx.p)
-        for k, row in f.rows:
-            if row[i]:
-                acc[k * s] = acc.get(k * s, 0) + row[i] * dp
-        dp *= d
-    return _reduced(ctx, n, sorted(ka for ka in acc.items() if ka[1]), den)
+        acc = acc * x + coefficient(f, i)
+    return acc
 
 
 def _taylor_shift(row, a):

@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations, count
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from padicover.branchtree import (
     AllPointsCoalesce,
-    VertexNotFound,
     build_branch_tree,
     classify_points,
 )
-from padicover.field import FieldContext
+from padicover.field import FieldContext, fmt_rat
 
 K = FieldContext(5, 1)
 
@@ -20,7 +20,7 @@ def pts(*pairs):
 
 
 def is_simple(points):
-    return classify_points(build_branch_tree(points)).simple
+    return not classify_points(build_branch_tree(points)).offenders
 
 
 def test_good_reduction_single_vertex():
@@ -29,7 +29,7 @@ def test_good_reduction_single_vertex():
     bc = classify_points(t)
     assert bc.ordinary == ("0", "1", "lam")
     assert bc.tails == ()
-    assert bc.simple
+    assert not bc.offenders
 
 
 def test_single_tail():
@@ -40,7 +40,7 @@ def test_single_tail():
     assert len(bc.tails) == 1
     assert bc.tails[0].pair == ("0", "lam")
     assert bc.tails[0].epsilon == eps
-    assert bc.simple
+    assert not bc.offenders
 
 
 def test_worked_five_point_example():
@@ -53,13 +53,12 @@ def test_worked_five_point_example():
         ("0", "5^2"): Fraction(2),
         ("1", "1+5^3"): Fraction(3),
     }
-    assert bc.simple
+    assert not bc.offenders
 
 
 def test_nested_cluster_is_not_simple():
     t = build_branch_tree(pts(("0", 0), ("5", 5), ("5^2", 25), ("1", 1)))
     bc = classify_points(t)
-    assert not bc.simple
     assert bc.offenders  # names the offending cluster(s)
     assert any("sub-cluster" in o or "marks" in o for o in bc.offenders)
     assert not is_simple(pts(("0", 0), ("5", 5), ("5^2", 25), ("1", 1)))
@@ -72,7 +71,6 @@ def test_two_disjoint_tails_simple():
 def test_three_marks_in_one_tail_not_simple():
     t = build_branch_tree(pts(("a", 0), ("b", 5), ("c", 10), ("1", 1)))
     bc = classify_points(t)
-    assert not bc.simple
     assert len(bc.offenders) == 1
 
 
@@ -97,12 +95,9 @@ def test_distance_and_thickness():
     tails = [n for n in t.nodes.values() if n.parent == "D"]
     assert len(tails) == 2
     a, b = sorted(tails, key=lambda n: n.depth)
-    assert t.thickness(a.name) == Fraction(2)
-    assert t.thickness(b.name) == Fraction(3)
-    with pytest.raises(VertexNotFound):
-        t.thickness("nope")
-    with pytest.raises(VertexNotFound):
-        t.thickness("D")
+    assert a.thickness == Fraction(2)
+    assert b.thickness == Fraction(3)
+    assert t.root.thickness is None
 
 
 def test_small_configurations_always_simple():
@@ -115,14 +110,101 @@ def test_small_configurations_always_simple():
             pass  # degenerate, not a counterexample
 
 
-@given(st.lists(st.integers(-10_000, 10_000), min_size=3, max_size=3, unique=True))
+@given(st.lists(st.integers(-10_000, 10_000), min_size=3, max_size=6, unique=True))
 def test_ultrametric_triple(vals):
-    a, b, c = (K.from_rational(v) for v in vals)
-    d = sorted([(a - b).val(), (b - c).val(), (a - c).val()])
-    assert d[0] == d[1]
+    xs = [K.from_rational(v) for v in vals]
+    for a, b, c in combinations(xs, 3):
+        d = sorted([(a - b).val(), (b - c).val(), (a - c).val()])
+        assert d[0] == d[1]
+    # so one member measures a cluster: its least distance to the others is
+    # the least pairwise distance
+    least = min((a - b).val() for a, b in combinations(xs, 2))
+    for r in xs:
+        assert min((x - r).val() for x in xs if x is not r) == least
 
 
 def test_dot_and_json_deterministic():
     config = pts(("0", 0), ("1", 1), ("lam", 125))
     t1, t2 = build_branch_tree(config), build_branch_tree(config)
     assert t1.to_json() == t2.to_json()
+
+
+def reference_tree(points):
+    """The all-pairs rule, kept as a reference: a cluster's depth is its
+    least pairwise valuation, its classes are found by comparing with every
+    member, and components are named depth first, sub-clusters by their
+    sorted labels.  Returns the ``to_json`` document and the ordinary marks,
+    tails and offenders of ``classify_points``."""
+    vertices, tails, offenders, names = [], [], [], count(1)
+
+    def walk(name, parent, depth, parent_depth, group):
+        classes = []
+        for label, x in group:
+            home = [c for c in classes if all((x - y).val() > depth for _, y in c)]
+            if home:
+                home[0].append((label, x))
+            else:
+                classes.append([(label, x)])
+        marks = sorted([c[0][0] for c in classes if len(c) == 1] + ["inf"] * (parent is None))
+        subs = sorted((c for c in classes if len(c) > 1), key=lambda c: sorted(l for l, _ in c))
+        entry = {"name": name, "depth": fmt_rat(depth), "marks": marks}
+        if parent is not None:
+            entry.update(parent=parent, thickness=fmt_rat(depth - parent_depth))
+            if parent == "D" and not subs and len(marks) == 2:
+                tails.append((tuple(marks), depth - parent_depth))
+            else:
+                offenders.append(
+                    f"cluster {name} (marks {{{', '.join(marks) or '-'}}}, "
+                    f"{len(subs)} sub-cluster(s), depth {fmt_rat(depth)})"
+                )
+        vertices.append(entry)
+        for c in subs:
+            least = min((a - b).val() for (_, a), (_, b) in combinations(c, 2))
+            walk(f"v{next(names)}", name, least, depth, c)
+
+    walk("D", None, Fraction(0), None, points)
+    ordinary = tuple(m for m in vertices[0]["marks"] if m != "inf")
+    return {"vertices": sorted(vertices, key=lambda v: (len(v["name"]), v["name"]))}, (
+        ordinary,
+        tuple(tails),
+        tuple(offenders),
+    )
+
+
+def nested_configuration(rng):
+    """2-7 distinct points x = sum of c_j * pi**j over j < 7 in Q_p(p**(1/2)),
+    digits c_j drawn from at most three residues, so points often share a
+    long prefix and the clusters nest; labels are shuffled letters, so the
+    order of the points is not the order of their labels."""
+    p = rng.choice([2, 3, 5, 7])
+    ctx = FieldContext(p, 2)
+    values = set()
+    for _ in range(rng.randint(2, 7)):
+        digits = [rng.randrange(min(p, 3)) for _ in range(rng.randint(1, 7))]
+        values.add((
+            sum(c * p ** (j // 2) for j, c in enumerate(digits) if j % 2 == 0),
+            sum(c * p ** (j // 2) for j, c in enumerate(digits) if j % 2 == 1),
+        ))
+    labels = rng.sample("abcdefg", len(values))
+    return [(lbl, ctx.element(list(v))) for lbl, v in zip(labels, sorted(values))]
+
+
+def test_one_walk_matches_the_all_pairs_reference():
+    rng = random.Random(2003)
+    nested = coalesced = 0
+    for _ in range(1500):
+        points = nested_configuration(rng)
+        if len({x.residue() for _, x in points}) < 2:
+            with pytest.raises(AllPointsCoalesce):
+                build_branch_tree(points)
+            coalesced += 1
+            continue
+        tree = build_branch_tree(points)
+        doc, (ordinary, tails, offenders) = reference_tree(points)
+        assert tree.to_json() == doc
+        bc = classify_points(tree)
+        assert bc.ordinary == ordinary
+        assert [(t.pair, t.epsilon) for t in bc.tails] == list(tails)
+        assert bc.offenders == offenders
+        nested += any(v.get("parent", "D") != "D" for v in doc["vertices"])
+    assert nested > 300 and coalesced > 0

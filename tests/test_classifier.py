@@ -725,6 +725,69 @@ def test_degree_conservation_enforced():
         model.validate()
 
 
+def break_law(model, law):
+    """Break one structural law of the near showcase model.  A tree law is
+    named "<side>: <law>" and broken at the side's deepest edge a-b."""
+    side, _, tree_law = law.partition(": ")
+    if tree_law:
+        comps, edges = getattr(model, f"{side}_marks"), getattr(model, f"{side}_edges")
+        root, (a, b, t) = getattr(model, f"{side}_root"), edges[-1]
+        if tree_law == "unknown component":
+            edges.append((root, "ghost", t))
+        elif tree_law == "two parents":
+            edges.append((edges[0][1], b, t))
+        elif tree_law == "<= 0":
+            edges[-1] = (a, b, F(0))
+        elif tree_law == "has a parent":
+            edges.append((b, root, t))
+        elif tree_law == "not a tree":
+            comps["ghost"] = ()
+        else:  # a cycle: b becomes the parent of its own parent a
+            edges[:] = [(b if y == a else x, y, s) for x, y, s in edges]
+    elif law == "x-root missing":
+        model.x_root = "ghost"
+    elif law == "y-root missing":
+        model.y_root = "ghost"
+    elif law == "no vertical map":
+        del model.vertical["C'(1)"]
+    elif law == "unknown target":
+        with_vertical(model, "C'(1)", target="ghost")
+    elif law == "unknown kind":
+        with_vertical(model, "C'(1)", kind="radicial")
+    elif law == "root to root":
+        with_vertical(model, "C", target="D'(1)")
+    elif law == "edge in one component":  # C_2 below C_1, both over D_1
+        model.x_edges[-1] = ("C_1(0,lam)", "C_2(0,lam)", F(2))
+    else:  # C_2 below C, but D_1 is not below D
+        model.x_edges[-1] = ("C", "C_2(0,lam)", F(2))
+
+
+TREE_LAWS = ["unknown component", "two parents", "<= 0", "has a parent", "not a tree", "cycle"]
+
+
+# the "disconnected" raise is left out: once the earlier tree checks pass,
+# every non-root component has a parent, so it cannot fire
+@pytest.mark.parametrize(
+    "law, message",
+    [(f"{side}: {law}", f"^{side}-.*{law}") for side in "xy" for law in TREE_LAWS]
+    + [
+        ("x-root missing", "root missing"),
+        ("y-root missing", "root missing"),
+        ("no vertical map", "C'\\(1\\) has no vertical map"),
+        ("unknown target", "C'\\(1\\) maps to unknown ghost"),
+        ("unknown kind", "unknown kind 'radicial'"),
+        ("root to root", "x-root does not map to y-root"),
+        ("edge in one component", "maps to a single downstairs component D_1"),
+        ("edge image", "image of x-edge C-C_2\\(0,lam\\) is not a downstairs edge D-D_1"),
+    ],
+)
+def test_each_structural_law_is_enforced(law, message):
+    model = showcase_near().validate()
+    break_law(model, law)
+    with pytest.raises(InvalidDualGraph, match=message):
+        model.validate()
+
+
 def test_json_and_dot_deterministic():
     a = showcase_far()
     b = showcase_far()

@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "padicover"
@@ -96,14 +97,34 @@ def _references(module, node):
                 yield sub.elts[0].value, sub.elts[1].value.partition(".")[0]
 
 
+def _attribute_reads(node):
+    """Attribute names a statement reads, ``x.name`` in load context or the
+    tracer's ("mod", "Class.name") target pairs, with their counts."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.Tuple) and len(sub.elts) == 2:
+            if all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in sub.elts):
+                reads[sub.elts[1].value.rpartition(".")[2]] += 1
+    return reads
+
+
 def _unreferenced(package, others):
     """Top-level functions and classes of ``package`` (module -> source) that
-    no statement of ``package`` or ``others`` names outside its own definition."""
+    no statement of ``package`` or ``others`` names outside its own definition,
+    and the non-dunder methods of its classes whose name no statement reads as
+    an attribute outside the method's own body.  Classes with a base from
+    outside the package are not scanned for methods: the base may call them."""
     statements = [
         (module, stmt, set(_references(module, stmt)))
         for module, text in {**others, **package}.items()
         for stmt in ast.parse(text).body
     ]
+    reads = sum((_attribute_reads(stmt) for _, stmt, _ in statements), Counter())
+    classes = {
+        stmt.name for m, stmt, _ in statements if m in package and isinstance(stmt, ast.ClassDef)
+    }
     found = []
     for module, stmt, _ in statements:
         if module in package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -111,6 +132,17 @@ def _unreferenced(package, others):
                 (module, stmt.name) in refs for _, node, refs in statements if node is not stmt
             ):
                 found.append(f"{module}.{stmt.name}")
+        # a base class from outside the package may call the methods it declares
+        if module in package and isinstance(stmt, ast.ClassDef) and all(
+            isinstance(base, ast.Name) and base.id in classes for base in stmt.bases
+        ):
+            for item in stmt.body:
+                if not isinstance(item, ast.FunctionDef) or (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    continue
+                if reads[item.name] == _attribute_reads(item)[item.name]:
+                    found.append(f"{module}.{stmt.name}.{item.name}")
     return sorted(found)
 
 
@@ -136,6 +168,24 @@ def test_the_caller_rule_flags_an_unused_def():
     package = {
         "m": "def used():\n    return 1\n\ndef unused():\n    return unused()\n\nX = used()\n",
         "n": "from .m import used\n\nclass Kept:\n    pass\n\nclass Dropped:\n    pass\n",
+        "o": (
+            "class C:\n"
+            "    def __init__(self):\n        self.stored = self.called()\n"
+            "    def called(self):\n        return 1\n"
+            "    def traced(self):\n        return 2\n"
+            "    def stored(self):\n        return 3\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "X = C()\n"
+            "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n"
+            "class Q(C):\n    def unread(self):\n        pass\n"
+            "Y = P(), Q()\n"
+        ),
     }
-    others = {"tracer": 'TARGETS = (("n", "Kept.method"),)\n'}
-    assert _unreferenced(package, others) == ["m.unused", "n.Dropped"]
+    others = {"tracer": 'TARGETS = (("n", "Kept.method"), ("o", "C.traced"))\n'}
+    assert _unreferenced(package, others) == [
+        "m.unused",
+        "n.Dropped",
+        "o.C.recursive",
+        "o.C.stored",
+        "o.Q.unread",
+    ]
