@@ -5,13 +5,21 @@ two points sit strictly inside a common sub-disc of radius q exactly when
 v(a - b) > q.  The root D is the unit-disc component, where the point at
 infinity also specializes (the virtual mark "inf").  One recursive walk
 builds the rest: at a component of depth d the points split into the classes
-of v(a - b) > d; a class of one point is a mark of the component, and each
-larger class g becomes a child component, in order of its sorted labels.
-The child's depth is the least v(x - g[0]), read from the one member g[0]:
+of v(a - b) > d, each class found by comparing a point with the first member
+of every class so far; a class of one point is a mark of the component, and
+each larger class g becomes a child component, in order of its sorted
+labels.  The child's depth is the least v(x - g[0]) over its members:
 v(a - b) >= min(v(a - g[0]), v(b - g[0])) by the ultrametric inequality, so
 that is the least pairwise valuation.  Its edge to the parent has thickness
 = depth - parent depth.  Components are named as the walk creates them: D,
 then v1, v2, ... depth first, the order of ``MetricTree.nodes``.
+
+The walk runs on ints, each valuation read as N * v with N the lcm of the
+points' own n (``Element.scaled_val``).  A member placed in a class carries
+its distance to the class's first member down the walk, where it gives the
+child's depth and places the member in the child's first class, headed by
+the same point, so no pair is subtracted twice.  A node's ``depth`` and
+``thickness`` are the only ``Fraction``s, built once each.
 
 A non-root leaf carrying exactly two marks directly below the root is a
 *simple tail*; the whole configuration has simple reduction when every
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .field import fmt_rat
 
@@ -71,16 +80,22 @@ class MetricTree:
         return {"vertices": out}
 
 
-def _group(points, threshold):
-    """Partition by the equivalence v(a-b) > threshold (ultrametric, so it is one)."""
+def _group(points, threshold, n):
+    """Partition (label, x, w) by the equivalence v(a - b) > threshold
+    (ultrametric, so it is one), valuations scaled by n.  w is n * v(x -
+    points[0].x) when known, else None; each member comes out carrying its
+    w to its class's first member, which carries None."""
     groups = []
-    for label, x in points:
-        for g in groups:
-            if (x - g[0][1]).val() > threshold:
-                g.append((label, x))
+    for label, x, w in points:
+        for i, g in enumerate(groups):
+            if i or w is None:  # the first class is headed by points[0]
+                d = x - g[0][1]
+                w = d.scaled_val() * (n // d.n)
+            if w > threshold:
+                g.append((label, x, w))
                 break
         else:
-            groups.append([(label, x)])
+            groups.append([(label, x, None)])
     return groups
 
 
@@ -92,35 +107,38 @@ def build_branch_tree(points):
     the root component would not exist as a stable marked component
     (AllPointsCoalesce).
     """
-    pts = [(str(label), x) for label, x in points]
+    pts = [(str(label), x, None) for label, x in points]
     if len(pts) < 2:
         raise AllPointsCoalesce("need at least two marked points")
     seen = set()
-    for label, x in pts:
-        if x and x.val() < 0:
+    for label, x, _ in pts:
+        if x.den % x.ctx.p == 0:  # v < 0 exactly when p divides den
             raise ValueError(f"marked point {label} has negative valuation")
         if x in seen:
             raise ValueError(f"marked points must be distinct ({label} repeats)")
         seen.add(x)
+    n = lcm(*(x.n for _, x, _ in pts))
 
-    root_groups = _group(pts, Fraction(0))
+    root_groups = _group(pts, 0, n)
     if len(root_groups) < 2:
         raise AllPointsCoalesce("all marked points share one residue; no two specialize apart")
     nodes = {}
 
-    def attach(node, groups):
+    def attach(node, depth, groups):
         nodes[node.name] = node
         node.marks += [g[0][0] for g in groups if len(g) == 1]
         node.marks.sort()
         clusters = [g for g in groups if len(g) > 1]
-        for g in sorted(clusters, key=lambda g: sorted(lbl for lbl, _ in g)):
-            depth = min((x - g[0][1]).val() for _, x in g[1:])
-            child = TreeNode(f"v{len(nodes)}", depth, depth - node.depth, node.name)
+        for g in sorted(clusters, key=lambda g: sorted(lbl for lbl, _, _ in g)):
+            below = min(w for _, _, w in g[1:])
+            child = TreeNode(
+                f"v{len(nodes)}", Fraction(below, n), Fraction(below - depth, n), node.name
+            )
             node.children.append(child)
-            attach(child, _group(g, depth))
+            attach(child, below, _group(g, below, n))
 
     root = TreeNode("D", Fraction(0), None, None, ["inf"])
-    attach(root, root_groups)
+    attach(root, 0, root_groups)
     return MetricTree(root, nodes)
 
 

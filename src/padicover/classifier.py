@@ -63,8 +63,9 @@ class NonIntegralBranchValue(ClassifierError):
 class NotSimpleReduction(ClassifierError):
     """Some residue cluster has more than two branch values."""
 
-    def __init__(self, offenders):
+    def __init__(self, offenders, tree):
         self.offenders = tuple(offenders)
+        self.tree = tree  # the branchtree.MetricTree the offenders are read from
         super().__init__(
             "branch locus is not simple; offending clusters: "
             + "; ".join(self.offenders)
@@ -255,9 +256,8 @@ class _Builder:
         cx, dy = f"C'({label})", f"D'({label})"
         self.x_marks[cx] = tuple((label, m) for m in profile)
         self.y_marks[dy] = (label,)
-        t = Fraction(1, n - 1)
-        self.x_edges.append(("C", cx, t))
-        self.y_edges.append(("D", dy, self.p * t))
+        self.x_edges.append(("C", cx, Fraction(1, n - 1)))
+        self.y_edges.append(("D", dy, Fraction(self.p, n - 1)))
         self.vertical[cx] = VerticalMap(
             dy, self.p, "etale", notes=("wild above junction image",)
         )
@@ -436,7 +436,7 @@ def classify_cover(cover):
     p = cover.ctx.p
     branch = branch_data(cover)
     for bp in branch:
-        if bp.value and bp.value.val() < 0:
+        if bp.value.den % p == 0:  # v < 0 exactly when p divides den
             raise NonIntegralBranchValue(
                 f"branch value {bp.label} is not integral; move the branch values "
                 "into the unit disc by a change of coordinates"
@@ -445,17 +445,18 @@ def classify_cover(cover):
         return assemble(p, [(branch[0].label, branch[0].profile)], [])
     if len(branch) == 2:
         a, b = sorted(branch, key=lambda bp: bp.label)
-        gap = (a.value - b.value).val()
-        if gap > 0:
+        d = a.value - b.value
+        if (w := d.scaled_val()) > 0:
             # two finite branch values force sum(n) = p + 1, so u = 0 and
             # analyze_tail reports the trichotomy as undefined
+            gap = Fraction(w, d.n)
             return assemble(
                 p, [], [analyze_tail(p, (a.label, b.label), a.profile, b.profile, gap)]
             )
     tree = branchtree.build_branch_tree((bp.label, bp.value) for bp in branch)
     verdict = branchtree.classify_points(tree)
     if verdict.offenders:
-        raise NotSimpleReduction(verdict.offenders)
+        raise NotSimpleReduction(verdict.offenders, tree)
     profile = {bp.label: bp.profile for bp in branch}
     tails = [
         analyze_tail(p, t.pair, profile[t.pair[0]], profile[t.pair[1]], t.epsilon)

@@ -4,7 +4,8 @@ Exit codes are part of the interface:
 
   0  success (for ``verify``: the two routes agree)
   1  ``verify`` ran both routes and they disagree
-  2  the cover does not have simple reduction (offending branch values listed)
+  2  the cover does not have simple reduction (offending branch values listed,
+     and with ``classify --emit-branch-tree`` the branch tree they sit in)
   3  malformed input: bad JSON, bad schema, unparsable rationals, bad flags,
      or a branch value too large to write (Python's int-to-string digit limit)
   4  a domain or engine error, with advice on what to try
@@ -515,7 +516,10 @@ def main(argv=None):
         sys.stderr.write(f"input error: {exc}\n")
         return 3
     except NotSimpleReduction as exc:
-        sys.stderr.write(_canonical({"error": str(exc), "offenders": list(exc.offenders)}))
+        doc = {"error": str(exc), "offenders": list(exc.offenders)}
+        if args.command == "classify" and args.emit_branch_tree:
+            doc["branch_tree"] = exc.tree.to_json()  # the tree shows why
+        sys.stderr.write(_canonical(doc))
         return 2
     except (ClassifierError, OracleError, AllPointsCoalesce) as exc:
         advice = ""

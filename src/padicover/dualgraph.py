@@ -86,22 +86,23 @@ class DualGraphPair:
                     raise InvalidDualGraph(f"{side}-edge {a}-{b} names unknown component")
                 if b in parents:
                     raise InvalidDualGraph(f"{side}-component {b} has two parents")
-                if t <= 0:
+                if t.numerator <= 0:  # a rational's sign, with no ABC check
                     raise InvalidDualGraph(f"{side}-edge {a}-{b} has thickness {t} <= 0")
                 parents[b] = a
             if root in parents:
                 raise InvalidDualGraph(f"{side}-root {root} has a parent")
             if len(edges) != len(comps) - 1:
                 raise InvalidDualGraph(f"{side}-graph is not a tree")
-            for name in comps:
-                seen, cur = set(), name
-                while cur != root:
-                    if cur in seen:
+            # every non-root component has a parent: |comps| - 1 distinct targets, no root
+            reaches = {root}  # components known to reach the root
+            for cur in comps:
+                walk = set()
+                while cur not in reaches:
+                    if cur in walk:
                         raise InvalidDualGraph(f"{side}-graph has a cycle at {cur}")
-                    seen.add(cur)
-                    if cur not in parents:
-                        raise InvalidDualGraph(f"{side}-component {cur} is disconnected")
+                    walk.add(cur)
                     cur = parents[cur]
+                reaches.update(walk)
         for name in self.x_marks:
             if name not in self.vertical:
                 raise InvalidDualGraph(f"component {name} has no vertical map")

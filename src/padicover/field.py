@@ -9,13 +9,15 @@ its nonzero terms, 0 <= k < N, and the least d, so that gcd(d, every a) = 1;
 a product folds p**(k/N) with k >= N into a factor p.  This is the layout of
 FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
-anywhere, and no per-coefficient rational to normalize.  ``Fraction`` appears
-only where rationals come in or go out: parsing, printing, ``Element.val``
-and the Gauss-Jordan inverse of an element with several terms.  The
-valuation is normalized so that v(p) = 1; ``Element.scaled_val`` reads it as
-the int n * v over the element's own n, ``val`` as a ``Fraction``, and
-``None`` stands for the infinite valuation of 0, so a comparison that
-forgets the zero case raises TypeError instead of answering.
+anywhere, and no per-coefficient rational to normalize.  Input strings are
+parsed straight to integer pairs (a, b), with no ``Fraction`` in between.
+``Fraction`` appears only where a rational comes in or goes out whole
+(``parse_rat``, ``fmt_rat``, ``from_rational``, ``uniformizer_power``), in
+``Element.val`` and in the Gauss-Jordan inverse of an element with several
+terms.  The valuation is normalized so that v(p) = 1; ``Element.scaled_val``
+reads it as the int n * v over the element's own n, ``val`` as a
+``Fraction``, and ``None`` stands for the infinite valuation of 0, so a
+comparison that forgets the zero case raises TypeError instead of answering.
 
 X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
 distinct valuations v_p(a) + k/N - v_p(d) (their fractional parts k/N differ),
@@ -68,11 +70,6 @@ def vp(q, p):
     q = Fraction(q)
     if q == 0:
         return None
-    return _vp(q, p)
-
-
-def _vp(q, p):
-    # q a nonzero Fraction
     return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
 
 
@@ -96,7 +93,7 @@ def fmt_rat(q):
     """Render a rational as 'a' or 'a/b' (exactly, no floats)."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    return _fmt(q.numerator, q.denominator)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _fmt(a, d):
@@ -110,8 +107,9 @@ def _fmt(a, d):
 _RATIONAL = re.compile(r" *([+-]?[0-9]+)(?:/([0-9]+))? *")
 
 
-def parse_rat(s):
-    """A Fraction from an int, a Fraction, or a string 'a' or 'a/b'.
+def _parse_pair(s):
+    """(a, b) with a / b = s and b > 0, not necessarily in lowest terms, from
+    an int, a Fraction, or a string 'a' or 'a/b'.
 
     a and b are ASCII digits, a with an optional sign, and spaces may
     surround the whole.  Anything else, a float, a bool, a decimal point or
@@ -120,10 +118,19 @@ def parse_rat(s):
     """
     if isinstance(s, str):
         if match := _RATIONAL.fullmatch(s):
-            return Fraction(int(match[1]), int(match[2] or 1))
-    elif type(s) is int or isinstance(s, Fraction):
-        return Fraction(s)
+            if b := int(match[2] or 1):
+                return int(match[1]), b
+            raise ZeroDivisionError(f"{s!r} has a zero denominator")
+    elif type(s) is int:
+        return s, 1
+    elif isinstance(s, Fraction):
+        return s.numerator, s.denominator
     raise ValueError(f"{s!r} is not a rational of the form a or a/b")
+
+
+def parse_rat(s):
+    """A Fraction from what ``_parse_pair`` reads, refusing what it refuses."""
+    return Fraction(*_parse_pair(s))
 
 
 class FieldContext:
@@ -166,10 +173,10 @@ class FieldContext:
 
     def element(self, coeffs):
         """Element from <= e rationals or rational strings (coeffs of pi**i)."""
-        cs = [parse_rat(c) for c in coeffs]
+        cs = [_parse_pair(c) for c in coeffs]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coefficients, got {len(cs)}")
-        return _from_fractions(self, self.e, [(i, c) for i, c in enumerate(cs) if c])
+        return _from_pairs(self, self.e, [(i, a, b) for i, (a, b) in enumerate(cs)])
 
     def from_rational(self, q):
         if not isinstance(q, (int, Fraction)):
@@ -224,11 +231,10 @@ def _rational(ctx, a, den):
     return Element(ctx, 1, ((0, a),), den)
 
 
-def _from_fractions(ctx, n, terms):
-    """Element from sorted nonzero terms (k, c) with Fraction coefficients c."""
-    den = lcm(*(c.denominator for _, c in terms))
-    terms = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
-    return _reduced(ctx, n, terms, den)
+def _from_pairs(ctx, n, terms):
+    """Element from terms (k, a, b), k ascending, each a / b * p**(k/n), b > 0."""
+    den = lcm(*(b for _, _, b in terms))
+    return _reduced(ctx, n, [(k, a * (den // b)) for k, a, b in terms if a], den)
 
 
 def _combine(x, y, negate):
@@ -403,8 +409,8 @@ class Element:
                 f = rows[r][col]
                 if r != col and f:
                     rows[r] = [v - f * w for v, w in zip(rows[r], top)]
-        solution = [(k, row[n]) for k, row in enumerate(rows) if row[n]]
-        return _from_fractions(self.ctx, n, solution)
+        solution = [(k, row[n].numerator, row[n].denominator) for k, row in enumerate(rows)]
+        return _from_pairs(self.ctx, n, solution)
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -217,6 +217,6 @@ def random_integral_cover(rng, p, e=1):
             (ctx.from_rational(x), m) for x, m in zip(sorted(locations), mults)
         ]
         cover = from_critical_divisor(points, ctx)
-        values = {kpoly.eval_at(cover.beta, x).val() for x, _ in points}
+        values = {kpoly.eval_at(cover.beta, x).scaled_val() for x, _ in points}
         if 0 in values:
             return cover

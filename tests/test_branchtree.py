@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from padicover import planted
 from padicover.branchtree import (
     AllPointsCoalesce,
     build_branch_tree,
     classify_points,
 )
+from padicover.cover import branch_data
 from padicover.field import FieldContext, fmt_rat
 
 K = FieldContext(5, 1)
@@ -208,3 +210,66 @@ def test_one_walk_matches_the_all_pairs_reference():
         assert bc.offenders == offenders
         nested += any(v.get("parent", "D") != "D" for v in doc["vertices"])
     assert nested > 300 and coalesced > 0
+
+
+def val_walk_tree(points):
+    """The one-walk tree with every valuation read as a ``Fraction`` by
+    ``Element.val``: each class compared with its first member, a child's
+    depth the least v(x - g[0]) over its members, every pair subtracted
+    where it is met.  Returns (name, parent, marks, depth, thickness) per
+    component, in creation order."""
+
+    def group(members, threshold):
+        classes = []
+        for label, x in members:
+            for c in classes:
+                if (x - c[0][1]).val() > threshold:
+                    c.append((label, x))
+                    break
+            else:
+                classes.append([(label, x)])
+        return classes
+
+    out = []
+
+    def walk(name, parent, depth, parent_depth, classes, marks):
+        own = sorted(marks + [c[0][0] for c in classes if len(c) == 1])
+        out.append((name, parent, own, depth, None if parent is None else depth - parent_depth))
+        subs = sorted((c for c in classes if len(c) > 1), key=lambda c: sorted(l for l, _ in c))
+        for c in subs:
+            below = min((x - c[0][1]).val() for _, x in c[1:])
+            walk(f"v{len(out)}", name, below, depth, group(c, below), [])
+
+    classes = group(points, Fraction(0))
+    if len(classes) < 2:
+        raise AllPointsCoalesce("reference")
+    walk("D", None, Fraction(0), None, classes, ["inf"])
+    return out
+
+
+def test_integer_walk_matches_the_fraction_walk_on_covers():
+    # the branch values of the planted suite (e up to 4, some values off Q)
+    # and of seeded random covers (rational values)
+    configs = [branch_data(inst.cover) for inst in planted.suite()]
+    rng = random.Random(1604)
+    for p, e in product((5, 7, 11), (1, 2)):
+        configs += [branch_data(planted.random_integral_cover(rng, p, e)) for _ in range(200)]
+    clustered = nested = coalesced = irrational = 0
+    for branch in configs:
+        points = [(bp.label, bp.value) for bp in branch]
+        if len(points) < 2:
+            continue
+        try:
+            want = val_walk_tree(points)
+        except AllPointsCoalesce:
+            with pytest.raises(AllPointsCoalesce):
+                build_branch_tree(points)
+            coalesced += 1
+            continue
+        got = build_branch_tree(points).nodes.values()
+        assert [(n.name, n.parent, n.marks, n.depth, n.thickness) for n in got] == want
+        clustered += len(got) > 1
+        nested += any(n.parent not in (None, "D") for n in got)
+        irrational += any(x.n > 1 for _, x in points)
+    # 256 configurations with a cluster, 7 nested, 48 coalesced, 12 off Q
+    assert clustered > 200 and nested > 3 and coalesced > 20 and irrational > 10

@@ -765,8 +765,8 @@ def break_law(model, law):
 TREE_LAWS = ["unknown component", "two parents", "<= 0", "has a parent", "not a tree", "cycle"]
 
 
-# the "disconnected" raise is left out: once the earlier tree checks pass,
-# every non-root component has a parent, so it cannot fire
+# the walk to the root has no "disconnected" raise: once the earlier tree
+# checks pass, every non-root component has a parent
 @pytest.mark.parametrize(
     "law, message",
     [(f"{side}: {law}", f"^{side}-.*{law}") for side in "xy" for law in TREE_LAWS]
@@ -785,6 +785,45 @@ def test_each_structural_law_is_enforced(law, message):
     model = showcase_near().validate()
     break_law(model, law)
     with pytest.raises(InvalidDualGraph, match=message):
+        model.validate()
+
+
+def add_edges(model, side, edges):
+    """Add the edges and their targets, the targets first among the side's
+    components and in reverse, so the walk to the root starts at the last."""
+    comps = getattr(model, f"{side}_marks")
+    setattr(model, f"{side}_marks", {**{b: () for _, b in reversed(edges)}, **comps})
+    getattr(model, f"{side}_edges").extend((a, b, F(1)) for a, b in edges)
+
+
+def chain(top, names):
+    return list(zip([top, *names], names))
+
+
+DEEP = [f"k{i}" for i in range(1, 9)]  # 8 edges below the root; the showcase has 2
+
+
+@pytest.mark.parametrize("side", "xy")
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("cycle", "^{side}-graph has a cycle at c$"),
+        ("chain", "^(component k8 has no vertical map|degrees over k8 sum to 0)"),
+        ("chain, then a cycle under a chain", "^{side}-graph has a cycle at c$"),
+    ],
+    ids=["cycle", "deep-chain", "cycle-below-deep-chain"],
+)
+def test_the_walk_to_the_root_finds_cycles_past_deep_chains(side, shape, message):
+    # a 3-cycle a -> b -> c -> a avoids the root; the deep chain reaches it, so
+    # the walk passes it and the first failure is a later law
+    model = showcase_near().validate()
+    edges = chain(getattr(model, f"{side}_root"), DEEP) if "chain" in shape else []
+    if "cycle" in shape:
+        edges += [("c", "a"), ("a", "b"), ("b", "c")]
+    if "under" in shape:
+        edges += chain("c", [f"t{i}" for i in range(1, 7)])
+    add_edges(model, side, edges)
+    with pytest.raises(InvalidDualGraph, match=message.format(side=side)):
         model.validate()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from padicover import cli, kpoly, planted
-from padicover.cover import EXACT_E_BOUND
+from padicover.cover import EXACT_E_BOUND, branch_data
 from padicover.dualgraph import DualGraphPair
 from padicover.field import PRIME_BOUND
 
@@ -44,6 +44,27 @@ def test_classify_emits_the_branch_tree(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "branch_tree" in doc
     assert "error" not in doc["branch_tree"]
+
+
+def test_a_refused_cover_gets_its_branch_tree(tmp_path, capsys):
+    # the 96th p = 5 cover of the seed-2 draw has a cluster inside a cluster
+    rng = random.Random(2)
+    for _ in range(96):
+        cover = planted.random_integral_cover(rng, 5, 1)
+    doc = exact_doc(cover)
+    assert run_main(tmp_path, "classify", "--cover", doc) == 2
+    plain = json.loads(capsys.readouterr().err)
+    assert sorted(plain) == ["error", "offenders"]
+    assert run_main(tmp_path, "classify", "--cover", doc, "--emit-branch-tree") == 2
+    out, err = capsys.readouterr()
+    assert not out
+    refused, tree = json.loads(err), cli._branch_tree_doc(branch_data(cover))
+    assert refused.pop("branch_tree") == tree
+    assert refused == plain
+    assert [(v["name"], v.get("parent")) for v in tree["vertices"]] == [
+        ("D", None), ("v1", "D"), ("v2", "v1")
+    ]
+    assert run_main(tmp_path, "verify", "--cover", doc) == 2
 
 
 def test_verify_evaluates_beta_once_per_critical_point(tmp_path, capsys, monkeypatch):

@@ -185,6 +185,37 @@ def test_rat_format_roundtrip(q):
     assert parse_rat(fmt_rat(q)) == q
 
 
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), min_size=1, max_size=4),
+)
+def test_strings_parse_straight_to_the_canonical_element(p, pairs):
+    # "a/b" not in lowest terms, "0/b" and spaces; the reference sums Fractions
+    K = FieldContext(p, len(pairs))
+    strings = [f" {a * b}/{b * b}" if a % 2 else f"{a}/{b} " for a, b in pairs]
+    want = K.zero()
+    for i, c in enumerate(strings):
+        want += K.from_rational(parse_rat(c)) * K.pi() ** i
+    assert K.element(strings) == want
+    assert K.element([parse_rat(c) for c in strings]) == want
+
+
+@pytest.mark.parametrize("bad", ["1/0", "0/0", " -3/0"])
+def test_a_zero_denominator_is_refused(bad):
+    with pytest.raises(ZeroDivisionError):
+        parse_rat(bad)
+    with pytest.raises(ZeroDivisionError):
+        FieldContext(5, 2).element(["1", bad])
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1.5", "1e3", "1/-2", "1 / 2", "", None])
+def test_only_ints_fractions_and_rational_strings_parse(bad):
+    with pytest.raises(ValueError):
+        parse_rat(bad)
+    with pytest.raises(ValueError):
+        FieldContext(5, 2).element([bad])
+
+
 def test_pow_matches_repeated_mul():
     K = FieldContext(3, 2)
     x = K.element([2, Fraction(1, 3)])

@@ -80,6 +80,32 @@ def test_the_import_rule_sees_each_kind_of_import():
     assert sorted(_imported_modules(ast.parse(source))) == ["b", "c", "d", "e"]
 
 
+def _val_calls(tree):
+    """Line numbers of the ``x.val()`` calls in a source."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "val"
+        ):
+            yield node.lineno
+
+
+def test_both_routes_read_valuations_as_ints():
+    # Element.scaled_val gives n * v as an int; val builds a Fraction per reading
+    offenders = [
+        f"{module}.py:{lineno}"
+        for module in ("classifier", "branchtree", "oracle")
+        for lineno in _val_calls(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_val_rule_sees_each_call():
+    source = "a = x.val()\nb = (x - y).val() > 0\nc = x.scaled_val()\nd = x.val\n"
+    assert list(_val_calls(ast.parse(source))) == [1, 2]
+
+
 def _references(module, node):
     """(module, name) pairs a statement of ``module`` names: bare names (taken
     as its own module's), ``mod.name``, ``from mod import name``, and the
