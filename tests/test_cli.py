@@ -436,6 +436,40 @@ def test_classify_output_is_pinned(tmp_path):
     assert classify_outputs(tmp_path) == json.loads(CLASSIFY_GOLDEN.read_text())
 
 
+# sha256 of every file `example8 --emit json|dot|both` and `atlas` write,
+# with their exit code and stdout, the output directory masked; the count
+# tests above pin only the number of models, rows and splittings.  Rewrite
+# it with `PYTHONPATH=src python tests/test_cli.py`.
+BUNDLE_GOLDEN = Path(__file__).parent / "bundle_golden.json"
+BUNDLE_COMMANDS = {
+    "example8-json": ["example8", "--emit", "json"],
+    "example8-dot": ["example8", "--emit", "dot"],
+    "example8-both": ["example8", "--emit", "both"],
+    "atlas": ["atlas"],
+}
+
+
+def bundle_outputs(directory):
+    got = {}
+    for name, argv in BUNDLE_COMMANDS.items():
+        outdir, out = directory / name, io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([*argv, "--out", str(outdir)])
+        got[name] = {
+            "code": code,
+            "stdout": out.getvalue().replace(str(outdir), "<out>"),
+            "files": {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(outdir.iterdir())
+            },
+        }
+    return got
+
+
+def test_bundle_output_is_pinned(tmp_path):
+    assert bundle_outputs(tmp_path) == json.loads(BUNDLE_GOLDEN.read_text())
+
+
 def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(cover):
         raise RuntimeError("boom")
@@ -453,5 +487,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         rows = classify_outputs(Path(tmp))
+        bundles = bundle_outputs(Path(tmp))
     body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in rows.items())
     CLASSIFY_GOLDEN.write_text("{\n" + body + "\n}\n")
+    BUNDLE_GOLDEN.write_text(json.dumps(bundles, sort_keys=True, indent=2) + "\n")
