@@ -41,6 +41,9 @@ class AllPointsCoalesce(ValueError):
     """All marked points share one residue: no two specialize apart."""
 
 
+ONE_POINT = "need at least two marked points"
+
+
 @dataclass
 class TreeNode:
     name: str
@@ -109,10 +112,10 @@ def build_branch_tree(points):
     """
     pts = [(str(label), x, None) for label, x in points]
     if len(pts) < 2:
-        raise AllPointsCoalesce("need at least two marked points")
+        raise AllPointsCoalesce(ONE_POINT)
     seen = set()
     for label, x, _ in pts:
-        if x.den % x.ctx.p == 0:  # v < 0 exactly when p divides den
+        if not x.is_integral():
             raise ValueError(f"marked point {label} has negative valuation")
         if x in seen:
             raise ValueError(f"marked points must be distinct ({label} repeats)")

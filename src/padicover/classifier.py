@@ -304,7 +304,7 @@ class _Builder:
             self.y_edges.append((dy, d1y, eps - eps0))
             self.vertical[cx] = VerticalMap(dy, self.p, "etale")
 
-    def build(self, choices=()):
+    def build(self, choices):
         """The model with the leaves of each (marks, edges, maps, entry) choice."""
         x_marks, x_edges, vertical = dict(self.x_marks), list(self.x_edges), dict(self.vertical)
         for marks, edges, maps, _ in choices:
@@ -344,6 +344,7 @@ class Classification:
     ordinary: tuple  # ((label, profile), ...)
     tails: tuple  # of TailReport
     models: tuple  # of DualGraphPair, one per choice of partitions
+    tree: object = None  # classify_cover's branchtree.MetricTree, if it built one
 
     @property
     def model(self):
@@ -355,7 +356,7 @@ class Classification:
         return self.models[0]
 
 
-def assemble(p, ordinary, tail_reports):
+def assemble(p, ordinary, tail_reports, tree=None):
     """All candidate full models: one per choice of a partition pair for
     each near-threshold tail (other regimes are rigid).  The rigid part is
     built once; each choice adds only the leaves of its near tails."""
@@ -370,6 +371,7 @@ def assemble(p, ordinary, tail_reports):
         ordinary=tuple((lbl, tuple(prof)) for lbl, prof in ordinary),
         tails=tuple(tail_reports),
         models=tuple(skeleton.build(combo) for combo in itertools.product(*choice_sets)),
+        tree=tree,
     )
 
 
@@ -432,11 +434,12 @@ def classify_formula(p, branch_specs):
 
 def classify_cover(cover):
     """Exact mode: read branch data and residue geometry off a concrete
-    cover whose branch values are all integral."""
+    cover whose branch values are all integral.  The result carries the
+    branch tree it is read from; a cover with one branch value has none."""
     p = cover.ctx.p
     branch = branch_data(cover)
     for bp in branch:
-        if bp.value.den % p == 0:  # v < 0 exactly when p divides den
+        if not bp.value.is_integral():
             raise NonIntegralBranchValue(
                 f"branch value {bp.label} is not integral; move the branch values "
                 "into the unit disc by a change of coordinates"
@@ -462,4 +465,4 @@ def classify_cover(cover):
         analyze_tail(p, t.pair, profile[t.pair[0]], profile[t.pair[1]], t.epsilon)
         for t in verdict.tails
     ]
-    return assemble(p, [(lbl, profile[lbl]) for lbl in verdict.ordinary], tails)
+    return assemble(p, [(lbl, profile[lbl]) for lbl in verdict.ordinary], tails, tree)

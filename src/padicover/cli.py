@@ -52,7 +52,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import kpoly, newton
-from .branchtree import AllPointsCoalesce, build_branch_tree
+from .branchtree import ONE_POINT, AllPointsCoalesce
 from .classifier import (
     ClassifierError,
     InvalidProfile,
@@ -201,20 +201,12 @@ def _classification_doc(classification, emit, mode):
     return doc
 
 
-def _newton_doc(cover, branch):
+def _newton_doc(cover):
     out = {}
-    for bp in branch:
+    for bp in branch_data(cover):
         fiber = kpoly.sub(cover.beta, kpoly.from_elements(cover.ctx, [bp.value]))
         out[bp.label] = newton.newton_polygon(fiber).to_json()
     return out
-
-
-def _branch_tree_doc(branch):
-    points = [(bp.label, bp.value) for bp in branch]
-    try:
-        return build_branch_tree(points).to_json()
-    except AllPointsCoalesce as exc:
-        return {"error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +228,11 @@ def _cmd_classify(args):
         classification = classify_formula(p, specs)
         mode = "formula"
     doc = _classification_doc(classification, args.emit, mode)
-    if args.cover and (args.emit_newton or args.emit_branch_tree):
-        branch = branch_data(cover)
-        if args.emit_newton:
-            doc["newton"] = _newton_doc(cover, branch)
-        if args.emit_branch_tree:
-            doc["branch_tree"] = _branch_tree_doc(branch)
+    if args.emit_newton:
+        doc["newton"] = _newton_doc(cover)
+    if args.emit_branch_tree:  # the tree classify_cover built; one point has none
+        tree = classification.tree
+        doc["branch_tree"] = tree.to_json() if tree else {"error": ONE_POINT}
     if args.out:
         outdir = Path(args.out)
         for i, model in enumerate(classification.models):
@@ -363,46 +354,15 @@ def _cmd_atlas(args):
 
 
 _SHOWCASE_PROFILES = {"0": (3, 1, 1), "1": (2, 1, 1, 1), "lam": (2, 1, 1, 1)}
-
-
-def _showcase_specs(collide_with=None, epsilon=None):
-    specs = []
-    for name in ("0", "1", "lam"):
-        spec = {"name": name, "profile": _SHOWCASE_PROFILES[name]}
-        if collide_with is not None and name == collide_with:
-            spec["tail_with"] = "lam"
-            spec["epsilon"] = Fraction(epsilon)
-        specs.append(spec)
-    return specs
-
-
-def _iter_showcase():
-    """The fixed demonstration family: one good star and two colliding pairs.
-
-    Three branch values with profiles (3,1,1), (2,1,1,1), (2,1,1,1); the
-    floating value "lam" collides with "0" (threshold 5) or with "1"
-    (threshold 5/2) at a representative distance in each regime.  Nine models
-    in all: the near cases contribute one model per admissible splitting.
-    Yields (name, classification, model, collides_with, epsilon, choice).
-    """
-    good = classify_formula(5, _showcase_specs())
-    yield ("good", good, good.model, None, None, 0)
-    for collide, cases in (
-        ("0", (("far", 1), ("critical", 5), ("near", 7))),
-        ("1", (("far", 1), ("critical", Fraction(5, 2)), ("near", 3))),
-    ):
-        for tag, eps in cases:
-            classification = classify_formula(5, _showcase_specs(collide, eps))
-            for j, model in enumerate(classification.models):
-                suffix = "" if len(classification.models) == 1 else "-" + "ab"[j]
-                yield (
-                    f"collide{collide}-{tag}{suffix}",
-                    classification,
-                    model,
-                    collide,
-                    Fraction(eps),
-                    j,
-                )
+# the fixed demonstration family: "lam" apart from both other values, then
+# colliding with "0" (threshold 5) or "1" (threshold 5/2) at a distance in
+# each regime, as (partner, epsilon); nine models in all, as a near case
+# gives one model per admissible splitting
+_SHOWCASE_CASES = (
+    (None, None),
+    ("0", 1), ("0", 5), ("0", 7),
+    ("1", 1), ("1", Fraction(5, 2)), ("1", 3),
+)
 
 
 def _cmd_example8(args):
@@ -410,29 +370,35 @@ def _cmd_example8(args):
         raise SchemaError("example8 needs --out DIR")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    profiles = {name: list(profile) for name, profile in _SHOWCASE_PROFILES.items()}
     index = []
-    counter = 0
-    for name, classification, model, collide, eps, j in _iter_showcase():
-        basename = f"showcase-{counter:02d}-{name}"
-        counter += 1
-        files = _write_outputs(outdir, basename, model, args.emit)
-        entry = {
-            "name": basename,
-            "files": files,
-            "profiles": {k: list(v) for k, v in _SHOWCASE_PROFILES.items()},
-        }
-        if collide is not None:
-            tail = classification.tails[0]
-            entry.update(
-                {
-                    "collides": [collide, "lam"],
-                    "epsilon": fmt_rat(eps),
-                    "threshold": fmt_rat(tail.threshold),
-                    "regime": tail.regime,
-                    "model_choice": j,
-                }
-            )
-        index.append(entry)
+    for partner, eps in _SHOWCASE_CASES:
+        tail = {"tail_with": "lam", "epsilon": eps}
+        classification = classify_formula(5, [
+            {"name": name, "profile": profile, **(tail if name == partner else {})}
+            for name, profile in _SHOWCASE_PROFILES.items()
+        ])
+        tag, facts = "good", {}
+        for report in classification.tails:  # at most one; "lam" sorts last
+            tag = f"collide{report.pair[0]}-{report.regime}"
+            facts = {
+                "collides": list(report.pair),
+                "epsilon": fmt_rat(report.epsilon),
+                "threshold": fmt_rat(report.threshold),
+                "regime": report.regime,
+            }
+        models = classification.models
+        for j, model in enumerate(models):
+            suffix = "-" + "ab"[j] if len(models) > 1 else ""
+            basename = f"showcase-{len(index):02d}-{tag}{suffix}"
+            entry = {
+                "name": basename,
+                "files": _write_outputs(outdir, basename, model, args.emit),
+                "profiles": profiles,
+            }
+            if facts:
+                entry.update(facts, model_choice=j)
+            index.append(entry)
     (outdir / "index.json").write_text(_canonical({"bundle": index}), encoding="utf-8")
     sys.stdout.write(_canonical({"models": len(index), "out": str(outdir)}))
     return 0

@@ -226,38 +226,33 @@ class DualGraphPair:
         }
 
     def to_dot(self):
+        """The to_json document drawn: both trees, then the vertical maps."""
+        doc = self.to_json()
         lines = ["digraph dual_graph_pair {", "  rankdir=TB;", "  node [shape=box];"]
-        lines.append('  subgraph cluster_x { label="X_k"; style=rounded;')
-        for name in sorted(self.x_marks):
-            marks = ",".join(
-                f"{lbl}^{m}" if m > 1 else lbl for lbl, m in sorted(self.x_marks[name])
-            )
-            label = _dot(name) if not marks else f"{_dot(name)}\\n[{_dot(marks)}]"
-            lines.append(f'    "x_{_dot(name)}" [label="{label}"];')
-        for a, b, t in sorted(self.x_edges, key=lambda e: (e[0], e[1])):
+        for side, spell in (("x", _dot_x_mark), ("y", str)):
+            lines.append(f'  subgraph cluster_{side} {{ label="{side.upper()}_k"; style=rounded;')
+            for comp in doc[side]["components"]:
+                name, marks = _dot(comp["name"]), ",".join(map(spell, comp["marks"]))
+                label = name if not marks else f"{name}\\n[{_dot(marks)}]"
+                lines.append(f'    "{side}_{name}" [label="{label}"];')
+            for a, b, t in doc[side]["edges"]:
+                edge = f'"{side}_{_dot(a)}" -> "{side}_{_dot(b)}"'
+                lines.append(f'    {edge} [label="{t}", dir=none];')
+            lines.append("  }")
+        for comp in doc["x"]["components"]:
+            vm = comp["map"]
+            kind = "insep" if vm["kind"] == "inseparable" else "et"
             lines.append(
-                f'    "x_{_dot(a)}" -> "x_{_dot(b)}" [label="{fmt_rat(t)}", dir=none];'
-            )
-        lines.append("  }")
-        lines.append('  subgraph cluster_y { label="Y_k"; style=rounded;')
-        for name in sorted(self.y_marks):
-            marks = ",".join(sorted(self.y_marks[name]))
-            label = _dot(name) if not marks else f"{_dot(name)}\\n[{_dot(marks)}]"
-            lines.append(f'    "y_{_dot(name)}" [label="{label}"];')
-        for a, b, t in sorted(self.y_edges, key=lambda e: (e[0], e[1])):
-            lines.append(
-                f'    "y_{_dot(a)}" -> "y_{_dot(b)}" [label="{fmt_rat(t)}", dir=none];'
-            )
-        lines.append("  }")
-        for name in sorted(self.x_marks):
-            vm = self.vertical[name]
-            kind = "insep" if vm.kind == "inseparable" else "et"
-            lines.append(
-                f'  "x_{_dot(name)}" -> "y_{_dot(vm.target)}" '
-                f'[style=dashed, label="{vm.degree} {kind}"];'
+                f'  "x_{_dot(comp["name"])}" -> "y_{_dot(vm["to"])}" '
+                f'[style=dashed, label="{vm["degree"]} {kind}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_x_mark(mark):
+    label, m = mark
+    return f"{label}^{m}" if m > 1 else label
 
 
 def _dot(text):

@@ -179,8 +179,10 @@ class FieldContext:
         return _from_pairs(self, self.e, [(i, a, b) for i, (a, b) in enumerate(cs)])
 
     def from_rational(self, q):
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        """The rational q, an int or a Fraction; anything else, a float, a
+        bool or a string, raises TypeError."""
+        if type(q) is not int and not isinstance(q, Fraction):
+            raise TypeError(f"{q!r} is not an int or a Fraction")
         return Element(self, 1, ((0, q.numerator),) if q else (), q.denominator)
 
     def zero(self):
@@ -296,6 +298,11 @@ class Element:
     def __hash__(self):
         return hash((self.n, self.terms, self.den))
 
+    def is_integral(self):
+        """v >= 0, read off den: v < 0 exactly when p divides den, as
+        gcd(den, every a) = 1 then leaves some a prime to p."""
+        return self.den % self.ctx.p != 0
+
     # -- valuation and residue ------------------------------------------
 
     def scaled_val(self):
@@ -322,11 +329,10 @@ class Element:
     def residue(self):
         """Image in F_p = residue field, for elements of valuation >= 0.
 
-        v < 0 exactly when p divides den (gcd(den, every a) = 1 leaves some a
-        prime to p), and only a k = 0 term can have valuation 0.
+        Only a k = 0 term can have valuation 0.
         """
         p, terms = self.ctx.p, self.terms
-        if self.den % p == 0:
+        if not self.is_integral():
             raise NegativeValuation(f"element has valuation {self.val()} < 0")
         if not terms or terms[0][0]:
             return 0
@@ -339,9 +345,7 @@ class Element:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("elements belong to different field contexts")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
-        raise TypeError(f"cannot combine Element with {type(other).__name__}")
+        return self.ctx.from_rational(other)  # TypeError unless an int or a Fraction
 
     def __add__(self, other):
         return _combine(self, self._check(other), False)

@@ -220,7 +220,7 @@ def fundamental_model(cover):
     state = ModelState(ctx, [bp.label for bp in branch])
     offsets = {}
     for bp in branch:
-        if bp.value.den % ctx.p == 0:  # v < 0 exactly when p divides den
+        if not bp.value.is_integral():
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         offsets[bp.label] = -bp.value
     points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
@@ -239,7 +239,7 @@ def _by_residue(points):
     point outside the closed unit disc is in no child disc and is dropped."""
     out = {}
     for label, x, m in points:
-        if x.den % x.ctx.p:  # v(x) >= 0 exactly when p does not divide den
+        if x.is_integral():
             out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
     return out
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padicover import cli, kpoly, planted
+from padicover import branchtree, cli, kpoly, planted
 from padicover.cover import EXACT_E_BOUND, branch_data
 from padicover.dualgraph import DualGraphPair
 from padicover.field import PRIME_BOUND
@@ -46,6 +46,21 @@ def test_classify_emits_the_branch_tree(tmp_path, capsys):
     assert "error" not in doc["branch_tree"]
 
 
+def test_classify_builds_the_branch_tree_once(tmp_path, capsys, monkeypatch):
+    # --emit-branch-tree prints the tree classify_cover built; counted where
+    # build_branch_tree makes it, whoever calls it
+    original, calls = branchtree.MetricTree, []
+
+    def counting(root, nodes):
+        calls.append(root)
+        return original(root, nodes)
+
+    monkeypatch.setattr(branchtree, "MetricTree", counting)
+    assert run_main(tmp_path, "classify", "--cover", DOCSTRING_COVER, "--emit-branch-tree") == 0
+    assert "error" not in json.loads(capsys.readouterr().out)["branch_tree"]
+    assert len(calls) == 1
+
+
 def test_a_refused_cover_gets_its_branch_tree(tmp_path, capsys):
     # the 96th p = 5 cover of the seed-2 draw has a cluster inside a cluster
     rng = random.Random(2)
@@ -58,7 +73,9 @@ def test_a_refused_cover_gets_its_branch_tree(tmp_path, capsys):
     assert run_main(tmp_path, "classify", "--cover", doc, "--emit-branch-tree") == 2
     out, err = capsys.readouterr()
     assert not out
-    refused, tree = json.loads(err), cli._branch_tree_doc(branch_data(cover))
+    refused = json.loads(err)
+    tree = branchtree.build_branch_tree((bp.label, bp.value) for bp in branch_data(cover))
+    tree = tree.to_json()
     assert refused.pop("branch_tree") == tree
     assert refused == plain
     assert [(v["name"], v.get("parent")) for v in tree["vertices"]] == [

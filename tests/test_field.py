@@ -216,6 +216,16 @@ def test_only_ints_fractions_and_rational_strings_parse(bad):
         FieldContext(5, 2).element([bad])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", "1/2", True, None])
+def test_from_rational_takes_only_an_int_or_a_fraction(bad):
+    K = FieldContext(5, 2)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        K.from_rational(bad)
+    with pytest.raises(TypeError):
+        K.one() + bad
+    assert K.from_rational(Fraction(-3, 5)) * K.from_rational(5) == K.from_rational(-3)
+
+
 def test_pow_matches_repeated_mul():
     K = FieldContext(3, 2)
     x = K.element([2, Fraction(1, 3)])
@@ -254,6 +264,11 @@ def test_mixed_denominators_valuation_is_multiplicative(x, y):
         assert (x * y).val() == x.val() + y.val()
     else:
         assert (x * y).val() is None
+
+
+@given(mixed_elements())
+def test_integrality_is_a_valuation_at_least_zero(x):
+    assert x.is_integral() == (not x or x.scaled_val() >= 0)
 
 
 @given(mixed_elements())

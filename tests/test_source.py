@@ -106,6 +106,29 @@ def test_the_val_rule_sees_each_call():
     assert list(_val_calls(ast.parse(source))) == [1, 2]
 
 
+def _den_reads(tree):
+    """Line numbers of the ``x.den`` reads in a source."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "den":
+            yield node.lineno
+
+
+def test_integrality_is_read_through_the_field():
+    # v >= 0 is Element.is_integral; an element's den is the field's own layout
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("field", "kpoly")
+        for lineno in _den_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_den_rule_sees_each_read():
+    source = "a = x.den % p\nb = (x - y).den\nc = q.denominator\nd = den\n"
+    assert sorted(_den_reads(ast.parse(source))) == [1, 2]
+
+
 def _references(module, node):
     """(module, name) pairs a statement of ``module`` names: bare names (taken
     as its own module's), ``mod.name``, ``from mod import name``, and the
