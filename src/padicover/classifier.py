@@ -17,7 +17,10 @@ fibers split into s = u + 1 groups described by an admissible partition pair.
 Those pairs are built group by group under their constraints, each group's
 second-fiber parts drawn with exactly the count and sum they need, and the
 splits of each remainder found once per call, in a memo local to it.  The
-rigid part of a model is built once; each partition choice adds its leaves.
+rigid part of a classification's models (root, ordinary arms, tails and the
+whole downstairs tree) is built once; each partition choice adds only its
+leaves, each distinct leaf built once.  The models and tail reports share
+one dualgraph.Memo, so each distinct piece of their JSON is rendered once.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -28,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import branchtree
 from .cover import branch_data
-from .dualgraph import DualGraphPair, VerticalMap, group_key, groups_json
+from .dualgraph import DualGraphPair, Memo, VerticalMap, group_key
 
 
 class ClassifierError(ValueError):
@@ -185,10 +188,12 @@ class TailReport:
     threshold: Fraction
     regime: str
     partitions: tuple  # of tuples of groups; empty unless regime == "near"
+    memo: Memo | None = field(default=None, compare=False, repr=False)  # as its models'
 
     def to_json(self):
         from .field import fmt_rat
 
+        groups_doc = (self.memo or Memo()).groups_doc
         return {
             "pair": list(self.pair),
             "profiles": [list(pr) for pr in self.profiles],
@@ -196,7 +201,7 @@ class TailReport:
             "excess": self.excess,
             "threshold": fmt_rat(self.threshold),
             "regime": self.regime,
-            "partitions": [groups_json(groups) for groups in self.partitions],
+            "partitions": [groups_doc(groups) for groups in self.partitions],
         }
 
 
@@ -304,38 +309,44 @@ class _Builder:
             self.y_edges.append((dy, d1y, eps - eps0))
             self.vertical[cx] = VerticalMap(dy, self.p, "etale")
 
-    def build(self, choices):
-        """The model with the leaves of each (marks, edges, maps, entry) choice."""
+    def build(self, choices, memo):
+        """The model with the leaves of each (leaves, entry) choice."""
         x_marks, x_edges, vertical = dict(self.x_marks), list(self.x_edges), dict(self.vertical)
-        for marks, edges, maps, _ in choices:
-            x_marks.update(marks)
-            x_edges += edges
-            vertical.update(maps)
+        for leaves, _ in choices:
+            for name, marks, edge, vm in leaves:
+                x_marks[name] = marks
+                x_edges.append(edge)
+                vertical[name] = vm
         return DualGraphPair(
             p=self.p, x_root="C", y_root="D", x_marks=x_marks, y_marks=dict(self.y_marks),
             x_edges=x_edges, y_edges=list(self.y_edges), vertical=vertical,
-            partitions=tuple(sorted(entry for *_, entry in choices)),
+            partitions=tuple(sorted(entry for _, entry in choices)), memo=memo,
         ).validate()
 
 
 def _near_leaves(report):
     """Per partition pair of a near tail, the leaves C_i it adds, as
-    (marks, edges, maps, (pair, groups)); each leaf of degree d hangs at
-    thickness epsilon_1 / d, computed once per d."""
+    ((name, marks, edge, map), ...) and its entry (pair, groups).  Each
+    distinct group at each position is built once, and each leaf of degree
+    d hangs at thickness epsilon_1 / d, computed once per d."""
     a, b = report.pair
     cx, d1y = f"C'({a},{b})", f"D_1({a},{b})"
     eps1 = report.epsilon - report.threshold
-    by_degree = {}
+    by_degree, built = {}, {}
     for groups in report.partitions:
-        marks, edges, maps = {}, [], {}
-        for i, (d, g1, g2) in enumerate(groups, start=1):
-            if d not in by_degree:
-                by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
-            leaf = f"C_{i}({a},{b})"
-            marks[leaf] = tuple((a, m) for m in g1) + tuple((b, m) for m in g2)
-            edges.append((cx, leaf, by_degree[d][0]))
-            maps[leaf] = by_degree[d][1]
-        yield marks, edges, maps, ((a, b), groups)
+        leaves = []
+        for i, group in enumerate(groups, start=1):
+            leaf = built.get((i, group))
+            if leaf is None:
+                d, g1, g2 = group
+                if d not in by_degree:
+                    by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
+                thickness, vm = by_degree[d]
+                name = f"C_{i}({a},{b})"
+                marks = tuple([(a, m) for m in g1] + [(b, m) for m in g2])
+                leaf = built[i, group] = name, marks, (cx, name, thickness), vm
+            leaves.append(leaf)
+        yield leaves, ((a, b), groups)
 
 
 @dataclass(frozen=True)
@@ -359,7 +370,10 @@ class Classification:
 def assemble(p, ordinary, tail_reports, tree=None):
     """All candidate full models: one per choice of a partition pair for
     each near-threshold tail (other regimes are rigid).  The rigid part is
-    built once; each choice adds only the leaves of its near tails."""
+    built once; each choice adds only the leaves of its near tails.  The
+    models and tail reports share one Memo, which lives as long as they do."""
+    memo = Memo()
+    tail_reports = [replace(rep, memo=memo) for rep in tail_reports]
     skeleton = _Builder(p)
     for label, prof in ordinary:
         skeleton.add_ordinary_arm(label, prof)
@@ -370,7 +384,9 @@ def assemble(p, ordinary, tail_reports, tree=None):
         p=p,
         ordinary=tuple((lbl, tuple(prof)) for lbl, prof in ordinary),
         tails=tuple(tail_reports),
-        models=tuple(skeleton.build(combo) for combo in itertools.product(*choice_sets)),
+        models=tuple(
+            skeleton.build(combo, memo) for combo in itertools.product(*choice_sets)
+        ),
         tree=tree,
     )
 

@@ -19,11 +19,16 @@ Two models are compared by canonical rooted-tree encodings: a nested tuple
 built bottom-up with children sorted, downstairs first, then upstairs with
 each component annotated by the canonical id of its image.  Equality of
 encodings is exactly label-respecting isomorphism of the pairs.
+
+The candidate models of one classification differ only in their near-tail
+leaves, so they share one Memo of rendered JSON pieces: each distinct
+component, edge and partition entry is rendered once per classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .field import fmt_rat
 
@@ -39,8 +44,110 @@ def group_key(group):
     return -d, tuple(-x for x in reversed(g1)), tuple(-x for x in reversed(g2))
 
 
-def groups_json(groups):
-    return [{"d": d, "fiber1": list(g1), "fiber2": list(g2)} for d, g1, g2 in groups]
+class Memo:
+    """The JSON pieces that the candidate models of one classification share,
+    each keyed by the values it is rendered from, never by identity: a model
+    changed after a rendering renders again.  The classifier makes one per
+    classification; a model that carries none gets a fresh one per call."""
+
+    def __init__(self):
+        self.x_comps = {}  # (name, marks, target, degree, kind, notes) -> entry
+        self.y_comps = {}  # (name, marks) -> entry
+        self.edges = {}  # (a, b, numerator, denominator) -> [a, b, "t"]
+        self.groups = {}  # groups -> [{"d", "fiber1", "fiber2"}, ...]
+        self.partitions = {}  # (pair, groups) -> entry
+
+    def x_components(self, x_marks, vertical):
+        out, table = [], self.x_comps
+        for name in sorted(x_marks):
+            marks, vm = x_marks[name], vertical[name]
+            key = name, marks, vm.target, vm.degree, vm.kind, vm.notes
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = {
+                    "name": name,
+                    "marks": [[lbl, m] for lbl, m in sorted(marks)],
+                    "map": {"to": vm.target, "degree": vm.degree, "kind": vm.kind},
+                }
+                if vm.notes:
+                    entry["map"]["notes"] = list(vm.notes)
+            out.append(entry)
+        return out
+
+    def y_components(self, y_marks):
+        out, table = [], self.y_comps
+        for name in sorted(y_marks):
+            key = name, y_marks[name]
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = {"name": name, "marks": sorted(key[1])}
+            out.append(entry)
+        return out
+
+    def edge_list(self, edges):
+        """[a, b, "t"] per edge, sorted by (a, b); a Fraction's hash costs more
+        than rendering it, so thicknesses are keyed as integer pairs."""
+        out, table = [], self.edges
+        for a, b, t in sorted(edges, key=_ENDS):
+            key = a, b, t.numerator, t.denominator
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = [a, b, fmt_rat(t)]
+            out.append(entry)
+        return out
+
+    def groups_doc(self, groups):
+        doc = self.groups.get(groups)
+        if doc is None:
+            doc = self.groups[groups] = [
+                {"d": d, "fiber1": list(g1), "fiber2": list(g2)} for d, g1, g2 in groups
+            ]
+        return doc
+
+    def partition_list(self, partitions):
+        out, table = [], self.partitions
+        for key in partitions:
+            entry = table.get(key)
+            if entry is None:
+                pair, groups = key
+                entry = table[key] = {"pair": list(pair), "groups": self.groups_doc(groups)}
+            out.append(entry)
+        return out
+
+
+_ENDS = itemgetter(0, 1)
+
+
+def _tree_parents(side, comps, edges, root):
+    """child -> (parent, thickness) on one side, once its edges make a tree
+    rooted at root with every thickness positive."""
+    parents = {}
+    for a, b, t in edges:
+        if a not in comps or b not in comps:
+            raise InvalidDualGraph(f"{side}-edge {a}-{b} names unknown component")
+        if b in parents:
+            raise InvalidDualGraph(f"{side}-component {b} has two parents")
+        if t.numerator <= 0:  # a rational's sign, with no ABC check
+            raise InvalidDualGraph(f"{side}-edge {a}-{b} has thickness {t} <= 0")
+        parents[b] = a, t
+    if root in parents:
+        raise InvalidDualGraph(f"{side}-root {root} has a parent")
+    if len(edges) != len(comps) - 1:
+        raise InvalidDualGraph(f"{side}-graph is not a tree")
+    # every non-root component has a parent: |comps| - 1 distinct targets, no root
+    reaches = {root}  # components known to reach the root
+    for cur in comps:
+        if cur in reaches or parents[cur][0] in reaches:
+            reaches.add(cur)
+            continue
+        walk = set()
+        while cur not in reaches:
+            if cur in walk:
+                raise InvalidDualGraph(f"{side}-graph has a cycle at {cur}")
+            walk.add(cur)
+            cur = parents[cur][0]
+        reaches.update(walk)
+    return parents
 
 
 def _children(comps, edges):
@@ -70,53 +177,36 @@ class DualGraphPair:
     y_edges: list
     vertical: dict  # x name -> VerticalMap
     partitions: tuple = ()  # ((pair_labels, groups), ...) canonical nested tuples
+    memo: Memo | None = field(default=None, compare=False, repr=False)
 
     # -- structure ------------------------------------------------------
 
     def validate(self):
-        if self.x_root not in self.x_marks or self.y_root not in self.y_marks:
+        """Check every structural law, in a fixed order, and return self.
+
+        Every law runs on every call, with nothing remembered between calls:
+        a check here reads a few ints, and a memo key for it (a Fraction's
+        hash, or the same ints in a tuple) costs as much as the check.
+        """
+        x_marks, y_marks, vertical = self.x_marks, self.y_marks, self.vertical
+        if self.x_root not in x_marks or self.y_root not in y_marks:
             raise InvalidDualGraph("root missing from component list")
-        for side, comps, edges, root in (
-            ("x", self.x_marks, self.x_edges, self.x_root),
-            ("y", self.y_marks, self.y_edges, self.y_root),
-        ):
-            parents = {}
-            for a, b, t in edges:
-                if a not in comps or b not in comps:
-                    raise InvalidDualGraph(f"{side}-edge {a}-{b} names unknown component")
-                if b in parents:
-                    raise InvalidDualGraph(f"{side}-component {b} has two parents")
-                if t.numerator <= 0:  # a rational's sign, with no ABC check
-                    raise InvalidDualGraph(f"{side}-edge {a}-{b} has thickness {t} <= 0")
-                parents[b] = a
-            if root in parents:
-                raise InvalidDualGraph(f"{side}-root {root} has a parent")
-            if len(edges) != len(comps) - 1:
-                raise InvalidDualGraph(f"{side}-graph is not a tree")
-            # every non-root component has a parent: |comps| - 1 distinct targets, no root
-            reaches = {root}  # components known to reach the root
-            for cur in comps:
-                walk = set()
-                while cur not in reaches:
-                    if cur in walk:
-                        raise InvalidDualGraph(f"{side}-graph has a cycle at {cur}")
-                    walk.add(cur)
-                    cur = parents[cur]
-                reaches.update(walk)
-        for name in self.x_marks:
-            if name not in self.vertical:
+        _tree_parents("x", x_marks, self.x_edges, self.x_root)
+        y_parents = _tree_parents("y", y_marks, self.y_edges, self.y_root)
+        for name in x_marks:
+            vm = vertical.get(name)
+            if vm is None:
                 raise InvalidDualGraph(f"component {name} has no vertical map")
-            vm = self.vertical[name]
-            if vm.target not in self.y_marks:
+            if vm.target not in y_marks:
                 raise InvalidDualGraph(f"{name} maps to unknown {vm.target}")
             if vm.kind not in ("inseparable", "etale"):
                 raise InvalidDualGraph(f"{name} has unknown kind {vm.kind!r}")
         # roots map to roots
-        if self.vertical[self.x_root].target != self.y_root:
+        if vertical[self.x_root].target != self.y_root:
             raise InvalidDualGraph("x-root does not map to y-root")
         # degree conservation over each downstairs component
-        degsum = {name: 0 for name in self.y_marks}
-        for name, vm in self.vertical.items():
+        degsum = dict.fromkeys(y_marks, 0)
+        for vm in vertical.values():
             degsum[vm.target] += vm.degree
         for name, total in degsum.items():
             if total != self.p:
@@ -124,20 +214,20 @@ class DualGraphPair:
                     f"degrees over {name} sum to {total}, expected p = {self.p}"
                 )
         # thickness scaling law along vertical edge images
-        y_edge_map = {(a, b): t for a, b, t in self.y_edges}
         for a, b, t_up in self.x_edges:
-            ya = self.vertical[a].target
-            yb = self.vertical[b].target
+            ya, vm = vertical[a].target, vertical[b]
+            yb = vm.target
             if ya == yb:
                 raise InvalidDualGraph(
                     f"x-edge {a}-{b} maps to a single downstairs component {ya}"
                 )
-            if (ya, yb) not in y_edge_map:
+            parent, t_down = y_parents.get(yb, (None, None))
+            if parent != ya:
                 raise InvalidDualGraph(
                     f"image of x-edge {a}-{b} is not a downstairs edge {ya}-{yb}"
                 )
-            e_p, t_down = self.vertical[b].degree, y_edge_map[(ya, yb)]
             # t_down == e_p * t_up, cross-multiplied to build no Fraction
+            e_p = vm.degree
             if t_down.numerator * t_up.denominator != e_p * t_up.numerator * t_down.denominator:
                 raise InvalidDualGraph(
                     f"scaling law broken on {a}-{b}: down {t_down} != {e_p} * {t_up}"
@@ -187,42 +277,25 @@ class DualGraphPair:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        def xcomp(name):
-            vm = self.vertical[name]
-            entry = {
-                "name": name,
-                "marks": [[lbl, m] for lbl, m in sorted(self.x_marks[name])],
-                "map": {"to": vm.target, "degree": vm.degree, "kind": vm.kind},
-            }
-            if vm.notes:
-                entry["map"]["notes"] = list(vm.notes)
-            return entry
-
+        """The model as a JSON document, components and edges sorted by name.
+        Each distinct component, edge and partition entry is rendered once
+        per memo, so the documents of one classification's models and tail
+        reports may share read-only sub-objects: copy a document before
+        changing it."""
+        memo = self.memo or Memo()
         return {
             "p": self.p,
             "x": {
                 "root": self.x_root,
-                "components": [xcomp(n) for n in sorted(self.x_marks)],
-                "edges": [
-                    [a, b, fmt_rat(t)]
-                    for a, b, t in sorted(self.x_edges, key=lambda e: (e[0], e[1]))
-                ],
+                "components": memo.x_components(self.x_marks, self.vertical),
+                "edges": memo.edge_list(self.x_edges),
             },
             "y": {
                 "root": self.y_root,
-                "components": [
-                    {"name": n, "marks": sorted(self.y_marks[n])}
-                    for n in sorted(self.y_marks)
-                ],
-                "edges": [
-                    [a, b, fmt_rat(t)]
-                    for a, b, t in sorted(self.y_edges, key=lambda e: (e[0], e[1]))
-                ],
+                "components": memo.y_components(self.y_marks),
+                "edges": memo.edge_list(self.y_edges),
             },
-            "partitions": [
-                {"pair": list(pair), "groups": groups_json(groups)}
-                for pair, groups in self.partitions
-            ],
+            "partitions": memo.partition_list(self.partitions),
         }
 
     def to_dot(self):

@@ -1,0 +1,67 @@
+"""The summary of tools/bench_pairs.py, on synthetic result lines."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "latency_ms_tail", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "answered_share", "unit": "share", "better": "higher", "bound": 0.05},
+]
+
+
+def result(tail, throughput, share=1.0, correct=True):
+    """A perfbench/run.py result line."""
+    values = {"latency_ms_tail": tail, "throughput_per_s": throughput, "answered_share": share}
+    return {
+        "attempted": 100,
+        "correct": correct,
+        "failed": 0,
+        "metrics": {name: {"unit": "x", "value": v} for name, v in values.items()},
+    }
+
+
+def pair(workload, parent, change):
+    return {"workload": workload, "seed": 1, "first": "parent", "parent": parent, "change": change}
+
+
+def test_medians_quartiles_and_wins_per_workload():
+    runs = [
+        pair("w", result(2.0, 100), result(1.5, 120)),
+        pair("w", result(2.2, 110), result(2.2, 105)),  # a tie on the tail
+        pair("w", result(2.1, 90), result(2.3, 130)),
+        pair("w", result(1.9, 95), result(1.8, 100)),
+        pair("v", result(1.0, 10, 0.5), result(1.0, 10, 0.5)),
+    ]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert list(summary) == ["w", "v"]
+    tail = summary["w"]["latency_ms_tail"]
+    assert tail == {
+        "better": "lower",
+        "parent_median": 2.05,
+        "change_median": 2.0,
+        "parent_quartiles": [1.975, 2.05, 2.125],
+        "change_quartiles": [1.725, 2.0, 2.225],
+        "change_wins": "2/4",
+    }
+    throughput = summary["w"]["throughput_per_s"]
+    assert throughput["better"] == "higher"
+    assert (throughput["parent_median"], throughput["change_median"]) == (97.5, 112.5)
+    assert throughput["change_wins"] == "3/4"
+    # equal values on every pair: ties count for neither side
+    assert summary["v"]["answered_share"]["change_wins"] == "0/1"
+    assert summary["v"]["answered_share"]["parent_quartiles"] == [0.5, 0.5, 0.5]
+    assert summary["w"]["correct"] and summary["v"]["correct"]
+
+
+def test_one_incorrect_run_marks_its_workload():
+    runs = [
+        pair("w", result(2.0, 100), result(1.5, 120, correct=False)),
+        pair("w", result(2.0, 100), result(1.5, 120)),
+    ]
+    assert bench_pairs.summarize(runs, END_TO_END)["w"]["correct"] is False

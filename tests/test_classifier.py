@@ -5,6 +5,8 @@ import json
 import random
 import re
 from collections import Counter
+from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -23,7 +25,7 @@ from padicover.classifier import (
     classify_cover,
     classify_formula,
 )
-from padicover.cover import from_critical_divisor
+from padicover.cover import cover_from_json, from_critical_divisor
 from padicover.dualgraph import DualGraphPair, InvalidDualGraph, group_key
 from padicover.field import FieldContext
 
@@ -856,6 +858,141 @@ def test_dot_escapes_quotes_and_backslashes_in_names():
         bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
         assert '"' not in bare and "\\" not in bare, line
     assert '"x_C\'(a\\"b\\\\c)"' in model.to_dot()
+
+
+# -- candidates that share one memo -------------------------------------------
+
+# exact covers of the classify-exact benchmark pool whose classification has
+# two near tails
+TWO_NEAR_TAIL_COVERS = [
+    {"p": 5, "e": 1, "critical": [
+        {"x": "9/7", "m": 2}, {"x": "2", "m": 2}, {"x": "15/7", "m": 2}, {"x": "5", "m": 2},
+    ]},
+    {"p": 5, "e": 2, "critical": [
+        {"x": ["-14", "0"], "m": 2}, {"x": ["-5/7", "0"], "m": 2},
+        {"x": ["1", "0"], "m": 2}, {"x": ["10/3", "0"], "m": 2},
+    ]},
+    {"p": 7, "e": 1, "critical": [
+        {"x": "-9", "m": 2}, {"x": "-6", "m": 3}, {"x": "5", "m": 2}, {"x": "8", "m": 3},
+    ]},
+    {"p": 7, "e": 1, "critical": [
+        {"x": "-15", "m": 3}, {"x": "-5/3", "m": 2}, {"x": "1", "m": 2},
+        {"x": "6", "m": 2}, {"x": "17", "m": 2},
+    ]},
+]
+
+
+def shared_memo_classifications():
+    """Each near pair of formula_docs (the formula-near workload's rule) at
+    the least distance that workload draws, p/u + 1/6, and at p + 1/2; the
+    formula covers with two and three near tails; and exact covers with two
+    near tails."""
+    for name, (p, specs) in formula_docs().items():
+        if name in MULTI_TAIL_DOCS:
+            yield name, classify_formula(p, specs)
+            continue
+        u = len(specs[0]["profile"]) + len(specs[1]["profile"]) - p - 1
+        for eps in (F(p, u) + F(1, 6), F(2 * p + 1, 2)):
+            yield f"{name}@{eps}", classify_formula(
+                p, [{**specs[0], "epsilon": str(eps)}, *specs[1:]]
+            )
+    for i, doc in enumerate(TWO_NEAR_TAIL_COVERS):
+        yield f"exact-{i}", classify_cover(cover_from_json(doc))
+
+
+def detached(obj):
+    """An independent deep copy of a model or tail report, with no memo."""
+    return deepcopy(replace(obj, memo=None))
+
+
+def test_candidates_render_and_compare_as_copies_without_a_memo():
+    names, candidates = Counter(), 0
+    for name, classification in shared_memo_classifications():
+        names[name.split("-")[0] if "@" in name else "multi"] += 1
+        (memo,) = {id(m.memo) for m in classification.models}
+        for tail in classification.tails:
+            assert id(tail.memo) == memo
+            assert tail.to_json() == detached(tail).to_json(), name
+        for model in classification.models:
+            copy = detached(model)
+            assert copy.validate() is copy
+            assert model.to_json() == copy.to_json(), name
+            assert model.canonical_key() == copy.canonical_key(), name
+            candidates += 1
+        if name.startswith("exact"):
+            assert [t.regime for t in classification.tails] == ["near", "near"]
+    assert names == {"p7": 2 * 19, "p11": 2 * 246, "multi": 5 + len(TWO_NEAR_TAIL_COVERS)}
+    assert candidates > 2 * 1491
+
+
+def two_candidates():
+    """The first two candidates of the near showcase classification, the
+    first validated after the classifier built both."""
+    first, second, *_ = classify_formula(
+        5,
+        [
+            {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "7"},
+            {"name": "lam", "profile": [2, 1, 1, 1]},
+            {"name": "1", "profile": [2, 1, 1, 1]},
+        ],
+    ).models
+    assert first.memo is second.memo
+    return first.validate(), second
+
+
+LEAF, LEAF_EDGE = "C_1(0,lam)", "C'\\(0,lam\\)-C_1\\(0,lam\\)"
+
+
+def set_leaf_thickness(model, scale):
+    (i,) = [i for i, (_, b, _) in enumerate(model.x_edges) if b == LEAF]
+    a, b, t = model.x_edges[i]
+    model.x_edges[i] = (a, b, t * scale)
+
+
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        ("leaf thickness", f"^x-edge {LEAF_EDGE} has thickness 0 <= 0$"),
+        ("unknown target", "^C_1\\(0,lam\\) maps to unknown ghost$"),
+        ("scaling law", f"^scaling law broken on {LEAF_EDGE}: down 2 != 3 \\* 4/3$"),
+        ("degree sum", "^degrees over D_1\\(0,lam\\) sum to 6, expected p = 5$"),
+    ],
+)
+def test_each_per_fact_law_holds_on_a_later_candidate(law, message):
+    first, second = two_candidates()
+    if law == "leaf thickness":
+        set_leaf_thickness(second, 0)
+    elif law == "unknown target":
+        with_vertical(second, LEAF, target="ghost")
+    elif law == "scaling law":
+        set_leaf_thickness(second, 2)
+    else:
+        with_vertical(second, LEAF, degree=second.vertical[LEAF].degree + 1)
+    with pytest.raises(InvalidDualGraph, match=message):
+        second.validate()
+    assert first.validate() is first
+
+
+@pytest.mark.parametrize("change", ["x_marks", "vertical map", "x-edge", "y-edge"])
+def test_changing_one_candidate_changes_no_other_document(change):
+    models = classify_formula(*MULTI_TAIL_DOCS["p7-two-tails-balanced"]).models
+    docs = [m.to_json() for m in models]
+    frozen = [json.dumps(d, sort_keys=True) for d in docs]
+    victim = models[0]
+    if change == "x_marks":
+        victim.x_marks["C"] += (("zz", 1),)
+    elif change == "vertical map":
+        with_vertical(victim, "C_1(a,b)", kind="inseparable")
+    elif change == "x-edge":
+        a, b, t = victim.x_edges[-1]
+        victim.x_edges[-1] = (a, b, t * 2)
+    else:
+        a, b, t = victim.y_edges[-1]
+        victim.y_edges[-1] = (a, b, t * 2)
+    assert json.dumps(victim.to_json(), sort_keys=True) != frozen[0]
+    assert victim.to_json() == detached(victim).to_json()
+    assert [json.dumps(m.to_json(), sort_keys=True) for m in models[1:]] == frozen[1:]
+    assert [json.dumps(d, sort_keys=True) for d in docs] == frozen
 
 
 if __name__ == "__main__":

@@ -1,0 +1,155 @@
+"""Alternated pairs of benchmark runs: a parent revision against the working tree.
+
+Usage, from the root of a checkout::
+
+    python3 tools/bench_pairs.py --rev HEAD --label pr18 --workload formula-near \\
+        --pairs 10 --seed 1811 --seconds 20
+
+The parent revision is exported with ``git archive`` into a temporary
+directory; the change is the working tree.  For each workload, pair i runs
+``perfbench/run.py --seed <seed + i>`` once on each side, the parent first in
+even pairs and the change first in odd ones, each run in its own process.
+Every result line is kept.  The summary gives, per workload and end-to-end
+metric, each side's median and inclusive quartiles and the pairs the change
+won; a tie counts for neither side.  The file ``BENCH_<label>.json`` is
+written at the root of the working tree.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def git(*args):
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+
+
+def export(rev, into):
+    """The tree of `rev`, written under `into`."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev)), mode="r:") as tar:
+        tar.extractall(into, filter="data")
+
+
+def run_once(tree, workload, seed, seconds):
+    """The result line and the environment line of one perfbench run in `tree`."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    lines = out.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{workload} seed {seed} in {tree}: no output\n{out.stderr}")
+    env = next(json.loads(ln) for ln in lines if ln.startswith('{"environment"'))
+    return json.loads(lines[-1]), env["environment"]
+
+
+def summarize(runs, end_to_end):
+    """Per workload: per metric, each side's median and quartiles and the
+    change's wins over the pairs; `correct` is true when every run was.
+
+    `runs` are {"workload", "parent": result, "change": result} records and
+    `end_to_end` is the "end_to_end" list of BENCHMARK.json.
+    """
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = [r for r in runs if r["workload"] == workload]
+        entry = {}
+        for metric in end_to_end:
+            name, better = metric["name"], metric["better"]
+            values = {
+                side: [r[side]["metrics"][name]["value"] for r in pairs] for side in SIDES
+            }
+            sign = 1 if better == "higher" else -1
+            wins = sum(
+                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+            )
+            entry[name] = {"better": better}
+            for side in SIDES:
+                entry[name][f"{side}_median"] = round(statistics.median(values[side]), 4)
+            for side in SIDES:
+                entry[name][f"{side}_quartiles"] = [
+                    round(q, 4) for q in quartiles(values[side])
+                ]
+            entry[name]["change_wins"] = f"{wins}/{len(pairs)}"
+        entry["correct"] = all(r[side]["correct"] for r in pairs for side in SIDES)
+        summary[workload] = entry
+    return summary
+
+
+def quartiles(values):
+    """Inclusive quartiles; one value is its own quartiles."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", required=True, help="the parent revision")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--seconds", type=float, default=20)
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == ["all"] else args.workload
+    for w in workloads:
+        if w not in known:
+            ap.error(f"unknown workload {w!r}; known: {', '.join(known)}")
+    commit = git("rev-parse", "--verify", f"{args.rev}^{{commit}}").decode().strip()
+    runs, digests, machine = [], {}, None
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+        export(commit, parent)
+        trees = {"parent": parent, "change": ROOT}
+        for w in workloads:
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                record = {"workload": w, "seed": seed, "first": order[0]}
+                for side in order:
+                    record[side], env = run_once(trees[side], w, seed, args.seconds)
+                    digests[side] = env["source_sha256"]
+                    machine = {k: env[k] for k in ("cpu_model", "nproc", "python")}
+                runs.append(record)
+                print(w, seed, *(
+                    f"{s} {record[s]['metrics']['throughput_per_s']['value']:.1f}/s"
+                    for s in SIDES
+                ), file=sys.stderr)
+    doc = {
+        "what": "perfbench/run.py end-to-end result lines, parent commit and change, "
+        f"one {args.seconds:g} s run per side and seed, order alternated pair by pair; "
+        "quartiles by statistics.quantiles(method='inclusive')",
+        "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
+        f"--seconds {args.seconds:g} --trace 0",
+        "parent_commit": commit,
+        "machine": machine or {"python": platform.python_version()},
+        "source_sha256": {
+            **digests,
+            "note": "digests of src/padicover as perfbench/run.py reports them",
+        },
+        "summary": summarize(runs, spec["end_to_end"]),
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(out)
+    return 0 if all(doc["summary"][w]["correct"] for w in doc["summary"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
