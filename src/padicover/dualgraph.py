@@ -272,6 +272,11 @@ class DualGraphPair:
         return (y_form, x_enc(self.x_root), self.partitions)
 
     def is_isomorphic_to(self, other):
+        """Equal canonical keys.  The partitions, the key's last entry, are
+        compared first: the candidates of one classification have pairwise
+        different partitions, so a verify builds the key of at most one."""
+        if self.partitions != other.partitions:
+            return False
         return self.canonical_key() == other.canonical_key()
 
     # -- serialization ----------------------------------------------------

@@ -12,7 +12,8 @@ normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  Input strings are
 parsed straight to integer pairs (a, b), with no ``Fraction`` in between.
 ``Fraction`` appears only where a rational comes in or goes out whole
-(``parse_rat``, ``fmt_rat``, ``from_rational``, ``uniformizer_power``), in
+(``parse_rat``, ``fmt_rat``, ``from_rational``, and ``uniformizer_power``
+given one rational; given an int pair q, den it builds none), in
 ``Element.val`` and in the Gauss-Jordan inverse of an element with several
 terms.  The valuation is normalized so that v(p) = 1; ``Element.scaled_val``
 reads it as the int n * v over the element's own n, ``val`` as a
@@ -195,13 +196,18 @@ class FieldContext:
         """The uniformizer p**(1/e) of the dense format (p itself when e == 1)."""
         return self.uniformizer_power(Fraction(1, self.e))
 
-    def uniformizer_power(self, q):
-        """The canonical element p**q of valuation q, for any rational q."""
-        q = Fraction(q)
-        a, k = divmod(q.numerator, q.denominator)
+    def uniformizer_power(self, q, den=None):
+        """The canonical element p**q of valuation q, for any rational q, or
+        p**(q/den) for ints q and den > 0, which need not be in lowest terms."""
+        if den is None:
+            q = Fraction(q)
+            q, den = q.numerator, q.denominator
+        elif (g := gcd(q, den)) > 1:
+            q, den = q // g, den // g
+        a, k = divmod(q, den)
         if a >= 0:
-            return Element(self, q.denominator, ((k, self.p**a),), 1)
-        return Element(self, q.denominator, ((k, 1),), self.p ** (-a))
+            return Element(self, den, ((k, self.p**a),), 1)
+        return Element(self, den, ((k, 1),), self.p ** (-a))
 
     def enlarged(self, new_e):
         """The context whose dense format has e' = new_e, a multiple of e."""

@@ -255,18 +255,19 @@ def scale_arg(f, u):
     return from_elements(f.ctx, [c * u**i for i, c in enumerate(elements(f))])
 
 
-def rescale(f, nu, c):
-    """(f(p**nu * X) - f(0)) / p**c for rationals nu >= 0 and c, in one pass.
+def rescale(f, j, c, d):
+    """(f(p**(j/d) * X) - f(0)) / p**(c/d) for ints j >= 0, c and d > 0, in
+    one pass; j/d and c/d need not be in lowest terms.
 
     The constant column is left out: the oracle carries constants apart.
-    Over N = lcm(n, denominators of nu and c), entry i of row k stands at
-    p**(E/N) with E = k*s + i*J - C >= -C (s = N/n, J = N*nu, C = N*c), so
-    over den * p**-low, low = min(0, floor(-C/N)), it goes to row E mod N
-    times p**((E - low*N) // N).
+    Over N = lcm(n, d), entry i of row k stands at p**(E/N) with
+    E = k*s + i*J - C >= -C (s = N/n, J = j*N/d, C = c*N/d), so over
+    den * p**-low, low = min(0, floor(-C/N)), it goes to row E mod N times
+    p**((E - low*N) // N).
     """
     p, size = f.ctx.p, degree(f) + 1
-    n = lcm(f.n, nu.denominator, c.denominator)
-    s, J, C = n // f.n, nu.numerator * n // nu.denominator, c.numerator * n // c.denominator
+    n = lcm(f.n, d)
+    s, J, C = n // f.n, j * (n // d), c * (n // d)
     low = min(0, -C // n)
     out = {}
     for k, row in f.rows:
@@ -309,9 +310,9 @@ def primitive(f):
     """
     if not f.rows:
         raise ZeroPolynomial("zero polynomial has no primitive part")
-    v = Fraction(min(w for w in scaled_valuations(f) if w is not None), f.n)
-    constant = coefficient(f, 0) * f.ctx.uniformizer_power(-v)
-    return sub(rescale(f, Fraction(0), v), from_elements(f.ctx, [-constant])), v
+    w = min(w for w in scaled_valuations(f) if w is not None)
+    constant = coefficient(f, 0) * f.ctx.uniformizer_power(-w, f.n)
+    return sub(rescale(f, 0, w, f.n), from_elements(f.ctx, [-constant])), Fraction(w, f.n)
 
 
 def reduction(f):

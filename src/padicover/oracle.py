@@ -18,8 +18,12 @@ holds one ``kpoly.Poly`` and each fiber a constant (Conventions).  A blow-up
 translates it once, an integer Taylor shift of each row, reads its
 coefficient valuations once for every fiber's Newton polygon
 (``newton.positive_roots``, no convex hull) and rescales it in one pass
-(``kpoly.rescale``).  Its valuations stay ints over one denominator, and a
-single ``Fraction`` radius is built once they are compared.  A residual
+(``kpoly.rescale``).  Its valuations stay ints over one denominator N, so
+nu = rise / N: the unit powers p**-nu and p**(-m * nu), the rescaling and
+the image radius are all built from those ints, and the one ``Fraction`` of
+a blow-up is nu itself, the stage's thickness.  An image radius is a pair
+(num, den) in lowest terms, and the downstairs tree orders its discs by
+exact ints, the numerators over the lcm of the denominators.  A residual
 polynomial, one per distinct offset residue, is evaluated at every residue
 by Horner's rule and divided by synthetic division only at a root, until its
 cofactor is constant (``fppoly.rational_roots``).  Branch values, labels and
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import fppoly, kpoly, newton
 from .cover import branch_data
@@ -90,9 +94,12 @@ class ResidualRootOutsideFp(OracleError):
     require an unramified extension of the base to continue, so the run
     stops loudly instead.  Residual polynomials of one disc differ by
     constants, so two fibers share such a root exactly when their offsets
-    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  The
-    shared kind refuses 29 of the 450 seeded random covers in the
-    differential test; the repeated kind has not been seen.
+    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  A
+    repeated root is looked for only in a rootless cofactor of degree >= 4:
+    the minimal polynomial over F_p of a root outside F_p has degree >= 2
+    and is separable, so a repeated root squares it.  The shared kind
+    refuses 29 of the 450 seeded random covers in the differential test;
+    the repeated kind has not been seen.
     """
 
 
@@ -132,7 +139,7 @@ class _Node:
         self.tracks = tracks  # label -> offset: the fiber's polynomial is core + offset
         self.points = points  # residue -> label -> [(x, m), ...] critical points
         self.m = m  # local degree of the cover on this disc
-        self.down_radius = down_radius  # Fraction, radius of the image disc
+        self.down_radius = down_radius  # (num, den) in lowest terms, radius of the image disc
         self.marks = []
         self.children = []
         self.kind = None  # "inseparable" | "etale", set while processing
@@ -224,7 +231,7 @@ def fundamental_model(cover):
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         offsets[bp.label] = -bp.value
     points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
-    root = _Node("C", None, None, cover.beta, offsets, points, ctx.p, Fraction(0))
+    root = _Node("C", None, None, cover.beta, offsets, points, ctx.p, (0, 1))
     root.marks.append(("inf", ctx.p))
     state.nodes["C"] = root
     return state
@@ -290,30 +297,35 @@ def blow_up(ctx, node, wbar, mults):
         raise CenterNotRoot(
             f"all fiber points at residue {wbar} on {node.name} coincide; nothing separates"
         )
-    nu = Fraction(rise, n * run)
-    mnu = m * nu
-    # contents in the child's chart, times n * run: the core's is the least
+    # nu = rise / N and m * nu = mrise / N stay ints over N; the one
+    # Fraction is nu itself, the stage's thickness
+    N, mrise = n * run, m * rise
+    nu = Fraction(rise, N)
+    # contents in the child's chart, times N: the core's is the least
     # v(c_i) + i * nu over i >= 1, a fiber's the least of that and its offset's
     core_content = min(w * run + i * rise for i, w in enumerate(vals) if i and w is not None)
-    unscale, shrink = ctx.uniformizer_power(-nu), ctx.uniformizer_power(-mnu)
+    unscale, shrink = ctx.uniformizer_power(-rise, N), ctx.uniformizer_power(-mrise, N)
     here = node.points.get(wbar, {})
     inside = []
     for label, c in offsets.items():
         w = kappa_val[label]
         content = core_content if w is None else min(core_content, w * run)
-        if content != m * rise:
+        if content != mrise:
             raise OracleError(
                 f"fiber {label} at residue {wbar} on {node.name}: image radius increment "
-                f"{Fraction(content, n * run)}, not m * nu = {mnu}"
+                f"{Fraction(content, N)}, not m * nu = {Fraction(mrise, N)}"
             )
         offsets[label] = c * shrink
         for x, mx in here.get(label, ()):
             # inside the child exactly when v(x - lift) >= nu
-            if not (d := x - lift) or d.scaled_val() * n * run >= rise * d.n:
+            if not (d := x - lift) or d.scaled_val() * N >= rise * d.n:
                 inside.append((label, d * unscale, mx))
-    core, points = kpoly.rescale(g, nu, mnu), _by_residue(inside)
-    name, radius = f"{node.name}.{wbar}", node.down_radius + mnu
-    return _Node(name, node.name, nu, core, offsets, points, m, radius)
+    core, points = kpoly.rescale(g, rise, mrise, N), _by_residue(inside)
+    # the image radius grows by m * nu
+    a, b = node.down_radius
+    a, b = a * N + mrise * b, b * N
+    h = gcd(a, b)
+    return _Node(f"{node.name}.{wbar}", node.name, nu, core, offsets, points, m, (a // h, b // h))
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +354,23 @@ def _residual_table(node, core, p):
                     f"differs from local degree {node.m}"
                 )
             roots, cofactor = fppoly.rational_roots(hbar, p)
-            if fppoly.degree(cofactor) > 0 and not fppoly.is_squarefree(cofactor, p):
+            # the cofactor has no root in F_p, so a repeated root of it lies
+            # outside F_p and its minimal polynomial, of degree >= 2 and
+            # separable (F_p is perfect), divides it twice: a cofactor of
+            # degree < 4 is squarefree and needs no gcd
+            outside = fppoly.degree(cofactor)
+            if outside >= 4 and not fppoly.is_squarefree(cofactor, p):
                 raise ResidualRootOutsideFp(
                     f"repeated residual root outside F_{p} on {node.name} "
                     f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
                 )
-            readings[a] = hbar, roots, cofactor
-        reductions[label], roots, cofactor = readings[a]
+            readings[a] = hbar, roots, outside
+        reductions[label], roots, outside = readings[a]
         for wbar, mult in roots.items():
             table.setdefault(wbar, {})[label] = mult
-        if fppoly.degree(cofactor) > 0:
+        if outside > 0:
             shared.setdefault(a, []).append(label)
-            extra_marks.extend([(label, 1)] * fppoly.degree(cofactor))
+            extra_marks.extend([(label, 1)] * outside)
     for labels in shared.values():
         if len(labels) > 1:
             raise ResidualRootOutsideFp(
@@ -442,18 +459,17 @@ def _image_discs(state):
     """The downstairs tree: the distinct images of the surviving discs.
 
     A disc maps onto its image, so the image holds exactly the branch values
-    whose tracks the disc carries; (radius, labels) names it.  Returns the
-    disc names by key, in order of first appearance, and each node's disc.
+    whose tracks the disc carries; (num, den, labels), the radius in lowest
+    terms, names it.  Returns the disc names by key, in order of first
+    appearance, and each node's disc.
     """
     discs, target = {}, {}
     for name, node in state.nodes.items():
-        key = (node.down_radius, tuple(sorted(node.tracks)))
+        key = (*node.down_radius, tuple(sorted(node.tracks)))
         if key not in discs:
-            radius, labels = key
-            if radius == 0:
-                discs[key] = "D"
-            else:
-                discs[key] = f"D({'+'.join(labels)}@{fmt_rat(radius)})"
+            a, b, labels = key
+            radius = str(a) if b == 1 else f"{a}/{b}"
+            discs[key] = "D" if a == 0 else f"D({'+'.join(labels)}@{radius})"
         target[name] = discs[key]
     if len(set(discs.values())) != len(discs):
         raise OracleError("image discs do not have distinct names")
@@ -517,8 +533,12 @@ def assemble_model(state):
             x_edges.append((node.parent, name, node.thickness))
     # image discs by radius, then name; a label's mark goes on the last disc
     # that holds it, the deepest, and a disc's parent is the nearest one
-    # before it of smaller radius that holds all its labels
-    records = sorted((radius, name, frozenset(labels)) for (radius, labels), name in discs.items())
+    # before it of smaller radius that holds all its labels.  A radius is
+    # read as its numerator over the lcm L of the denominators, an exact int.
+    L = lcm(*(b for _, b, _ in discs))
+    records = sorted(
+        (a * (L // b), name, frozenset(labels)) for (a, b, labels), name in discs.items()
+    )
     y_marks = {name: [] for name in discs.values()}
     y_marks["D"].append("inf")
     deepest = {label: name for _, name, labels in records for label in labels}
@@ -529,7 +549,7 @@ def assemble_model(state):
     for j, (radius, name, labels) in enumerate(records):
         for outer, parent, held in reversed(records[:j]):
             if outer < radius and labels <= held:
-                y_edges.append((parent, name, radius - outer))
+                y_edges.append((parent, name, Fraction(radius - outer, L)))
                 break
     partitions = _extract_partitions(state, target, y_marks)
     model = DualGraphPair(

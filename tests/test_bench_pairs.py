@@ -1,7 +1,10 @@
-"""The summary of tools/bench_pairs.py, on synthetic result lines."""
+"""tools/bench_pairs.py on synthetic result lines and fake runs: no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -65,3 +68,43 @@ def test_one_incorrect_run_marks_its_workload():
         pair("w", result(2.0, 100), result(1.5, 120)),
     ]
     assert bench_pairs.summarize(runs, END_TO_END)["w"]["correct"] is False
+
+
+ENV_LINE = '{"environment": {"cpu_model": "x", "nproc": 2, "python": "3", "source_sha256": "0"}}'
+
+
+def fake_run(monkeypatch, stdout, stderr="", code=0):
+    """Make every perfbench run print `stdout` and `stderr` and exit with `code`."""
+
+    def run(argv, **_):
+        return bench_pairs.subprocess.CompletedProcess(argv, code, stdout=stdout, stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_a_run_with_both_lines_is_read(monkeypatch):
+    line = json.dumps(result(1.0, 10))
+    fake_run(monkeypatch, f"report\n{ENV_LINE}\n{line}\n")
+    got, env = bench_pairs.run_once("change", "/tree", "w", 7, 1)
+    assert got == result(1.0, 10) and env["nproc"] == 2
+
+
+@pytest.mark.parametrize(
+    "stdout, missing",
+    [
+        ("", "environment line"),
+        (json.dumps(result(1.0, 10)), "environment line"),
+        (f"{ENV_LINE}\n", "result line"),
+        (f"{ENV_LINE}\nTraceback (most recent call last):\n", "result line"),
+        (f"{ENV_LINE}\n[1, 2]\n", "result line"),
+    ],
+)
+def test_a_broken_run_names_its_workload_seed_and_side(monkeypatch, stdout, missing):
+    stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
+    fake_run(monkeypatch, stdout, stderr, code=5)
+    with pytest.raises(RuntimeError) as info:
+        bench_pairs.run_once("parent", "/tree", "verify-random", 1907, 1)
+    message = str(info.value)
+    head = f"verify-random seed 1907, parent side in /tree: no {missing} (exit 5)\n"
+    assert message.startswith(head)
+    assert message.endswith("line 29\nValueError: boom") and "line 10\n" not in message

@@ -683,6 +683,17 @@ def test_thickness_change_breaks_isomorphism():
     assert not a.is_isomorphic_to(b)
 
 
+def test_equal_trees_with_different_partitions_are_not_isomorphic():
+    # the partitions, the canonical key's last entry, are compared first
+    a = showcase_near()
+    for partitions in ((), ((("0", "lam"), ((4, (1, 1, 2), (1, 3)), (1, (1,), (1,)))),)):
+        assert partitions != a.partitions
+        b = replace(showcase_near(), partitions=partitions)
+        assert a.canonical_key()[:-1] == b.canonical_key()[:-1]
+        assert not a.is_isomorphic_to(b) and not b.is_isomorphic_to(a)
+    assert a.is_isomorphic_to(replace(showcase_near()))
+
+
 def test_mark_multiplicity_is_compared():
     a = showcase_far()
     b = showcase_far()

@@ -98,6 +98,23 @@ def test_verify_evaluates_beta_once_per_critical_point(tmp_path, capsys, monkeyp
     assert len(points) == len(set(points)) == len(DOCSTRING_COVER["critical"]) == 3
 
 
+def test_verify_builds_keys_only_where_the_partitions_agree(tmp_path, capsys, monkeypatch):
+    # the two candidates have different partitions, and only the one whose
+    # partitions are the oracle's is compared key to key: two keys, not four
+    cover = next(inst.cover for inst in planted.suite() if inst.name == "pair-near-b0c-1d25")
+    original, keys = DualGraphPair.canonical_key, []
+
+    def counting(self):
+        keys.append(self)
+        return original(self)
+
+    monkeypatch.setattr(DualGraphPair, "canonical_key", counting)
+    assert run_main(tmp_path, "verify", "--cover", exact_doc(cover)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["candidates"], doc["verdict"]) == (2, "AGREE")
+    assert len(keys) == 2
+
+
 # the formula-mode example of the cli docstring
 DOCSTRING_PROFILES = {
     "p": 5,

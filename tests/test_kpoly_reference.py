@@ -11,7 +11,7 @@ come out canonical.  The operations kpoly itself writes on field elements
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -192,7 +192,7 @@ def test_scale_arg_by_a_power_of_p_is_rescale():
     # scale_arg works on field elements; rescale is the row kernel
     for rng, ctx, coeffs, f in cases(9, 200):
         q = Fraction(rng.randint(0, 6), rng.randint(1, 4))
-        scaled = kpoly.rescale(f, q, Fraction(0))
+        scaled = kpoly.rescale(f, q.numerator, 0, q.denominator)
         tail = [kpoly.coefficient(scaled, i) for i in range(1, kpoly.degree(f) + 1)]
         want = kpoly.from_elements(ctx, [kpoly.coefficient(f, 0)] + tail)
         assert kpoly.scale_arg(f, ctx.uniformizer_power(q)) == want
@@ -226,7 +226,8 @@ def test_rescale():
     for rng, ctx, coeffs, f in cases(8, 200):
         nu = Fraction(rng.randint(0, 6), rng.randint(1, 4))
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        same(kpoly.rescale(f, nu, c), ref_rescale(coeffs, nu, c))
+        d = lcm(nu.denominator, c.denominator)
+        same(kpoly.rescale(f, int(nu * d), int(c * d), d), ref_rescale(coeffs, nu, c))
 
 
 def test_primitive_and_reduction():

@@ -248,7 +248,7 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     # the core 5X - 4X**2 + X**4 carries the fiber with offset 4
     ctx = FieldContext(5, 1)
     core = kpoly.from_rationals(ctx, (0, 5, -4, 0, 1))
-    node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, Fraction(0))
+    node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, (0, 1))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
         _residual_table(node, kpoly.reduction(core), ctx.p)
 

@@ -44,16 +44,29 @@ def export(rev, into):
         tar.extractall(into, filter="data")
 
 
-def run_once(tree, workload, seed, seconds):
-    """The result line and the environment line of one perfbench run in `tree`."""
+def run_once(side, tree, workload, seed, seconds):
+    """The result line and the environment line of one perfbench run in `tree`.
+
+    A run whose stdout lacks either raises RuntimeError naming the workload,
+    seed and side, with the run's exit code and the tail of its stderr.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {tree}: no output\n{out.stderr}")
-    env = next(json.loads(ln) for ln in lines if ln.startswith('{"environment"'))
-    return json.loads(lines[-1]), env["environment"]
+    envs = [ln for ln in lines if ln.startswith('{"environment"')]
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    if not envs or not isinstance(result, dict) or "metrics" not in result:
+        missing = "environment line" if not envs else "result line"
+        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
+        raise RuntimeError(
+            f"{workload} seed {seed}, {side} side in {tree}: no {missing} "
+            f"(exit {out.returncode})\n{tail}"
+        )
+    return result, json.loads(envs[0])["environment"]
 
 
 def summarize(runs, end_to_end):
@@ -122,7 +135,7 @@ def main(argv=None):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 record = {"workload": w, "seed": seed, "first": order[0]}
                 for side in order:
-                    record[side], env = run_once(trees[side], w, seed, args.seconds)
+                    record[side], env = run_once(side, trees[side], w, seed, args.seconds)
                     digests[side] = env["source_sha256"]
                     machine = {k: env[k] for k in ("cpu_model", "nproc", "python")}
                 runs.append(record)
