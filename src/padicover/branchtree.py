@@ -3,7 +3,8 @@
 The finite branch values, all integral, are grouped by the nested-disc rule:
 two points sit strictly inside a common sub-disc of radius q exactly when
 v(a - b) > q.  The root D is the unit-disc component, where the point at
-infinity also specializes (the virtual mark "inf").  One recursive walk
+infinity also specializes (the virtual mark "inf").  One recursive walk,
+a module-level function that takes the tree built so far as an argument,
 builds the rest: at a component of depth d the points split into the classes
 of v(a - b) > d, each class found by comparing a point with the first member
 of every class so far; a class of one point is a mark of the component, and
@@ -125,24 +126,25 @@ def build_branch_tree(points):
     root_groups = _group(pts, 0, n)
     if len(root_groups) < 2:
         raise AllPointsCoalesce("all marked points share one residue; no two specialize apart")
-    nodes = {}
-
-    def attach(node, depth, groups):
-        nodes[node.name] = node
-        node.marks += [g[0][0] for g in groups if len(g) == 1]
-        node.marks.sort()
-        clusters = [g for g in groups if len(g) > 1]
-        for g in sorted(clusters, key=lambda g: sorted(lbl for lbl, _, _ in g)):
-            below = min(w for _, _, w in g[1:])
-            child = TreeNode(
-                f"v{len(nodes)}", Fraction(below, n), Fraction(below - depth, n), node.name
-            )
-            node.children.append(child)
-            attach(child, below, _group(g, below, n))
-
     root = TreeNode("D", Fraction(0), None, None, ["inf"])
-    attach(root, 0, root_groups)
+    nodes = {}
+    _attach(root, 0, root_groups, n, nodes)
     return MetricTree(root, nodes)
+
+
+def _attach(node, depth, groups, n, nodes):
+    """Record `node`, mark its one-point classes, attach a child per larger class."""
+    nodes[node.name] = node
+    node.marks += [g[0][0] for g in groups if len(g) == 1]
+    node.marks.sort()
+    clusters = [g for g in groups if len(g) > 1]
+    for g in sorted(clusters, key=lambda g: sorted(lbl for lbl, _, _ in g)):
+        below = min(w for _, _, w in g[1:])
+        child = TreeNode(
+            f"v{len(nodes)}", Fraction(below, n), Fraction(below - depth, n), node.name
+        )
+        node.children.append(child)
+        _attach(child, below, _group(g, below, n), n, nodes)
 
 
 def classify_points(tree):

@@ -16,7 +16,8 @@ hanging off a shared component; at the threshold they fuse; above it the
 fibers split into s = u + 1 groups described by an admissible partition pair.
 Those pairs are built group by group under their constraints, each group's
 second-fiber parts drawn with exactly the count and sum they need, and the
-splits of each remainder found once per call, in a memo local to it.  The
+splits of each remainder found once per call, in a memo that a module-level
+recursion takes as an argument, so no closure holds it in a cycle.  The
 rigid part of a classification's models (root, ordinary arms, tails and the
 whole downstairs tree) is built once; each partition choice adds only its
 leaves, each distinct leaf built once.  The models and tail reports share
@@ -121,6 +122,31 @@ def _draws(parts, count, total, left):
             yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
 
 
+def _splits(left1, left2, memo):
+    """(order of the first group, ((sort key, group), ...)) per split of the
+    remainders left1, left2, each remainder's splits found once in `memo`."""
+    if not left1:
+        return [((), ())]
+    found = memo.get((left1, left2))
+    if found is None:
+        found = memo[left1, left2] = []
+        (head, c), tail = left1[0], left1[1:]
+        rest1 = ((head, c - 1),) * (c > 1) + tail
+        n2 = sum(n for _, n in left2)
+        for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
+            d = head + sum(more1)
+            for g2, rest2 in _draws(left2, d - len(more1), d, n2):
+                group = (d, more1[::-1] + (head,), g2[::-1])
+                key = group_key(group)
+                order, entry = (-head, key), (key, group)
+                found.extend(
+                    (order, (entry,) + more)
+                    for first, more in _splits(rest, rest2, memo)
+                    if not first or first >= order
+                )
+    return found
+
+
 def admissible_partitions(p, profile1, profile2):
     """All partition pairs of the two fibers, in canonical order: each a
     tuple of groups (d, parts1, parts2), parts ascending, the groups in
@@ -135,39 +161,15 @@ def admissible_partitions(p, profile1, profile2):
     exactly u + 1 = n1 + n2 - p of them, so there is no pair when u < 1.
     Groups come in (head, sort key) order, so each pair comes once: the
     splits of a remainder of the two fibers are found once per call, in a
-    dict local to it, and a group keeps those whose first group it precedes.
+    dict that ``_splits`` takes as an argument and that is freed when the
+    call returns, and a group keeps those whose first group it precedes.
     """
     profile1 = check_profile(p, profile1)
     profile2 = check_profile(p, profile2)
     if pair_excess(p, profile1, profile2) < 1:
         return ()
-    memo = {}
-
-    def splits(left1, left2):
-        """(order of the first group, ((sort key, group), ...)) per split."""
-        if not left1:
-            return [((), ())]
-        found = memo.get((left1, left2))
-        if found is None:
-            found = memo[left1, left2] = []
-            (head, c), tail = left1[0], left1[1:]
-            rest1 = ((head, c - 1),) * (c > 1) + tail
-            n2 = sum(n for _, n in left2)
-            for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
-                d = head + sum(more1)
-                for g2, rest2 in _draws(left2, d - len(more1), d, n2):
-                    group = (d, more1[::-1] + (head,), g2[::-1])
-                    key = group_key(group)
-                    order, entry = (-head, key), (key, group)
-                    found.extend(
-                        (order, (entry,) + more)
-                        for first, more in splits(rest, rest2)
-                        if not first or first >= order
-                    )
-        return found
-
     fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
-    found = sorted(tuple(sorted(entries)) for _, entries in splits(*fibers))
+    found = sorted(tuple(sorted(entries)) for _, entries in _splits(*fibers, {}))
     return tuple(tuple(group for _, group in entries) for entries in found)
 
 

@@ -274,19 +274,18 @@ def _cmd_verify(args):
     return 0 if doc["verdict"] == "AGREE" else 1
 
 
+def _partitions_into(remaining, largest):
+    """Partitions of `remaining` into parts at most `largest`, each a tuple
+    of descending parts, in descending lexicographic order."""
+    if not remaining:
+        yield ()
+    for part in range(min(largest, remaining), 0, -1):
+        yield from ((part,) + rest for rest in _partitions_into(remaining - part, part))
+
+
 def _partitions_of(p):
     """All fiber profiles: partitions of p other than the unramified one."""
-    out = []
-
-    def rec(remaining, largest, prefix):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(p, p, [])
-    return [pi for pi in out if pi != (1,) * p]
+    return [pi for pi in _partitions_into(p, p) if pi != (1,) * p]
 
 
 def _atlas_rows(p):

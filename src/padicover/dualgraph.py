@@ -158,6 +158,26 @@ def _children(comps, edges):
     return ch
 
 
+def _y_enc(name, children, marks, order):
+    """The downstairs subtree at `name`; its children, in key order, go to `order`."""
+    kids = sorted(
+        ((t.numerator, t.denominator), _y_enc(b, children, marks, order), b)
+        for b, t in children[name]
+    )
+    order[name] = [b for _, _, b in kids]
+    return tuple(sorted(marks[name])), tuple(kid[:2] for kid in kids)
+
+
+def _x_enc(name, children, marks, vertical, y_ids):
+    """The upstairs subtree at `name`, each component with its image's y-id."""
+    vm = vertical[name]
+    kids = sorted(
+        ((t.numerator, t.denominator), _x_enc(b, children, marks, vertical, y_ids))
+        for b, t in children[name]
+    )
+    return tuple(sorted(marks[name])), (y_ids[vm.target], vm.degree, vm.kind), tuple(kids)
+
+
 @dataclass(frozen=True)
 class VerticalMap:
     target: str
@@ -238,19 +258,10 @@ class DualGraphPair:
 
     def canonical_key(self):
         """Each subtree encoded once, thicknesses as (numerator, denominator)
-        pairs; built on every call, as a model is a mutable dataclass."""
-        y_children = _children(self.y_marks, self.y_edges)
-        x_children = _children(self.x_marks, self.x_edges)
+        pairs; built on every call, as a model is a mutable dataclass, by
+        module-level encoders, so its scratch maps die with the call."""
         y_order = {}  # name -> children in the order of their encodings
-
-        def y_enc(name):
-            kids = sorted(
-                ((t.numerator, t.denominator), y_enc(b), b) for b, t in y_children[name]
-            )
-            y_order[name] = [b for _, _, b in kids]
-            return tuple(sorted(self.y_marks[name])), tuple(kid[:2] for kid in kids)
-
-        y_form = y_enc(self.y_root)
+        y_form = _y_enc(self.y_root, _children(self.y_marks, self.y_edges), self.y_marks, y_order)
         # canonical ids in the order of a DFS that visits children by their
         # encodings (identical subtrees are interchangeable, so the ids are
         # well-defined up to swapping equal encodings)
@@ -259,17 +270,9 @@ class DualGraphPair:
             name = stack.pop()
             y_ids[name] = len(y_ids)
             stack.extend(reversed(y_order[name]))
-
-        def x_enc(name):
-            vm = self.vertical[name]
-            kids = sorted(((t.numerator, t.denominator), x_enc(b)) for b, t in x_children[name])
-            return (
-                tuple(sorted(self.x_marks[name])),
-                (y_ids[vm.target], vm.degree, vm.kind),
-                tuple(kids),
-            )
-
-        return (y_form, x_enc(self.x_root), self.partitions)
+        x_children = _children(self.x_marks, self.x_edges)
+        x_form = _x_enc(self.x_root, x_children, self.x_marks, self.vertical, y_ids)
+        return (y_form, x_form, self.partitions)
 
     def is_isomorphic_to(self, other):
         """Equal canonical keys.  The partitions, the key's last entry, are

@@ -18,11 +18,11 @@ END_TO_END = [
 ]
 
 
-def result(tail, throughput, share=1.0, correct=True):
+def result(tail, throughput, share=1.0, correct=True, attempted=100):
     """A perfbench/run.py result line."""
     values = {"latency_ms_tail": tail, "throughput_per_s": throughput, "answered_share": share}
     return {
-        "attempted": 100,
+        "attempted": attempted,
         "correct": correct,
         "failed": 0,
         "metrics": {name: {"unit": "x", "value": v} for name, v in values.items()},
@@ -60,6 +60,20 @@ def test_medians_quartiles_and_wins_per_workload():
     assert summary["v"]["answered_share"]["change_wins"] == "0/1"
     assert summary["v"]["answered_share"]["parent_quartiles"] == [0.5, 0.5, 0.5]
     assert summary["w"]["correct"] and summary["v"]["correct"]
+
+
+def test_each_sides_median_attempted_count_per_workload():
+    # peak_rss_mb grows with the passes a run keeps: read it against these
+    runs = [
+        pair("w", result(2.0, 100, attempted=16016), result(1.9, 120, attempted=20272)),
+        pair("w", result(2.0, 100, attempted=16100), result(1.9, 120, attempted=19000)),
+        pair("w", result(2.0, 100, attempted=15000), result(1.9, 120, attempted=21000)),
+        pair("v", result(1.0, 10, attempted=40), result(1.0, 10, attempted=50)),
+        pair("v", result(1.0, 10, attempted=45), result(1.0, 10, attempted=52)),
+    ]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["w"]["attempted"] == {"parent_median": 16016, "change_median": 20272}
+    assert summary["v"]["attempted"] == {"parent_median": 42.5, "change_median": 51}
 
 
 def test_one_incorrect_run_marks_its_workload():

@@ -129,6 +129,51 @@ def test_the_den_rule_sees_each_read():
     assert sorted(_den_reads(ast.parse(source))) == [1, 2]
 
 
+def _recursive_closures(tree):
+    """(line, name) of each function nested in another function that calls
+    itself by name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = {
+        inner
+        for outer in ast.walk(tree)
+        if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, functions)
+    }
+    for fn in sorted(nested, key=lambda fn: fn.lineno):
+        if any(
+            isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == fn.name
+            for sub in ast.walk(fn)
+        ):
+            yield fn.lineno, fn.name
+
+
+def test_no_closure_calls_itself():
+    # a recursive closure holds the cell that holds it: a reference cycle
+    # that keeps everything it reaches alive until the cyclic collector runs
+    offenders = [
+        f"{path.name}:{lineno}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, name in _recursive_closures(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_closure_rule_sees_each_recursive_closure():
+    source = (
+        "def top(n):\n    return n and top(n - 1)\n"
+        "def outer():\n"
+        "    def walk(k):\n        return k and walk(k - 1)\n"
+        "    def flat(k):\n        return top(k)\n"
+        "    def deep():\n"
+        "        def gen(k):\n            yield from gen(k - 1)\n"
+        "        return gen\n"
+        "    return walk, flat, deep\n"
+        "class C:\n    def method(self):\n        return self.method()\n"
+    )
+    assert list(_recursive_closures(ast.parse(source))) == [(4, "walk"), (9, "gen")]
+
+
 def _references(module, node):
     """(module, name) pairs a statement of ``module`` names: bare names (taken
     as its own module's), ``mod.name``, ``from mod import name``, and the

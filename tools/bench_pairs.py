@@ -11,7 +11,9 @@ directory; the change is the working tree.  For each workload, pair i runs
 even pairs and the change first in odd ones, each run in its own process.
 Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
-won; a tie counts for neither side.  The file ``BENCH_<label>.json`` is
+won; a tie counts for neither side.  It also gives each side's median count
+of attempted requests, since ``peak_rss_mb`` grows with the passes a run
+keeps, so a faster side can read a higher peak.  The file ``BENCH_<label>.json`` is
 written at the root of the working tree.  Only the standard library is used.
 """
 
@@ -71,7 +73,8 @@ def run_once(side, tree, workload, seed, seconds):
 
 def summarize(runs, end_to_end):
     """Per workload: per metric, each side's median and quartiles and the
-    change's wins over the pairs; `correct` is true when every run was.
+    change's wins over the pairs; each side's median `attempted`; `correct`
+    is true when every run was.
 
     `runs` are {"workload", "parent": result, "change": result} records and
     `end_to_end` is the "end_to_end" list of BENCHMARK.json.
@@ -97,6 +100,10 @@ def summarize(runs, end_to_end):
                     round(q, 4) for q in quartiles(values[side])
                 ]
             entry[name]["change_wins"] = f"{wins}/{len(pairs)}"
+        entry["attempted"] = {
+            f"{side}_median": statistics.median(r[side]["attempted"] for r in pairs)
+            for side in SIDES
+        }
         entry["correct"] = all(r[side]["correct"] for r in pairs for side in SIDES)
         summary[workload] = entry
     return summary
