@@ -17,7 +17,6 @@ from .field import (
     NegativeValuation,
     fmt_rat,
     parse_rat,
-    vp,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,9 @@ splits of each remainder found once per call, in a memo that a module-level
 recursion takes as an argument, so no closure holds it in a cycle.  The
 rigid part of a classification's models (root, ordinary arms, tails and the
 whole downstairs tree) is built once; each partition choice adds only its
-leaves, each distinct leaf built once.  The models and tail reports share
-one dualgraph.Memo, so each distinct piece of their JSON is rendered once.
+leaves, each distinct leaf built once.  The models share one
+dualgraph.Memo, so each distinct component and edge of their JSON is
+rendered once.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branchtree
 from .cover import branch_data
-from .dualgraph import DualGraphPair, Memo, VerticalMap, group_key
+from .dualgraph import DualGraphPair, Memo, VerticalMap, group_key, groups_json
+from .field import fmt_rat
 
 
 class ClassifierError(ValueError):
@@ -190,12 +192,8 @@ class TailReport:
     threshold: Fraction
     regime: str
     partitions: tuple  # of tuples of groups; empty unless regime == "near"
-    memo: Memo | None = field(default=None, compare=False, repr=False)  # as its models'
 
     def to_json(self):
-        from .field import fmt_rat
-
-        groups_doc = (self.memo or Memo()).groups_doc
         return {
             "pair": list(self.pair),
             "profiles": [list(pr) for pr in self.profiles],
@@ -203,7 +201,7 @@ class TailReport:
             "excess": self.excess,
             "threshold": fmt_rat(self.threshold),
             "regime": self.regime,
-            "partitions": [groups_doc(groups) for groups in self.partitions],
+            "partitions": [groups_json(groups) for groups in self.partitions],
         }
 
 
@@ -359,23 +357,14 @@ class Classification:
     models: tuple  # of DualGraphPair, one per choice of partitions
     tree: object = None  # classify_cover's branchtree.MetricTree, if it built one
 
-    @property
-    def model(self):
-        if len(self.models) != 1:
-            raise ClassifierError(
-                f"classification has {len(self.models)} candidate models; "
-                "pick one explicitly"
-            )
-        return self.models[0]
-
 
 def assemble(p, ordinary, tail_reports, tree=None):
     """All candidate full models: one per choice of a partition pair for
     each near-threshold tail (other regimes are rigid).  The rigid part is
     built once; each choice adds only the leaves of its near tails.  The
-    models and tail reports share one Memo, which lives as long as they do."""
+    models share one Memo of rendered components and edges, which lives as
+    long as they do."""
     memo = Memo()
-    tail_reports = [replace(rep, memo=memo) for rep in tail_reports]
     skeleton = _Builder(p)
     for label, prof in ordinary:
         skeleton.add_ordinary_arm(label, prof)

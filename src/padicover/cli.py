@@ -6,8 +6,10 @@ Exit codes are part of the interface:
   1  ``verify`` ran both routes and they disagree
   2  the cover does not have simple reduction (offending branch values listed,
      and with ``classify --emit-branch-tree`` the branch tree they sit in)
-  3  malformed input: bad JSON, bad schema, unparsable rationals, bad flags,
-     or a branch value too large to write (Python's int-to-string digit limit)
+  3  malformed input: bad JSON (not UTF-8, or nested too deep to parse), bad
+     schema, unparsable rationals, bad flags, a branch value too large to
+     write (Python's int-to-string digit limit), or an input or output path
+     the program cannot use (an --out that is, or lies under, a regular file)
   4  a domain or engine error, with advice on what to try
   5  internal error: any other exception, reported as JSON with its type
 
@@ -94,7 +96,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -494,6 +496,9 @@ def main(argv=None):
                 break
         sys.stderr.write(_canonical({"error": str(exc), "advice": advice}))
         return 4
+    except OSError as exc:  # the message names the path
+        sys.stderr.write(f"input error: cannot write output: {exc}\n")
+        return 3
     except Exception as exc:  # a bug, never a traceback and never exit 1
         sys.stderr.write(_canonical({"error": str(exc), "type": type(exc).__name__}))
         return 5

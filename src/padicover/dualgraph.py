@@ -21,8 +21,9 @@ each component annotated by the canonical id of its image.  Equality of
 encodings is exactly label-respecting isomorphism of the pairs.
 
 The candidate models of one classification differ only in their near-tail
-leaves, so they share one Memo of rendered JSON pieces: each distinct
-component, edge and partition entry is rendered once per classification.
+leaves, so they share one Memo of rendered components and edges: each
+distinct component and edge is rendered once per classification.  Partition
+entries differ from candidate to candidate and are rendered on every call.
 """
 
 from __future__ import annotations
@@ -44,18 +45,22 @@ def group_key(group):
     return -d, tuple(-x for x in reversed(g1)), tuple(-x for x in reversed(g2))
 
 
+def groups_json(groups):
+    """The groups (d, parts1, parts2) of one partition pair, as JSON."""
+    return [{"d": d, "fiber1": list(g1), "fiber2": list(g2)} for d, g1, g2 in groups]
+
+
 class Memo:
-    """The JSON pieces that the candidate models of one classification share,
-    each keyed by the values it is rendered from, never by identity: a model
-    changed after a rendering renders again.  The classifier makes one per
-    classification; a model that carries none gets a fresh one per call."""
+    """The components and edges that the candidate models of one
+    classification share, each keyed by the values it is rendered from, never
+    by identity: a model changed after a rendering renders again.  The
+    classifier makes one per classification; a model that carries none gets
+    a fresh one per call."""
 
     def __init__(self):
         self.x_comps = {}  # (name, marks, target, degree, kind, notes) -> entry
         self.y_comps = {}  # (name, marks) -> entry
         self.edges = {}  # (a, b, numerator, denominator) -> [a, b, "t"]
-        self.groups = {}  # groups -> [{"d", "fiber1", "fiber2"}, ...]
-        self.partitions = {}  # (pair, groups) -> entry
 
     def x_components(self, x_marks, vertical):
         out, table = [], self.x_comps
@@ -93,24 +98,6 @@ class Memo:
             entry = table.get(key)
             if entry is None:
                 entry = table[key] = [a, b, fmt_rat(t)]
-            out.append(entry)
-        return out
-
-    def groups_doc(self, groups):
-        doc = self.groups.get(groups)
-        if doc is None:
-            doc = self.groups[groups] = [
-                {"d": d, "fiber1": list(g1), "fiber2": list(g2)} for d, g1, g2 in groups
-            ]
-        return doc
-
-    def partition_list(self, partitions):
-        out, table = [], self.partitions
-        for key in partitions:
-            entry = table.get(key)
-            if entry is None:
-                pair, groups = key
-                entry = table[key] = {"pair": list(pair), "groups": self.groups_doc(groups)}
             out.append(entry)
         return out
 
@@ -286,10 +273,9 @@ class DualGraphPair:
 
     def to_json(self):
         """The model as a JSON document, components and edges sorted by name.
-        Each distinct component, edge and partition entry is rendered once
-        per memo, so the documents of one classification's models and tail
-        reports may share read-only sub-objects: copy a document before
-        changing it."""
+        Each distinct component and edge is rendered once per memo, so the
+        documents of one classification's models may share read-only
+        sub-objects: copy a document before changing it."""
         memo = self.memo or Memo()
         return {
             "p": self.p,
@@ -303,7 +289,10 @@ class DualGraphPair:
                 "components": memo.y_components(self.y_marks),
                 "edges": memo.edge_list(self.y_edges),
             },
-            "partitions": memo.partition_list(self.partitions),
+            "partitions": [
+                {"pair": list(pair), "groups": groups_json(groups)}
+                for pair, groups in self.partitions
+            ],
         }
 
     def to_dot(self):

@@ -66,14 +66,6 @@ def _is_prime(n):
     )
 
 
-def vp(q, p):
-    """p-adic valuation of a rational number (None for 0)."""
-    q = Fraction(q)
-    if q == 0:
-        return None
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
-
-
 def _vp_int(a, p):
     # a a nonzero int; divides by p**(2**j) for j = 0, 1, ... while it can,
     # then by the same powers back down, so it takes O(log v_p(a)) divisions

@@ -29,18 +29,6 @@ def scale(f, a, p):
     return normalize([c * a for c in f], p)
 
 
-def mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return normalize(out, p)
-
-
 def monic(f, p):
     if not f:
         return []

@@ -136,10 +136,6 @@ def from_elements(ctx, coeffs):
     return _poly(ctx, n, out.items(), den)
 
 
-def from_rationals(ctx, qs):
-    return from_elements(ctx, [ctx.from_rational(q) for q in qs])
-
-
 def coefficient(f, i):
     """The coefficient of X**i, as a field element."""
     return _reduced(f.ctx, f.n, [(k, row[i]) for k, row in f.rows if row[i]], f.den)
@@ -198,11 +194,6 @@ def antiderivative(f, c):
     factors = [c * m // (i + 1) for i in range(size)]
     rows = [(k, [0] + [a * q for a, q in zip(row, factors)]) for k, row in f.rows]
     return _poly(f.ctx, f.n, rows, f.den * m)
-
-
-def derivative(f):
-    rows = [(k, [i * a for i, a in enumerate(row)][1:]) for k, row in f.rows]
-    return _poly(f.ctx, f.n, rows, f.den)
 
 
 def eval_at(f, x):

@@ -86,17 +86,6 @@ def newton_polygon(f):
     )
 
 
-def root_valuations(f):
-    """Multiset of valuations of all deg(f) roots, as a list.
-
-    Segment of slope s and length l -> l roots of valuation -s, listed sorted;
-    then one None (infinite valuation) per root 0 (X-divisibility).
-    """
-    np = newton_polygon(f)
-    out = sorted(-seg.slope for seg in np.segments for _ in range(seg.length))
-    return out + [None] * np.x_order
-
-
 def positive_roots(vals):
     """(count, rise, run): the roots of strictly positive valuation, in one pass.
 

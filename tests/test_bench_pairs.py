@@ -51,6 +51,7 @@ def test_medians_quartiles_and_wins_per_workload():
         "parent_quartiles": [1.975, 2.05, 2.125],
         "change_quartiles": [1.725, 2.0, 2.225],
         "change_wins": "2/4",
+        "verdict": "within bound",
     }
     throughput = summary["w"]["throughput_per_s"]
     assert throughput["better"] == "higher"
@@ -60,6 +61,53 @@ def test_medians_quartiles_and_wins_per_workload():
     assert summary["v"]["answered_share"]["change_wins"] == "0/1"
     assert summary["v"]["answered_share"]["parent_quartiles"] == [0.5, 0.5, 0.5]
     assert summary["w"]["correct"] and summary["v"]["correct"]
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, expected",
+    [
+        # medians 100 -> 80 with higher better: 20 % worse, inside a 25 % bound
+        ("higher", [98, 100, 102], [78, 80, 82], "within bound"),
+        ("higher", [98, 100, 102], [70, 74, 76], "worse beyond bound"),
+        # lower better: 1.0 -> 1.3 ms is 30 % worse
+        ("lower", [0.99, 1.0, 1.01], [1.29, 1.3, 1.31], "worse beyond bound"),
+        ("lower", [0.99, 1.0, 1.01], [0.7, 0.72, 0.74], "within bound"),
+        # the parent's IQR, 0.5 over a median of 1.0, is wider than the bound
+        ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.9, 1.0, 1.1, 1.0, 1.0], "unresolved"),
+        # ... unless every run of the change beats every run of the parent
+        ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.3, 0.4, 0.45, 0.2, 0.4], "within bound"),
+        # a worse median beyond the bound is reported whatever the spread
+        ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [1.4, 1.5, 1.6, 1.4, 1.5], "worse beyond bound"),
+        # a median of 0 takes the bound as absolute
+        ("lower", [0, 0, 0], [0.2, 0.2, 0.2], "within bound"),
+        ("lower", [0, 0, 0], [0.3, 0.3, 0.3], "worse beyond bound"),
+    ],
+)
+def test_verdict_against_the_bound(better, parent, change, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+
+def test_every_workload_and_metric_gets_a_verdict():
+    runs = [
+        pair("w", result(2.0, 100), result(2.0, 60)),
+        pair("w", result(2.0, 100), result(2.0, 70)),
+        pair("v", result(1.0, 10, 1.0), result(1.0, 10, 0.9)),
+    ]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    names = [metric["name"] for metric in END_TO_END]
+    verdicts = {w: {m: summary[w][m]["verdict"] for m in names} for w in summary}
+    assert verdicts == {
+        "w": {
+            "latency_ms_tail": "within bound",
+            "throughput_per_s": "worse beyond bound",
+            "answered_share": "within bound",
+        },
+        "v": {
+            "latency_ms_tail": "within bound",
+            "throughput_per_s": "within bound",
+            "answered_share": "worse beyond bound",
+        },
+    }
 
 
 def test_each_sides_median_attempted_count_per_workload():

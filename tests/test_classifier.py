@@ -55,7 +55,7 @@ def test_ordinary_pair_model():
     res = classify_formula(
         5, [{"name": "mu", "profile": [3, 1, 1]}, {"name": "nu", "profile": [3, 1, 1]}]
     )
-    model = res.model
+    (model,) = res.models
     assert set(model.x_marks) == {"C", "C'(mu)", "C'(nu)"}
     assert edge_map(model, "x")["C'(mu)"] == ("C", F(1, 2))
     assert edge_map(model, "y")["D'(mu)"] == ("D", F(5, 2))
@@ -74,7 +74,7 @@ def test_good_reduction_stars():
             {"name": "lam", "profile": [2, 1, 1, 1]},
         ],
     )
-    model = res.model
+    (model,) = res.models
     assert len(model.x_marks) == len(model.y_marks) == 4
     assert arm_thicknesses(model, "x", "C") == [F(1, 3), F(1, 3), F(1, 2)]
     assert arm_thicknesses(model, "y", "D") == [F(5, 3), F(5, 3), F(5, 2)]
@@ -83,8 +83,9 @@ def test_good_reduction_stars():
     res3 = classify_formula(
         3, [{"name": "0", "profile": [2, 1]}, {"name": "b", "profile": [2, 1]}]
     )
-    assert arm_thicknesses(res3.model, "x", "C") == [F(1), F(1)]
-    assert arm_thicknesses(res3.model, "y", "D") == [F(3), F(3)]
+    (model3,) = res3.models
+    assert arm_thicknesses(model3, "x", "C") == [F(1), F(1)]
+    assert arm_thicknesses(model3, "y", "D") == [F(3), F(3)]
 
 
 # -- thresholds and regimes ---------------------------------------------------
@@ -124,7 +125,7 @@ def test_far_showcase_model():
     (tail,) = res.tails
     assert (tail.pair, tail.regime) == (("0", "lam"), "far")
     assert (tail.excess, tail.threshold) == (1, F(5))
-    model = res.model
+    (model,) = res.models
     ex, ey = edge_map(model, "x"), edge_map(model, "y")
     assert ex["C'(0,lam)"] == ("C", F(1, 5))
     assert ex["C(0)"] == ("C'(0,lam)", F(2, 5))
@@ -154,7 +155,8 @@ def test_far_arm_thickness_formula():
                 {"name": "c", "profile": [2, 1, 1, 1]},
             ],
         )
-        ex = edge_map(res.model, "x")
+        (model,) = res.models
+        ex = edge_map(model, "x")
         assert rep.regime == "far"
         assert ex["C(a)"][1] == F(5 - eps, 10)
         assert ex["C(b)"][1] == F(5 - eps, 15)
@@ -169,7 +171,8 @@ def test_far_arm_thickness_formula():
                 {"name": "c", "profile": [3, 1, 1]},
             ],
         )
-        ex = edge_map(res.model, "x")
+        (model,) = res.models
+        ex = edge_map(model, "x")
         assert ex["C(a)"][1] == ex["C(b)"][1] == F(5 - 2 * eps, 15)
 
 
@@ -185,7 +188,7 @@ def test_critical_showcase_models():
             {"name": "1", "profile": [2, 1, 1, 1]},
         ],
     )
-    model = res.model
+    (model,) = res.models
     assert edge_map(model, "x")["C'(0,lam)"] == ("C", F(1))
     assert edge_map(model, "y")["D'(0,lam)"] == ("D", F(5))
     assert len(model.x_marks["C'(0,lam)"]) == 7  # both fibers sit here
@@ -201,8 +204,9 @@ def test_critical_showcase_models():
             {"name": "0", "profile": [3, 1, 1]},
         ],
     )
-    assert edge_map(res2.model, "x")["C'(1,lam)"] == ("C", F(1, 2))
-    assert edge_map(res2.model, "y")["D'(1,lam)"] == ("D", F(5, 2))
+    (model2,) = res2.models
+    assert edge_map(model2, "x")["C'(1,lam)"] == ("C", F(1, 2))
+    assert edge_map(model2, "y")["D'(1,lam)"] == ("D", F(5, 2))
 
 
 # -- the near regime and partition pairs --------------------------------------
@@ -523,7 +527,7 @@ def test_formula_output_is_pinned():
 def test_exact_good_reduction_p3():
     cover = rational_cover(3, [(0, 2), (1, 2)])
     res = classify_cover(cover)
-    model = res.model
+    (model,) = res.models
     assert not res.tails
     assert len(model.x_marks) == 3
     assert arm_thicknesses(model, "x", "C") == [F(1), F(1)]
@@ -534,7 +538,7 @@ def test_exact_good_reduction_p3():
 
 def test_exact_totally_ramified_single_vertex():
     cover = rational_cover(5, [(0, 5)])
-    model = classify_cover(cover).model
+    (model,) = classify_cover(cover).models
     assert set(model.x_marks) == {"C"}
     assert set(model.y_marks) == {"D"}
     assert model.x_marks["C"] == (("inf", 5), ("0", 5))
@@ -581,9 +585,10 @@ def test_exact_far_tail_needs_ramified_base():
     (tail,) = res.tails
     assert (tail.epsilon, tail.regime) == (F(5, 2), "far")
     junction = f"C'({tail.pair[0]},{tail.pair[1]})"
-    assert sorted(arm_thicknesses(res.model, "x", junction)) == [F(1, 6), F(1, 4)]
+    (model,) = res.models
+    assert sorted(arm_thicknesses(model, "x", junction)) == [F(1, 6), F(1, 4)]
     down = f"D'({tail.pair[0]},{tail.pair[1]})"
-    assert sorted(arm_thicknesses(res.model, "y", down)) == [F(5, 6), F(5, 4)]
+    assert sorted(arm_thicknesses(model, "y", down)) == [F(5, 6), F(5, 4)]
 
 
 def test_exact_threshold_undefined():
@@ -625,14 +630,15 @@ def rename_components(model, xmap, ymap):
 
 
 def showcase_far():
-    return classify_formula(
+    (model,) = classify_formula(
         5,
         [
             {"name": "0", "profile": [3, 1, 1], "tail_with": "lam", "epsilon": "1"},
             {"name": "lam", "profile": [2, 1, 1, 1]},
             {"name": "1", "profile": [2, 1, 1, 1]},
         ],
-    ).model
+    ).models
+    return model
 
 
 def showcase_near():
@@ -863,7 +869,7 @@ def test_json_and_dot_deterministic():
 
 def test_dot_escapes_quotes_and_backslashes_in_names():
     specs = [{"name": 'a"b\\c', "profile": [3, 1, 1]}, {"name": "mu", "profile": [3, 1, 1]}]
-    model = classify_formula(5, specs).model
+    (model,) = classify_formula(5, specs).models
     for line in model.to_dot().splitlines():
         # outside its quoted strings, no line holds a quote or a backslash
         bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
@@ -911,9 +917,9 @@ def shared_memo_classifications():
         yield f"exact-{i}", classify_cover(cover_from_json(doc))
 
 
-def detached(obj):
-    """An independent deep copy of a model or tail report, with no memo."""
-    return deepcopy(replace(obj, memo=None))
+def detached(model):
+    """An independent deep copy of a model, with no memo."""
+    return deepcopy(replace(model, memo=None))
 
 
 def test_candidates_render_and_compare_as_copies_without_a_memo():
@@ -922,8 +928,7 @@ def test_candidates_render_and_compare_as_copies_without_a_memo():
         names[name.split("-")[0] if "@" in name else "multi"] += 1
         (memo,) = {id(m.memo) for m in classification.models}
         for tail in classification.tails:
-            assert id(tail.memo) == memo
-            assert tail.to_json() == detached(tail).to_json(), name
+            assert tail.to_json() == deepcopy(tail).to_json(), name
         for model in classification.models:
             copy = detached(model)
             assert copy.validate() is copy
@@ -934,6 +939,30 @@ def test_candidates_render_and_compare_as_copies_without_a_memo():
             assert [t.regime for t in classification.tails] == ["near", "near"]
     assert names == {"p7": 2 * 19, "p11": 2 * 246, "multi": 5 + len(TWO_NEAR_TAIL_COVERS)}
     assert candidates > 2 * 1491
+
+
+def test_every_memo_table_holds_fewer_entries_than_the_pieces_rendered():
+    """Once every candidate of a near classification with two or more has
+    rendered, each of the memo's three tables holds fewer entries than the
+    components and edges the candidates rendered: every table is shared."""
+    classifications = 0
+    for name, classification in shared_memo_classifications():
+        models = classification.models
+        if len(models) < 2:
+            continue
+        for model in models:
+            model.to_json()
+        (memo,) = {id(m.memo): m.memo for m in models}.values()
+        rendered = {
+            "x_comps": sum(len(m.x_marks) for m in models),
+            "y_comps": sum(len(m.y_marks) for m in models),
+            "edges": sum(len(m.x_edges) + len(m.y_edges) for m in models),
+        }
+        assert vars(memo).keys() == rendered.keys()
+        for table, pieces in rendered.items():
+            assert len(getattr(memo, table)) < pieces, (name, table)
+        classifications += 1
+    assert classifications == 2 * (19 + 246) + 5 + len(TWO_NEAR_TAIL_COVERS)  # all of them
 
 
 def two_candidates():

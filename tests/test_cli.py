@@ -153,9 +153,12 @@ def exact_doc(cover):
 
 
 def run_main(tmp_path, command, flag, doc, *extra):
-    """cli.main on a document written to a file (None: a missing file)."""
+    """cli.main on a document written to a file (None: a missing file; bytes
+    and str are written as they are)."""
     path = tmp_path / "input.json"
-    if doc is not None:
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    elif doc is not None:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return cli.main([command, flag, str(path), *extra])
 
@@ -185,6 +188,8 @@ EXIT_CODES = {
     "not-simple": ("classify", "--cover", cover_doc(5, [(0, 2), (25, 2), (5, 2), (1, 2)]), 2),
     "missing-file": ("classify", "--cover", None, 3),
     "bad-json": ("classify", "--cover", '{"p": 5,', 3),
+    "input-not-utf-8": ("classify", "--cover", b"\xff\xfe", 3),
+    "input-nested-too-deep": ("verify", "--cover", "[" * 200_000 + "]" * 200_000, 3),
     "p-4": ("classify", "--profiles", one_point_profiles(4), 3),
     "p-9": ("classify", "--profiles", one_point_profiles(9), 3),
     "p-1": ("classify", "--profiles", one_point_profiles(1), 3),
@@ -421,6 +426,25 @@ def test_out_writes_the_documented_files(tmp_path, capsys):
     files = {f.name for f in out.iterdir()}
     assert len(files) == 10 and "index.json" in files  # nine models and the index
     assert all(name.endswith(".json") for name in files)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("command", ["classify", "verify", "atlas", "example8"])
+def test_an_out_path_the_program_cannot_use_is_an_input_error(command, under, tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(DOCSTRING_COVER))
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    if under:
+        out = out / "models"
+    argv = [command, "--out", str(out)]
+    if command in ("classify", "verify"):
+        argv += ["--cover", str(cover)]
+    assert cli.main(argv) == 3
+    stdout, err = capsys.readouterr()
+    assert not stdout
+    assert err.startswith("input error: ") and str(out) in err
+    assert (tmp_path / "taken").read_text() == "a regular file\n"
 
 
 # exit code and sha256 of stdout of `verify --trace --emit both` per planted

@@ -12,8 +12,8 @@ from padicover.field import (
     NegativeValuation,
     fmt_rat,
     parse_rat,
-    vp,
 )
+from reference import vp
 
 
 def random_element(rng, ctx, scale=3):

@@ -26,6 +26,7 @@ from padicover.oracle import (
     run_oracle,
     separate_fibers,
 )
+from reference import derivative, from_rationals
 
 
 def rational_cover(p, points, e=1):
@@ -247,7 +248,7 @@ def test_repeated_residual_root_outside_fp_is_an_error():
     # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root;
     # the core 5X - 4X**2 + X**4 carries the fiber with offset 4
     ctx = FieldContext(5, 1)
-    core = kpoly.from_rationals(ctx, (0, 5, -4, 0, 1))
+    core = from_rationals(ctx, (0, 5, -4, 0, 1))
     node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, (0, 1))
     with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
         _residual_table(node, kpoly.reduction(core), ctx.p)
@@ -302,7 +303,7 @@ def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
         k = 0
         for label in mults:
             g = kpoly.translate(carried(node, label), ctx.from_rational(wbar))
-            squarefree = newton.positive_root_count(kpoly.gcd_k(g, kpoly.derivative(g)))
+            squarefree = newton.positive_root_count(kpoly.gcd_k(g, derivative(g)))
             k += newton.positive_root_count(g) - squarefree
         expected.append(k)
         return blow_up_once(ctx, node, wbar, mults)

@@ -11,9 +11,11 @@ directory; the change is the working tree.  For each workload, pair i runs
 even pairs and the change first in odd ones, each run in its own process.
 Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
-won; a tie counts for neither side.  It also gives each side's median count
-of attempted requests, since ``peak_rss_mb`` grows with the passes a run
-keeps, so a faster side can read a higher peak.  The file ``BENCH_<label>.json`` is
+won; a tie counts for neither side.  Each metric also gets a verdict against
+its bound in ``BENCHMARK.json``, the no-regression reading (``verdict``).  It
+also gives each side's median count of attempted requests, since
+``peak_rss_mb`` grows with the passes a run keeps, so a faster side can read a
+higher peak.  The file ``BENCH_<label>.json`` is
 written at the root of the working tree.  Only the standard library is used.
 """
 
@@ -72,9 +74,9 @@ def run_once(side, tree, workload, seed, seconds):
 
 
 def summarize(runs, end_to_end):
-    """Per workload: per metric, each side's median and quartiles and the
-    change's wins over the pairs; each side's median `attempted`; `correct`
-    is true when every run was.
+    """Per workload: per metric, each side's median and quartiles, the
+    change's wins over the pairs and the verdict against the metric's bound;
+    each side's median `attempted`; `correct` is true when every run was.
 
     `runs` are {"workload", "parent": result, "change": result} records and
     `end_to_end` is the "end_to_end" list of BENCHMARK.json.
@@ -100,6 +102,9 @@ def summarize(runs, end_to_end):
                     round(q, 4) for q in quartiles(values[side])
                 ]
             entry[name]["change_wins"] = f"{wins}/{len(pairs)}"
+            entry[name]["verdict"] = verdict(
+                values["parent"], values["change"], better, metric["bound"]
+            )
         entry["attempted"] = {
             f"{side}_median": statistics.median(r[side]["attempted"] for r in pairs)
             for side in SIDES
@@ -107,6 +112,26 @@ def summarize(runs, end_to_end):
         entry["correct"] = all(r[side]["correct"] for r in pairs for side in SIDES)
         summary[workload] = entry
     return summary
+
+
+def verdict(parent, change, better, bound):
+    """The no-regression reading of one metric from each side's runs, with
+    `bound` relative to the parent's median (absolute when that is 0):
+
+    * "worse beyond bound" when the change's median is worse by more;
+    * "unresolved" when the parent's IQR is wider, unless every run of the
+      change beats every run of the parent;
+    * else "within bound".
+    """
+    sign = 1 if better == "higher" else -1
+    median = statistics.median(parent)
+    allowed = bound * (abs(median) or 1)
+    if sign * (median - statistics.median(change)) > allowed:
+        return "worse beyond bound"
+    low, _, high = quartiles(parent)
+    if high - low > allowed and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
 
 
 def quartiles(values):
