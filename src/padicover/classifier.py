@@ -14,15 +14,15 @@ by the threshold p/u, where u = n1 + n2 - p - 1 counts the excess of the two
 fibers.  Below the threshold the pair behaves like two independent arms
 hanging off a shared component; at the threshold they fuse; above it the
 fibers split into s = u + 1 groups described by an admissible partition pair.
-Those pairs are built group by group under their constraints, each group's
-second-fiber parts drawn with exactly the count and sum they need, and the
-splits of each remainder found once per call, in a memo that a module-level
-recursion takes as an argument, so no closure holds it in a cycle.  The
-rigid part of a classification's models (root, ordinary arms, tails and the
-whole downstairs tree) is built once; each partition choice adds only its
-leaves, each distinct leaf built once.  The models share one
-dualgraph.Memo, so each distinct component and edge of their JSON is
-rendered once.
+A group's parts greater than 1 force its ones, so those pairs are built as
+the multiset partitions of the two fibers' parts greater than 1 into blocks
+that make groups, padded with groups of ones; the splits of each remainder
+are found once per call, in a memo that a module-level recursion takes as an
+argument, so no closure holds it in a cycle.  The rigid part of a
+classification's models (root, ordinary arms, tails and the whole downstairs
+tree) is built once; each partition choice adds only its leaves, each
+distinct leaf built once.  The models share one dualgraph.Memo, so each
+distinct component and edge of their JSON is rendered once.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -32,7 +32,6 @@ its discrete data out of a cover over a concrete field and then delegates.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,57 +94,71 @@ def check_profile(p, profile):
 # partition pairs
 
 
-def _submultisets(parts, most):
-    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
-    count) pairs, values descending) with sum at most `most`."""
-    if not parts:
-        yield (), ()
-        return
-    (v, c), tail = parts[0], parts[1:]
-    for k in range(min(c, most // v) + 1):
-        for chosen, rest in _submultisets(tail, most - k * v):
-            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
-
-
-def _draws(parts, count, total, left):
-    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
-    count) pairs, values descending, `left` parts in all) with exactly
-    `count` parts summing to exactly `total`."""
-    if not count:
-        if not total:
-            yield (), parts
-        return
-    if count > left or not count <= total <= count * parts[0][0]:
-        return
-    (v, c), tail = parts[0], parts[1:]
-    left -= c
-    for k in range(max(0, count - left), min(c, count, total // v) + 1):
-        for chosen, rest in _draws(tail, count - k, total - k * v, left):
-            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
-
-
-def _splits(left1, left2, memo):
-    """(order of the first group, ((sort key, group), ...)) per split of the
-    remainders left1, left2, each remainder's splits found once in `memo`."""
-    if not left1:
-        return [((), ())]
-    found = memo.get((left1, left2))
+def _subsets(parts, memo):
+    """(chosen, len, excess, rest, len, excess) per sub-multiset `chosen` of
+    `parts` (descending), the excess being sum - len; found once in `memo`."""
+    found = memo.get(parts)
     if found is None:
-        found = memo[left1, left2] = []
-        (head, c), tail = left1[0], left1[1:]
-        rest1 = ((head, c - 1),) * (c > 1) + tail
-        n2 = sum(n for _, n in left2)
-        for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
-            d = head + sum(more1)
-            for g2, rest2 in _draws(left2, d - len(more1), d, n2):
-                group = (d, more1[::-1] + (head,), g2[::-1])
-                key = group_key(group)
-                order, entry = (-head, key), (key, group)
-                found.extend(
-                    (order, (entry,) + more)
-                    for first, more in _splits(rest, rest2, memo)
-                    if not first or first >= order
-                )
+        runs = [(v, parts.count(v)) for v in dict.fromkeys(parts)]
+        found = memo[parts] = []
+        for ks in itertools.product(*[range(c + 1) for _, c in runs]):
+            chosen = rest = ()
+            for (v, c), k in zip(runs, ks):
+                chosen += (v,) * k
+                rest += (v,) * (c - k)
+            n, m = len(chosen), len(rest)
+            found.append((chosen, n, sum(chosen) - n, rest, m, sum(rest) - m))
+    return found
+
+
+def _headed(parts, memo):
+    """The sub-multisets of `parts`, as ``_subsets`` gives them, that hold
+    its largest part."""
+    head = parts[0]
+    return [
+        ((head,) + c, n + 1, e + head - 1, r, rn, re)
+        for c, n, e, r, rn, re in _subsets(parts[1:], memo)
+    ]
+
+
+_NO_BLOCKS = ((((), ()), ((),)),)  # the one split of nothing, under ((), ()) < every block
+
+
+def _blocks(rest1, rest2, left, memo):
+    """((first block, [split, ...]), ...): the splits of the parts rest1,
+    rest2 (all > 1, descending) into at most `left` blocks (h1, h2) in
+    non-increasing order, by first block, each split a tuple of
+    (group_key(group), group).  `memo` holds the splits of each remainder
+    (rest1, rest2, left), the entry of each block and ``_subsets``."""
+    if not (rest1 or rest2):
+        return _NO_BLOCKS
+    found = memo.get((rest1, rest2, left))
+    if found is not None:
+        return found
+    found = memo[rest1, rest2, left] = []
+    left -= 1
+    if rest1:
+        firsts, seconds = _headed(rest1, memo), _subsets(rest2, memo)
+    else:
+        firsts, seconds = [((), 0, 0, (), 0, 0)], _headed(rest2, memo)
+    for h1, n1, e1, r1, rn1, re1 in firsts:
+        for h2, n2, e2, r2, rn2, re2 in seconds:
+            if n1 > e2 + 1 or n2 > e1 + 1 or rn1 > re2 + left or rn2 > re1 + left:
+                continue
+            block = (h1, h2)
+            tails = [
+                tail
+                for first, splits in _blocks(r1, r2, left, memo)
+                if first <= block
+                for tail in splits
+            ]
+            if tails:
+                entry = memo.get(block)
+                if entry is None:
+                    g1 = (1,) * (e2 + 1 - n1) + h1[::-1]
+                    group = (e1 + e2 + 1, g1, (1,) * (e1 + 1 - n2) + h2[::-1])
+                    entry = memo[block] = ((group_key(group), group),)
+                found.append((block, [entry + tail for tail in tails]))
     return found
 
 
@@ -154,25 +167,48 @@ def admissible_partitions(p, profile1, profile2):
     tuple of groups (d, parts1, parts2), parts ascending, the groups in
     ``dualgraph.group_key`` order.
 
-    Each group (d, g1, g2) is built under its constraints (Knuth, TAOCP 4A,
-    7.2.1.5), with nothing generated and then thrown away: the largest part
-    left in fiber 1 heads it, the rest of g1 is any sub-multiset of what is
-    left of fiber 1 with sum at most what is left of fiber 2 minus the head,
-    and g2 is drawn with exactly d + 1 - len(g1) parts summing to exactly
-    d = sum(g1).  Summed over the groups, len(g1) + len(g2) = d + 1 gives
-    exactly u + 1 = n1 + n2 - p of them, so there is no pair when u < 1.
-    Groups come in (head, sort key) order, so each pair comes once: the
-    splits of a remainder of the two fibers are found once per call, in a
-    dict that ``_splits`` takes as an argument and that is freed when the
-    call returns, and a group keeps those whose first group it precedes.
+    A group (d, g1, g2) has sum(g1) = sum(g2) = d and len(g1) + len(g2) =
+    d + 1, so its parts greater than 1 force its ones.  Let h_i be the parts
+    > 1 of g_i and e_i = sum(h_i) - len(h_i).  Then g_i holds d - sum(h_i)
+    ones, and the length condition gives d = e1 + e2 + 1: g1 holds
+    e2 + 1 - len(h1) ones and g2 holds e1 + 1 - len(h2).  So (h1, h2) makes
+    a group exactly when len(h1) <= e2 + 1 and len(h2) <= e1 + 1, and
+    h1 = h2 = () makes (1, (1,), (1,)).  Over s groups, fiber 1 spends
+    E2 + s - L1 ones, where L_i counts the parts > 1 of fiber i and E_i is
+    their excess, and it has n1 - L1; since E2 = p - n2, these agree
+    exactly when s = n1 + n2 - p = u + 1, and likewise for fiber 2.  So the
+    pairs are the multiset partitions of the two fibers' parts > 1 into at
+    most u + 1 blocks that make groups (Knuth, TAOCP 4A, 7.2.1.5), padded
+    with (1, (1,), (1,)) to u + 1 groups, and there is none when u < 1.
+
+    ``_blocks`` builds them with nothing generated and then thrown away but
+    the splits that a block's order filter drops.  The first block holds the
+    largest part left on side 1, or on side 2 once side 1 is used up, and
+    the blocks come in non-increasing (h1, h2) order, so each pair comes
+    once.  A block holds at most e2 + 1 parts of side 1 and e1 + 1 of side 2,
+    so a remainder (rest1, rest2) with k blocks left is pruned when
+    len(rest1) > E(rest2) + k or len(rest2) > E(rest1) + k, E being the
+    excess; as the empty remainder is pruned once k < 0, so is every split
+    into more than u + 1 blocks.  Each remainder's splits and each block's group are found once
+    per call, in a dict that ``_blocks`` takes as an argument and that is
+    freed when the call returns.
     """
     profile1 = check_profile(p, profile1)
     profile2 = check_profile(p, profile2)
-    if pair_excess(p, profile1, profile2) < 1:
+    count = pair_excess(p, profile1, profile2) + 1
+    if count < 2:
         return ()
-    fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
-    found = sorted(tuple(sorted(entries)) for _, entries in _splits(*fibers, {}))
-    return tuple(tuple(group for _, group in entries) for entries in found)
+    rest1 = tuple(m for m in profile1 if m > 1)
+    rest2 = tuple(m for m in profile2 if m > 1)
+    found = sorted(
+        tuple(sorted(split))
+        for _, splits in _blocks(rest1, rest2, count, {})
+        for split in splits
+    )
+    ones = ((1, (1,), (1,)),)
+    return tuple(
+        tuple(group for _, group in split) + ones * (count - len(split)) for split in found
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ cover at p = 5 and e = 1000); a larger e exits 3.
 
 Formula mode skips the field entirely and names the branch points with their
 fiber profiles; a colliding pair carries the valuation of the difference.
+A "name", and the "tail_with" that names a point's partner, must be a
+non-empty JSON string; any other value (null, a number, a boolean, a list,
+"") exits 3, and the name "inf" is reserved for infinity.
 The profiles must satisfy Riemann-Hurwitz, sum(p - n) = p - 1 over the
 finite branch points (n the number of parts), or the input exits 3::
 
@@ -110,6 +113,14 @@ def _load_cover(path):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _name(entry, field, path):
+    """entry[field], a branch point's name: a non-empty JSON string."""
+    value = entry[field]
+    if type(value) is not str or not value:
+        raise SchemaError(f"{path}: {field} must be a non-empty string, got {json.dumps(value)}")
+    return value
+
+
 def _load_profiles(path):
     doc = _read_json(path)
     try:
@@ -119,9 +130,9 @@ def _load_profiles(path):
             profile = tuple(entry["profile"])
             if not all(type(m) is int for m in profile):
                 raise SchemaError(f"{path}: profile parts must be integers, got {profile}")
-            spec = {"name": str(entry["name"]), "profile": profile}
+            spec = {"name": _name(entry, "name", path), "profile": profile}
             if "tail_with" in entry:
-                spec["tail_with"] = str(entry["tail_with"])
+                spec["tail_with"] = _name(entry, "tail_with", path)
             if "epsilon" in entry:
                 spec["epsilon"] = parse_rat(entry["epsilon"])
             specs.append(spec)

@@ -1,12 +1,15 @@
 """Helpers that only the tests call, each a reference the tests check against.
 
-They build test inputs or read an answer the slow, obvious way; no code path
-of the package runs them, so they live here rather than in ``padicover``.
+They build test inputs or read an answer the slow, obvious way or by an
+earlier algorithm; no code path of the package runs them, so they live here
+rather than in ``padicover``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from padicover import fppoly, kpoly
+from padicover.dualgraph import group_key
 from padicover.field import _vp_int
 from padicover.newton import newton_polygon
 
@@ -53,3 +56,71 @@ def root_valuations(f):
     np = newton_polygon(f)
     out = sorted(-seg.slope for seg in np.segments for _ in range(seg.length))
     return out + [None] * np.x_order
+
+
+def _submultisets(parts, most):
+    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
+    count) pairs, values descending) with sum at most `most`."""
+    if not parts:
+        yield (), ()
+        return
+    (v, c), tail = parts[0], parts[1:]
+    for k in range(min(c, most // v) + 1):
+        for chosen, rest in _submultisets(tail, most - k * v):
+            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
+
+
+def _draws(parts, count, total, left):
+    """(chosen, rest) for each sub-multiset `chosen` of `parts` ((value,
+    count) pairs, values descending, `left` parts in all) with exactly
+    `count` parts summing to exactly `total`."""
+    if not count:
+        if not total:
+            yield (), parts
+        return
+    if count > left or not count <= total <= count * parts[0][0]:
+        return
+    (v, c), tail = parts[0], parts[1:]
+    left -= c
+    for k in range(max(0, count - left), min(c, count, total // v) + 1):
+        for chosen, rest in _draws(tail, count - k, total - k * v, left):
+            yield (v,) * k + chosen, ((v, c - k),) * (k < c) + rest
+
+
+def _splits(left1, left2, memo):
+    """(order of the first group, ((sort key, group), ...)) per split of the
+    remainders left1, left2, each remainder's splits found once in `memo`."""
+    if not left1:
+        return [((), ())]
+    found = memo.get((left1, left2))
+    if found is None:
+        found = memo[left1, left2] = []
+        (head, c), tail = left1[0], left1[1:]
+        rest1 = ((head, c - 1),) * (c > 1) + tail
+        n2 = sum(n for _, n in left2)
+        for more1, rest in _submultisets(rest1, sum(v * n for v, n in left2) - head):
+            d = head + sum(more1)
+            for g2, rest2 in _draws(left2, d - len(more1), d, n2):
+                group = (d, more1[::-1] + (head,), g2[::-1])
+                key = group_key(group)
+                order, entry = (-head, key), (key, group)
+                found.extend(
+                    (order, (entry,) + more)
+                    for first, more in _splits(rest, rest2, memo)
+                    if not first or first >= order
+                )
+    return found
+
+
+def partitions_by_groups(p, profile1, profile2):
+    """The admissible partition pairs of two fibers, in the canonical order
+    of ``classifier.admissible_partitions``, built group by group over all
+    the parts: the largest part left in fiber 1 heads each group, the rest
+    of g1 is a sub-multiset of what is left of fiber 1, and g2 is drawn with
+    exactly d + 1 - len(g1) parts summing to exactly d = sum(g1).  Groups
+    come in (head, sort key) order, so each pair comes once."""
+    if len(profile1) + len(profile2) - p - 1 < 1:
+        return ()
+    fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
+    found = sorted(tuple(sorted(entries)) for _, entries in _splits(*fibers, {}))
+    return tuple(tuple(group for _, group in entries) for entries in found)

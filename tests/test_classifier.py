@@ -28,6 +28,7 @@ from padicover.classifier import (
 from padicover.cover import cover_from_json, from_critical_divisor
 from padicover.dualgraph import DualGraphPair, InvalidDualGraph, group_key
 from padicover.field import FieldContext
+from reference import partitions_by_groups
 
 
 def edge_map(model, side):
@@ -370,6 +371,29 @@ def test_partition_enumeration_is_complete():
         assert admissible_partitions(p, prof1, prof2) == want, (p, prof1, prof2)
         total += len(want)
     assert total > len(cases)
+
+
+def test_partition_enumeration_matches_the_group_by_group_reference():
+    # the blocks of parts > 1 against the enumerator that builds each group
+    # from all its parts: every near pair at p <= 13, and a seeded sample of
+    # 300 at each of p = 17, 19 and 23
+    total = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        profiles = all_profiles(p)
+        if p <= 13:
+            cases = [(a, b) for a, b in product(profiles, repeat=2) if len(a) + len(b) > p + 1]
+        else:
+            rng, drawn = random.Random(p), set()
+            while len(drawn) < 300:
+                a, b = rng.choice(profiles), rng.choice(profiles)
+                if len(a) + len(b) > p + 1:
+                    drawn.add((a, b))
+            cases = sorted(drawn)
+        for prof1, prof2 in cases:
+            want = partitions_by_groups(p, prof1, prof2)
+            assert admissible_partitions(p, prof1, prof2) == want, (p, prof1, prof2)
+            total += len(want)
+    assert total == 69768
 
 
 def test_large_near_pair():

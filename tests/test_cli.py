@@ -244,6 +244,18 @@ EXIT_CODES = {
     ),
     "duplicate-name": ("classify", "--profiles", formula(TAIL_0, LAM, ONE, ONE), 3),
     "name-inf": ("classify", "--profiles", formula(("inf", [3, 1, 1], {}), LAM, ONE), 3),
+    # a name is a non-empty JSON string, never the str() of another value
+    "name-null": ("classify", "--profiles", formula(TAIL_0, LAM, (None, [2, 1, 1, 1], {})), 3),
+    "name-true": ("classify", "--profiles", formula(TAIL_0, LAM, (True, [2, 1, 1, 1], {})), 3),
+    "name-list": ("classify", "--profiles", formula(TAIL_0, LAM, ([1], [2, 1, 1, 1], {})), 3),
+    "name-number": ("classify", "--profiles", formula(TAIL_0, LAM, (7, [2, 1, 1, 1], {})), 3),
+    "name-empty": ("classify", "--profiles", formula(TAIL_0, LAM, ("", [2, 1, 1, 1], {})), 3),
+    "tail-with-number": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"tail_with": 7, "epsilon": "7"}), ("7", [2, 1, 1, 1], {}), ONE),
+        3,
+    ),
     "unknown-partner": (
         "classify",
         "--profiles",

@@ -363,10 +363,12 @@ def test_each_fiber_is_the_core_plus_a_constant_offset():
 
 def test_seeded_random_covers_agree_or_are_refused():
     # classifier against oracle on 450 seeded covers; the exact counts pin
-    # both routes, and no cover may match zero or several candidates
+    # both routes, and no cover may match zero or several candidates.  The
+    # agreeing covers are also counted by how many candidates they had (1, 2,
+    # 3 or more), so a change in which partition pairs exist shows here
     refusals = (ThresholdUndefined, ResidualRootOutsideFp, AllPointsCoalesce, NotSimpleReduction)
     rng = random.Random(7)
-    counts = Counter()
+    counts, candidates = Counter(), Counter()
     for p in (3, 5, 7):
         for _ in range(150):
             cover = planted.random_integral_cover(rng, p)
@@ -378,6 +380,8 @@ def test_seeded_random_covers_agree_or_are_refused():
                 continue
             matched = [m for m in classification.models if result.model.is_isomorphic_to(m)]
             counts["agree" if len(matched) == 1 else "disagree"] += 1
+            if len(matched) == 1:
+                candidates[min(len(classification.models), 3)] += 1
     assert counts == {
         "agree": 390,
         "ThresholdUndefined": 26,
@@ -385,6 +389,7 @@ def test_seeded_random_covers_agree_or_are_refused():
         "AllPointsCoalesce": 3,
         "NotSimpleReduction": 2,
     }
+    assert candidates == {1: 372, 2: 18}  # none had 3 or more
 
 
 @pytest.mark.parametrize(
