@@ -15,7 +15,6 @@ from .field import (
     Element,
     FieldContext,
     NegativeValuation,
-    fmt_rat,
     parse_rat,
 )
 

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .field import fmt_rat
-
 
 class AllPointsCoalesce(ValueError):
     """All marked points share one residue: no two specialize apart."""
@@ -76,10 +74,10 @@ class MetricTree:
     def to_json(self):
         out = []
         for n in self.nodes.values():
-            entry = {"name": n.name, "depth": fmt_rat(n.depth), "marks": list(n.marks)}
+            entry = {"name": n.name, "depth": str(n.depth), "marks": list(n.marks)}
             if n.parent is not None:
                 entry["parent"] = n.parent
-                entry["thickness"] = fmt_rat(n.thickness)
+                entry["thickness"] = str(n.thickness)
             out.append(entry)
         return {"vertices": out}
 
@@ -161,6 +159,6 @@ def classify_points(tree):
         else:
             offenders.append(
                 f"cluster {node.name} (marks {{{', '.join(node.marks) or '-'}}}, "
-                f"{len(node.children)} sub-cluster(s), depth {fmt_rat(node.depth)})"
+                f"{len(node.children)} sub-cluster(s), depth {node.depth})"
             )
     return BranchClassification(ordinary, tuple(tails), tuple(offenders))

@@ -38,7 +38,6 @@ from fractions import Fraction
 from . import branchtree
 from .cover import branch_data
 from .dualgraph import DualGraphPair, Memo, VerticalMap, group_key, groups_json
-from .field import fmt_rat
 
 
 class ClassifierError(ValueError):
@@ -233,9 +232,9 @@ class TailReport:
         return {
             "pair": list(self.pair),
             "profiles": [list(pr) for pr in self.profiles],
-            "epsilon": fmt_rat(self.epsilon),
+            "epsilon": str(self.epsilon),
             "excess": self.excess,
-            "threshold": fmt_rat(self.threshold),
+            "threshold": str(self.threshold),
             "regime": self.regime,
             "partitions": [groups_json(groups) for groups in self.partitions],
         }
@@ -277,7 +276,8 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
 
 class _Builder:
     """Accumulates the rigid components of both trees (marks as tuples) and
-    emits one DualGraphPair per choice of near-tail leaves."""
+    emits one DualGraphPair per choice of near-tail leaves.  An upstairs
+    component C<tag> maps onto D<tag>; the roots have the tag ""."""
 
     def __init__(self, p):
         self.p = p
@@ -287,63 +287,47 @@ class _Builder:
         self.y_edges = []
         self.vertical = {"C": VerticalMap("D", p, "inseparable")}
 
-    def add_ordinary_arm(self, label, profile):
+    def hang(self, over, tag, t, x_marks, y_marks, kind="etale", notes=()):
+        """C<tag> over D<tag> by a degree-p map of this kind, hung below C<over>
+        and D<over>: the downstairs edge is t thick and the upstairs one t / p,
+        the scaling law that DualGraphPair.validate checks."""
+        cx, dy = "C" + tag, "D" + tag
+        self.x_marks[cx] = x_marks
+        self.y_marks[dy] = y_marks
+        self.x_edges.append(("C" + over, cx, t / self.p))
+        self.y_edges.append(("D" + over, dy, t))
+        self.vertical[cx] = VerticalMap(dy, self.p, kind, notes=notes)
+
+    def add_arm(self, label, profile, height, over="", tag="'"):
+        """The arm of a branch value whose fiber has n points: C<tag>(label)
+        below C<over>, at downstairs thickness height / (n - 1).  An ordinary
+        arm hangs off the root with height p; a totally ramified fiber's one
+        point sits on the root instead."""
         n = len(profile)
         if n == 1:
-            # totally ramified fiber: the single point sits on the root
             self.x_marks["C"] += ((label, profile[0]),)
             self.y_marks["D"] += (label,)
             return
-        cx, dy = f"C'({label})", f"D'({label})"
-        self.x_marks[cx] = tuple((label, m) for m in profile)
-        self.y_marks[dy] = (label,)
-        self.x_edges.append(("C", cx, Fraction(1, n - 1)))
-        self.y_edges.append(("D", dy, Fraction(self.p, n - 1)))
-        self.vertical[cx] = VerticalMap(
-            dy, self.p, "etale", notes=("wild above junction image",)
-        )
+        marks, notes = tuple((label, m) for m in profile), ("wild above junction image",)
+        self.hang(over, f"{tag}({label})", Fraction(height, n - 1), marks, (label,), notes=notes)
 
     def add_tail(self, report):
-        """The tail's rigid part; a near tail's leaves C_i come from _near_leaves."""
-        a, b = report.pair
-        eps = report.epsilon
-        prof1, prof2 = report.profiles
-        cx, dy = f"C'({a},{b})", f"D'({a},{b})"
+        """The tail's rigid part; a near tail's leaves C_i come from _near_leaves.
+        A far tail is a junction with the two arms C(a), C(b) hung below it at
+        height p - u * epsilon."""
+        (a, b), (prof1, prof2), eps = report.pair, report.profiles, report.epsilon
+        tag = f"'({a},{b})"
         if report.regime == "far":
-            self.x_marks[cx] = ()
-            self.y_marks[dy] = ()
-            self.x_edges.append(("C", cx, eps / self.p))
-            self.y_edges.append(("D", dy, eps))
-            self.vertical[cx] = VerticalMap(dy, self.p, "inseparable")
+            self.hang("", tag, eps, (), (), "inseparable")
             for label, prof in ((a, prof1), (b, prof2)):
-                n = len(prof)
-                nu = Fraction(self.p - report.excess * eps, self.p * (n - 1))
-                leaf_x, leaf_y = f"C({label})", f"D({label})"
-                self.x_marks[leaf_x] = tuple((label, m) for m in prof)
-                self.y_marks[leaf_y] = (label,)
-                self.x_edges.append((cx, leaf_x, nu))
-                self.y_edges.append((dy, leaf_y, self.p * nu))
-                self.vertical[leaf_x] = VerticalMap(
-                    leaf_y, self.p, "etale", notes=("wild above junction image",)
-                )
+                self.add_arm(label, prof, self.p - report.excess * eps, over=tag, tag="")
         elif report.regime == "critical":
-            self.x_marks[cx] = tuple((a, m) for m in prof1) + tuple((b, m) for m in prof2)
-            self.y_marks[dy] = (a, b)
-            self.x_edges.append(("C", cx, eps / self.p))
-            self.y_edges.append(("D", dy, eps))
-            self.vertical[cx] = VerticalMap(
-                dy, self.p, "etale", notes=("wild above one unramified point",)
-            )
+            marks = tuple((a, m) for m in prof1) + tuple((b, m) for m in prof2)
+            self.hang("", tag, eps, marks, (a, b), notes=("wild above one unramified point",))
         else:  # near
-            eps0 = report.threshold
-            d1y = f"D_1({a},{b})"
-            self.x_marks[cx] = ()
-            self.y_marks[dy] = ()
-            self.y_marks[d1y] = (a, b)
-            self.x_edges.append(("C", cx, eps0 / self.p))
-            self.y_edges.append(("D", dy, eps0))
-            self.y_edges.append((dy, d1y, eps - eps0))
-            self.vertical[cx] = VerticalMap(dy, self.p, "etale")
+            self.hang("", tag, report.threshold, (), ())
+            self.y_marks[f"D_1({a},{b})"] = (a, b)
+            self.y_edges.append(("D" + tag, f"D_1({a},{b})", eps - report.threshold))
 
     def build(self, choices, memo):
         """The model with the leaves of each (leaves, entry) choice."""
@@ -403,7 +387,7 @@ def assemble(p, ordinary, tail_reports, tree=None):
     memo = Memo()
     skeleton = _Builder(p)
     for label, prof in ordinary:
-        skeleton.add_ordinary_arm(label, prof)
+        skeleton.add_arm(label, prof, p)
     for rep in tail_reports:
         skeleton.add_tail(rep)
     choice_sets = [_near_leaves(rep) for rep in tail_reports if rep.regime == "near"]
@@ -419,11 +403,12 @@ def assemble(p, ordinary, tail_reports, tree=None):
 
 
 def classify_formula(p, branch_specs):
-    """Formula mode: branch_specs is a list of dicts with keys
-    name, profile, and optionally tail_with + epsilon (on one member of
-    each tail pair).  No field arithmetic happens.  The profiles must
-    satisfy Riemann-Hurwitz: infinity is totally ramified, so the sum of
-    p - n over the finite branch points, n the fiber size, is p - 1."""
+    """Formula mode: branch_specs is a list of dicts with keys name, profile,
+    and optionally tail_with + epsilon (on one member of each tail pair; an
+    epsilon without tail_with is refused).  No field arithmetic happens.
+    The profiles must satisfy Riemann-Hurwitz: infinity is totally ramified,
+    so the sum of p - n over the finite branch points, n the fiber size, is
+    p - 1."""
     by_name = {}
     for spec in branch_specs:
         name = spec["name"]
@@ -443,6 +428,8 @@ def classify_formula(p, branch_specs):
     for name, spec in sorted(by_name.items()):
         partner = spec.get("tail_with")
         if partner is None:
+            if spec.get("epsilon") is not None:
+                raise InvalidProfile(f"branch point {name!r} has an epsilon but no tail_with")
             continue
         if partner not in by_name:
             raise InvalidProfile(f"tail partner {partner!r} of {name!r} unknown")
@@ -451,13 +438,10 @@ def classify_formula(p, branch_specs):
         pair = tuple(sorted((name, partner)))
         eps = spec.get("epsilon")
         eps = None if eps is None else Fraction(eps)
-        if pair in pairs:
-            if eps is not None and pairs[pair] is not None and eps != pairs[pair]:
-                raise InvalidProfile(f"tail {pair} has two different epsilons")
-            if eps is not None:
-                pairs[pair] = eps
-        else:
-            pairs[pair] = eps
+        known = pairs.get(pair)
+        if eps is not None and known is not None and eps != known:
+            raise InvalidProfile(f"tail {pair} has two different epsilons")
+        pairs[pair] = known if eps is None else eps
     claimed = set()
     for pair in pairs:
         for name in pair:
@@ -469,9 +453,7 @@ def classify_formula(p, branch_specs):
         if eps is None:
             raise InvalidProfile(f"tail {pair} is missing epsilon")
         tails.append(analyze_tail(p, pair, profiles[pair[0]], profiles[pair[1]], eps))
-    ordinary = [
-        (n, profiles[n]) for n in sorted(by_name) if n not in claimed
-    ]
+    ordinary = [(n, profiles[n]) for n in sorted(by_name) if n not in claimed]
     return assemble(p, ordinary, tails)
 
 
@@ -483,10 +465,7 @@ def classify_cover(cover):
     branch = branch_data(cover)
     for bp in branch:
         if not bp.value.is_integral():
-            raise NonIntegralBranchValue(
-                f"branch value {bp.label} is not integral; move the branch values "
-                "into the unit disc by a change of coordinates"
-            )
+            raise NonIntegralBranchValue(f"branch value {bp.label} is not integral")
     if len(branch) == 1:
         return assemble(p, [(branch[0].label, branch[0].profile)], [])
     if len(branch) == 2:

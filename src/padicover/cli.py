@@ -26,18 +26,24 @@ exponent exits 3.  The input's e only sets that format: the arithmetic has
 no fixed ramification index.  The ``e`` that ``verify`` reports is the
 least ramification index over which the cover and every blow-up radius are
 defined, the lcm of the input's e and the denominators of the radii in the
-oracle's stages.  Exact mode builds beta densely and takes p <= 1000
-(``cover.EXACT_P_BOUND``; verify of a random cover takes 0.4-0.6 s at
-p = 401, 0.5-0.8 s at p = 503 and 1.3-3.0 s at p = 809); a larger p exits
-3.  It also takes e <= 1000 (``cover.EXACT_E_BOUND``): every label is
-written as e rationals, so the output grows with e (67 KB for a 3-point
-cover at p = 5 and e = 1000); a larger e exits 3.
+oracle's stages.  Exact mode builds beta densely and takes p <= 1000, and,
+as every label is written as e rationals, e <= 1000; a larger p or e exits
+3 (the costs are measured beside ``cover.EXACT_P_BOUND`` and EXACT_E_BOUND).
+
+The model belongs to the cover in the coordinates given.  A unit-affine
+change x -> u*x + c (u a unit, c integral) keeps it, each branch value
+lambda moved to u**p * lambda + beta_new(c); so do another order of the
+critical points, moving each by p**30 times an integer, and writing the
+cover at another e (the reported e becomes the lcm).  x -> p*x does not: it
+gives another cover, with another model, so exit 4 never advises rescaling.
 
 Formula mode skips the field entirely and names the branch points with their
-fiber profiles; a colliding pair carries the valuation of the difference.
-A "name", and the "tail_with" that names a point's partner, must be a
-non-empty JSON string; any other value (null, a number, a boolean, a list,
-"") exits 3, and the name "inf" is reserved for infinity.
+fiber profiles; a colliding pair carries the valuation of the difference,
+as an "epsilon" beside the "tail_with" that names the point's partner (an
+"epsilon" on a point without "tail_with" exits 3; so do --pair and
+--epsilon with --cover).  A "name", and a "tail_with", must be a non-empty
+JSON string; any other value (null, a number, a boolean, a list, "") exits
+3, and the name "inf" is reserved for infinity.
 The profiles must satisfy Riemann-Hurwitz, sum(p - n) = p - 1 over the
 finite branch points (n the number of parts), or the input exits 3::
 
@@ -70,7 +76,7 @@ from .classifier import (
     pair_excess,
 )
 from .cover import InvalidDivisor, branch_data, cover_from_json
-from .field import FieldContext, fmt_rat, parse_rat
+from .field import FieldContext, parse_rat
 from .oracle import (
     NonTermination,
     NotIntegralCover,
@@ -230,6 +236,8 @@ def _cmd_classify(args):
     if bool(args.cover) == bool(args.profiles):
         raise SchemaError("classify needs exactly one of --cover or --profiles")
     if args.cover:
+        if args.pair is not None or args.epsilon is not None:
+            raise SchemaError("--pair/--epsilon need --profiles")
         cover = _load_cover(args.cover)
         classification = classify_cover(cover)
         mode = "exact"
@@ -314,7 +322,7 @@ def _atlas_rows(p):
                 pairs.append({
                     "profiles": [list(pi1), list(pi2)],
                     "u": u,
-                    "threshold": fmt_rat(Fraction(p, u)) if u > 0 else None,
+                    "threshold": str(Fraction(p, u)) if u > 0 else None,
                     "partitions": len(admissible_partitions(p, pi1, pi2)),
                 })
             rows.append(
@@ -395,8 +403,8 @@ def _cmd_example8(args):
             tag = f"collide{report.pair[0]}-{report.regime}"
             facts = {
                 "collides": list(report.pair),
-                "epsilon": fmt_rat(report.epsilon),
-                "threshold": fmt_rat(report.threshold),
+                "epsilon": str(report.epsilon),
+                "threshold": str(report.threshold),
                 "regime": report.regime,
             }
         models = classification.models
@@ -463,17 +471,20 @@ def _build_parser():
 
 
 _ADVICE = {
-    NotIntegralCover: "shift and scale coordinates until the polynomial has "
-    "integral coefficients and p-th-power reduction, then retry",
-    NonIntegralBranchValue: "shift and scale coordinates until every branch "
-    "value is integral, then retry",
+    NotIntegralCover: "the model is computed only for integral coefficients and "
+    "p-th-power reduction; scaling x by a power of p may give them, but that is "
+    "another cover, with another model",
+    NonIntegralBranchValue: "the model is computed only for integral branch "
+    "values; scaling x by a power of p may give them, but that is another "
+    "cover, with another model",
     ResidualRootOutsideFp: "the separating model needs an unramified extension "
     "of the residue field; this engine only lifts F_p-rational centers",
     NonTermination: "the blow-up budget ran out; the cover may be degenerate",
     ThresholdUndefined: "the two fibers already account for p + 1 points, so "
     "no collision threshold exists for this pair",
-    AllPointsCoalesce: "apply a coordinate change spreading the branch values "
-    "over at least two residue classes, then retry",
+    AllPointsCoalesce: "the model is computed only for branch values in two or "
+    "more residue classes; scaling x by a power of p may spread them, but that "
+    "is another cover, with another model",
 }
 
 

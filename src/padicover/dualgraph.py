@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .field import fmt_rat
-
 
 class InvalidDualGraph(ValueError):
     """A structural law failed (not a tree, scaling law broken, bad degrees)."""
@@ -97,7 +95,7 @@ class Memo:
             key = a, b, t.numerator, t.denominator
             entry = table.get(key)
             if entry is None:
-                entry = table[key] = [a, b, fmt_rat(t)]
+                entry = table[key] = [a, b, str(t)]
             out.append(entry)
         return out
 

@@ -11,14 +11,16 @@ FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  Input strings are
 parsed straight to integer pairs (a, b), with no ``Fraction`` in between.
-``Fraction`` appears only where a rational comes in or goes out whole
-(``parse_rat``, ``fmt_rat``, ``from_rational``, and ``uniformizer_power``
-given one rational; given an int pair q, den it builds none), in
-``Element.val`` and in the Gauss-Jordan inverse of an element with several
-terms.  The valuation is normalized so that v(p) = 1; ``Element.scaled_val``
-reads it as the int n * v over the element's own n, ``val`` as a
-``Fraction``, and ``None`` stands for the infinite valuation of 0, so a
-comparison that forgets the zero case raises TypeError instead of answering.
+``Fraction`` appears only where a rational comes in whole (``parse_rat``,
+``from_rational``, and ``uniformizer_power`` given one rational; given an int
+pair q, den it builds none), in ``Element.val`` and in the Gauss-Jordan
+inverse of an element with several terms; a rational goes out as the
+``str()`` of its ``Fraction``.  There is no division operator: x / y is
+``x * y.inverse()``.  The valuation is normalized so that v(p) = 1;
+``Element.scaled_val`` reads it as the int n * v over the element's own n,
+``val`` as a ``Fraction``, and ``None`` stands for the infinite valuation of
+0, so a comparison that forgets the zero case raises TypeError instead of
+answering.
 
 X**N - p is Eisenstein, so the terms of a nonzero element have pairwise
 distinct valuations v_p(a) + k/N - v_p(d) (their fractional parts k/N differ),
@@ -80,13 +82,6 @@ def _vp_int(a, p):
             a //= powers[j]
             k += 1 << j
     return k
-
-
-def fmt_rat(q):
-    """Render a rational as 'a' or 'a/b' (exactly, no floats)."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _fmt(a, d):
@@ -356,9 +351,6 @@ class Element:
     def __sub__(self, other):
         return _combine(self, self._check(other), True)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         other = self._check(other)
         a, b, ctx = self.terms, other.terms, self.ctx
@@ -413,15 +405,6 @@ class Element:
                     rows[r] = [v - f * w for v, w in zip(rows[r], top)]
         solution = [(k, row[n].numerator, row[n].denominator) for k, row in enumerate(rows)]
         return _from_pairs(self.ctx, n, solution)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if not other:
-            raise DivisionByZero("division by zero element")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __pow__(self, n):
         if type(n) is not int:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kpoly
-from .field import fmt_rat
 from .kpoly import ZeroPolynomial
 
 
@@ -47,9 +46,9 @@ class NewtonPolygon:
 
     def to_json(self):
         return {
-            "vertices": [[i, fmt_rat(v)] for i, v in self.vertices],
+            "vertices": [[i, str(v)] for i, v in self.vertices],
             "segments": [
-                {"slope": fmt_rat(s.slope), "len": s.length} for s in self.segments
+                {"slope": str(s.slope), "len": s.length} for s in self.segments
             ],
             "x_order": self.x_order,
             "degree": self.degree,

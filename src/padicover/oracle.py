@@ -64,7 +64,6 @@ from math import gcd, lcm
 from . import fppoly, kpoly, newton
 from .cover import branch_data
 from .dualgraph import DualGraphPair, VerticalMap, group_key
-from .field import fmt_rat
 
 
 class OracleError(Exception):
@@ -164,7 +163,7 @@ class Stage:
             "parent": self.parent,
             "residue": self.residue,
             "lift": str(self.residue),
-            "nu": fmt_rat(self.nu),
+            "nu": str(self.nu),
             "m": self.m,
             "k": self.k,
             "participants": list(self.participants),

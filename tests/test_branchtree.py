@@ -12,7 +12,7 @@ from padicover.branchtree import (
     classify_points,
 )
 from padicover.cover import branch_data
-from padicover.field import FieldContext, fmt_rat
+from padicover.field import FieldContext
 
 K = FieldContext(5, 1)
 
@@ -149,15 +149,15 @@ def reference_tree(points):
                 classes.append([(label, x)])
         marks = sorted([c[0][0] for c in classes if len(c) == 1] + ["inf"] * (parent is None))
         subs = sorted((c for c in classes if len(c) > 1), key=lambda c: sorted(l for l, _ in c))
-        entry = {"name": name, "depth": fmt_rat(depth), "marks": marks}
+        entry = {"name": name, "depth": str(depth), "marks": marks}
         if parent is not None:
-            entry.update(parent=parent, thickness=fmt_rat(depth - parent_depth))
+            entry.update(parent=parent, thickness=str(depth - parent_depth))
             if parent == "D" and not subs and len(marks) == 2:
                 tails.append((tuple(marks), depth - parent_depth))
             else:
                 offenders.append(
                     f"cluster {name} (marks {{{', '.join(marks) or '-'}}}, "
-                    f"{len(subs)} sub-cluster(s), depth {fmt_rat(depth)})"
+                    f"{len(subs)} sub-cluster(s), depth {depth})"
                 )
         vertices.append(entry)
         for c in subs:

@@ -180,7 +180,8 @@ MERSENNE_61 = 2**61 - 1
 # beta(10**900) has about 4,500 digits, over Python's int-to-string limit
 HUGE_LABEL = cover_doc(5, [("1" + "0" * 900, 3), (0, 2), (1, 2)])
 
-# one row per exit code of the cli docstring: (command, flag, document, code)
+# one row per exit code of the cli docstring: (command, flag, document, code,
+# *further flags)
 EXIT_CODES = {
     "classify-profiles": ("classify", "--profiles", DOCSTRING_PROFILES, 0),
     "verify-planted": ("verify", "--cover", planted_doc(), 0),
@@ -280,6 +281,17 @@ EXIT_CODES = {
         formula(TAIL_0, LAM, ("1", [2, 1, 1, 1], {"tail_with": "lam", "epsilon": "7"})),
         3,
     ),
+    # an epsilon belongs beside a tail_with, and the pair flags to formula mode
+    "epsilon-without-tail-with": (
+        "classify",
+        "--profiles",
+        formula(("0", [3, 1, 1], {"epsilon": "7"}), LAM, ONE),
+        3,
+    ),
+    "cover-with-pair-flags": (
+        "classify", "--cover", DOCSTRING_COVER, 3, "--pair", "0,lam", "--epsilon", "7"
+    ),
+    "cover-with-epsilon-flag": ("classify", "--cover", DOCSTRING_COVER, 3, "--epsilon", "7"),
     "missing-epsilon": (
         "classify",
         "--profiles",
@@ -305,10 +317,10 @@ EXIT_CODES = {
 
 @pytest.mark.parametrize("row", sorted(EXIT_CODES))
 def test_every_documented_exit_code(row, tmp_path, capsys, monkeypatch):
-    command, flag, doc, code = EXIT_CODES[row]
+    command, flag, doc, code, *extra = EXIT_CODES[row]
     if row == "verify-disagrees":
         monkeypatch.setattr(DualGraphPair, "is_isomorphic_to", lambda self, other: False)
-    assert run_main(tmp_path, command, flag, doc) == code
+    assert run_main(tmp_path, command, flag, doc, *extra) == code
     out, err = capsys.readouterr()
     if code <= 1:
         assert json.loads(out)
@@ -382,6 +394,10 @@ FLAG_ERRORS = {
     "epsilon-without-a-declared-pair": (
         ["classify", "--profiles", "{nopair}", "--epsilon", "7"],
         "--epsilon given but the file declares no pair",
+    ),
+    "pair-flags-with-cover": (
+        ["classify", "--cover", "{cover}", "--pair", "0,lam", "--epsilon", "7"],
+        "--pair/--epsilon need --profiles",
     ),
     "verify-without-cover": (["verify"], "verify needs --cover"),
     "atlas-without-out": (["atlas"], "atlas needs --out DIR"),

@@ -10,7 +10,6 @@ from padicover.field import (
     DivisionByZero,
     FieldContext,
     NegativeValuation,
-    fmt_rat,
     parse_rat,
 )
 from reference import vp
@@ -111,9 +110,9 @@ def test_mul_div_roundtrip():
             x, y = random_element(rng, K), random_element(rng, K)
             if not y:
                 continue
-            assert (x / y) * y == x
+            assert (x * y.inverse()) * y == x
     with pytest.raises(DivisionByZero):
-        K.one() / K.zero()
+        K.zero().inverse()
 
 
 def test_residue_is_ring_homomorphism():
@@ -182,7 +181,7 @@ def test_vp_additive(q1, q2):
 
 @given(st.fractions())
 def test_rat_format_roundtrip(q):
-    assert parse_rat(fmt_rat(q)) == q
+    assert parse_rat(str(q)) == q
 
 
 @given(
