@@ -6,8 +6,9 @@ the minimal semi-stable model separating the ramified fibers: the components
 upstairs and downstairs, the intersection trees with exact singular-point
 thicknesses, and the maps between the two sides.  A symbolic blow-up engine
 recomputes the same picture from first principles so the closed-form answers
-can be cross-checked on exact instances.  No function builds a reference cycle,
-so reference counting frees all a request builds; tests/test_lifetimes.py checks this.
+can be cross-checked on exact instances.  Records are plain classes that, like
+Element and Poly, are not mutated after construction.  No function builds a
+reference cycle, so reference counting frees all a request builds (tests/test_lifetimes.py).
 """
 
 from .field import (

@@ -31,7 +31,6 @@ is also the gatekeeper that reports offending clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -43,33 +42,41 @@ class AllPointsCoalesce(ValueError):
 ONE_POINT = "need at least two marked points"
 
 
-@dataclass
 class TreeNode:
-    name: str
-    depth: Fraction
-    thickness: Fraction | None  # depth below the parent; None on the root
-    parent: str | None
-    marks: list = field(default_factory=list)  # mark labels, sorted
-    children: list = field(default_factory=list)  # TreeNode, in creation order
+    __slots__ = ("name", "depth", "thickness", "parent", "marks", "children")
+
+    def __init__(self, name, depth, thickness, parent, marks=None, children=None):
+        self.name = name
+        self.depth = depth  # Fraction
+        self.thickness = thickness  # depth below the parent; None on the root
+        self.parent = parent  # parent's name; None on the root
+        self.marks = [] if marks is None else marks  # mark labels, sorted
+        self.children = [] if children is None else children  # TreeNode, in creation order
 
 
-@dataclass(frozen=True)
 class Tail:
-    pair: tuple  # two mark labels, sorted
-    epsilon: Fraction
+    __slots__ = ("pair", "epsilon")
+
+    def __init__(self, pair, epsilon):
+        self.pair = pair  # two mark labels, sorted
+        self.epsilon = epsilon  # Fraction
 
 
-@dataclass(frozen=True)
 class BranchClassification:
-    ordinary: tuple  # labels marked on the root, sorted
-    tails: tuple  # Tail entries, in order of their pairs
-    offenders: tuple  # human-readable descriptions of non-simple clusters
+    __slots__ = ("ordinary", "tails", "offenders")
+
+    def __init__(self, ordinary, tails, offenders):
+        self.ordinary = ordinary  # labels marked on the root, sorted
+        self.tails = tails  # Tail entries, in order of their pairs
+        self.offenders = offenders  # human-readable descriptions of non-simple clusters
 
 
-@dataclass
 class MetricTree:
-    root: TreeNode
-    nodes: dict  # name -> TreeNode, in creation order: D, v1, v2, ...
+    __slots__ = ("root", "nodes")
+
+    def __init__(self, root, nodes):
+        self.root = root  # TreeNode
+        self.nodes = nodes  # name -> TreeNode, in creation order: D, v1, v2, ...
 
     def to_json(self):
         out = []

@@ -32,7 +32,6 @@ its discrete data out of a cover over a concrete field and then delegates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branchtree
@@ -218,15 +217,17 @@ def pair_excess(p, profile1, profile2):
     return len(profile1) + len(profile2) - p - 1
 
 
-@dataclass(frozen=True)
 class TailReport:
-    pair: tuple  # (label1, label2)
-    profiles: tuple  # (profile1, profile2)
-    epsilon: Fraction
-    excess: int
-    threshold: Fraction
-    regime: str
-    partitions: tuple  # of tuples of groups; empty unless regime == "near"
+    __slots__ = ("pair", "profiles", "epsilon", "excess", "threshold", "regime", "partitions")
+
+    def __init__(self, pair, profiles, epsilon, excess, threshold, regime, partitions):
+        self.pair = pair  # (label1, label2)
+        self.profiles = profiles  # (profile1, profile2)
+        self.epsilon = epsilon  # Fraction
+        self.excess = excess  # int
+        self.threshold = threshold  # Fraction
+        self.regime = regime  # str
+        self.partitions = partitions  # of tuples of groups; empty unless regime == "near"
 
     def to_json(self):
         return {
@@ -369,13 +370,15 @@ def _near_leaves(report):
         yield leaves, ((a, b), groups)
 
 
-@dataclass(frozen=True)
 class Classification:
-    p: int
-    ordinary: tuple  # ((label, profile), ...)
-    tails: tuple  # of TailReport
-    models: tuple  # of DualGraphPair, one per choice of partitions
-    tree: object = None  # classify_cover's branchtree.MetricTree, if it built one
+    __slots__ = ("p", "ordinary", "tails", "models", "tree")
+
+    def __init__(self, p, ordinary, tails, models, tree=None):
+        self.p = p
+        self.ordinary = ordinary  # ((label, profile), ...)
+        self.tails = tails  # of TailReport
+        self.models = models  # of DualGraphPair, one per choice of partitions
+        self.tree = tree  # classify_cover's branchtree.MetricTree, if it built one
 
 
 def assemble(p, ordinary, tail_reports, tree=None):

@@ -43,7 +43,8 @@ as an "epsilon" beside the "tail_with" that names the point's partner (an
 "epsilon" on a point without "tail_with" exits 3; so do --pair and
 --epsilon with --cover).  A "name", and a "tail_with", must be a non-empty
 JSON string; any other value (null, a number, a boolean, a list, "") exits
-3, and the name "inf" is reserved for infinity.
+3, and the name "inf" is reserved for infinity.  --pair a,b --epsilon x puts
+(a, b) at x in place of any pair naming a or b; the file's other pairs stay.
 The profiles must satisfy Riemann-Hurwitz, sum(p - n) = p - 1 over the
 finite branch points (n the number of parts), or the input exits 3::
 
@@ -150,7 +151,7 @@ def _load_profiles(path):
 
 
 def _apply_pair_flags(specs, pair, epsilon, path):
-    """--pair a,b and --epsilon override or install a colliding pair."""
+    """--pair a,b and --epsilon override or install a colliding pair; other pairs stay."""
     if pair is None and epsilon is None:
         return specs
     if epsilon is not None:
@@ -169,9 +170,10 @@ def _apply_pair_flags(specs, pair, epsilon, path):
             )
         if epsilon is None:
             raise SchemaError("--pair requires --epsilon")
-        for s in by_name.values():
-            s.pop("tail_with", None)
-            s.pop("epsilon", None)
+        for s in by_name.values():  # the pairs that name a or b give way
+            if s["name"] in names or s.get("tail_with") in names:
+                s.pop("tail_with", None)
+                s.pop("epsilon", None)
         by_name[names[0]]["tail_with"] = names[1]
         by_name[names[0]]["epsilon"] = epsilon
     else:

@@ -21,11 +21,10 @@ and the classifier, the blow-up engine and the command line all read those.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import kpoly
-from .field import Element, FieldContext
+from .field import FieldContext
 
 
 class InvalidDivisor(ValueError):
@@ -50,17 +49,16 @@ class RHViolation(AssertionError):
     """The degree count failed — internal inconsistency, never expected."""
 
 
-@dataclass(frozen=True)
 class CriticalDivisor:
     """Finite critical points (x, m): x ramifies with index m >= 2."""
 
-    points: tuple  # ((Element, int), ...)
-    p: int
+    __slots__ = ("points", "p")
 
-    def __post_init__(self):
-        seen = set()
-        total = 0
-        for x, m in self.points:
+    def __init__(self, points, p):
+        self.points = points  # ((Element, int), ...)
+        self.p = p
+        seen, total = set(), 0
+        for x, m in points:
             if type(m) is not int:
                 raise InvalidDivisor(f"multiplicity {m!r} at {x!r} is not an integer")
             if m < 2:
@@ -75,7 +73,6 @@ class CriticalDivisor:
             )
 
 
-@dataclass(frozen=True)
 class BranchPoint:
     """One finite branch value with its fiber profile, label and critical points.
 
@@ -85,21 +82,24 @@ class BranchPoint:
     the divisor's order.
     """
 
-    value: Element
-    profile: tuple
-    label: str
-    points: tuple  # ((Element, int), ...)
+    __slots__ = ("value", "profile", "label", "points")
+
+    def __init__(self, value, profile, label, points):
+        self.value = value  # Element
+        self.profile = profile
+        self.label = label
+        self.points = points  # ((Element, int), ...)
 
 
-@dataclass(frozen=True)
 class Cover:
     """beta monic of degree p with beta(0) = 0, plus its critical divisor."""
 
-    beta: kpoly.Poly  # integer rows over one denominator, immutable
-    ctx: FieldContext
-    critical: CriticalDivisor
+    def __init__(self, beta, ctx, critical):
+        self.beta = beta  # kpoly.Poly: integer rows over one denominator
+        self.ctx = ctx  # FieldContext
+        self.critical = critical  # CriticalDivisor
 
-    @cached_property
+    @cached_property  # kept in the instance dict, so Cover has no __slots__
     def branch_points(self):
         """The finite branch points, computed on first use; see branch_data."""
         groups = {}
@@ -162,11 +162,11 @@ def branch_data(cover):
     Groups the critical points by branch value and reads off the fiber
     profiles; infinity is implicit, with profile (p,).  This is the one place
     a branch value is computed and labelled, and it happens once per cover:
-    the tuple is kept on the immutable cover (``Cover.branch_points``), so
-    the classifier and the oracle of one request share it.  The
-    Riemann-Hurwitz count sum n = (r - 2) p + 1 is checked here
-    (RHViolation).  A value whose label would pass Python's int-to-string
-    digit limit raises InvalidDivisor.
+    the tuple is kept on the cover (``Cover.branch_points``), which is not
+    mutated after construction, so the classifier and the oracle of one
+    request share it.  The Riemann-Hurwitz count sum n = (r - 2) p + 1 is
+    checked here (RHViolation).  A value whose label would pass Python's
+    int-to-string digit limit raises InvalidDivisor.
     """
     return cover.branch_points
 

@@ -28,7 +28,6 @@ entries differ from candidate to candidate and are rendered on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 
@@ -163,26 +162,32 @@ def _x_enc(name, children, marks, vertical, y_ids):
     return tuple(sorted(marks[name])), (y_ids[vm.target], vm.degree, vm.kind), tuple(kids)
 
 
-@dataclass(frozen=True)
 class VerticalMap:
-    target: str
-    degree: int
-    kind: str  # "inseparable" | "etale"
-    notes: tuple = ()  # informational (e.g. wild/tame points); never compared
+    __slots__ = ("target", "degree", "kind", "notes")
+
+    def __init__(self, target, degree, kind, notes=()):
+        self.target = target  # downstairs component name
+        self.degree = degree  # int
+        self.kind = kind  # "inseparable" | "etale"
+        self.notes = notes  # informational (e.g. wild/tame points); never compared
 
 
-@dataclass
 class DualGraphPair:
-    p: int
-    x_root: str
-    y_root: str
-    x_marks: dict  # name -> tuple of (label, multiplicity), upstairs
-    y_marks: dict  # name -> tuple of labels, downstairs
-    x_edges: list  # (parent, child, Fraction thickness), directed away from root
-    y_edges: list
-    vertical: dict  # x name -> VerticalMap
-    partitions: tuple = ()  # ((pair_labels, groups), ...) canonical nested tuples
-    memo: Memo | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("p", "x_root", "y_root", "x_marks", "y_marks", "x_edges", "y_edges",
+                 "vertical", "partitions", "memo")
+
+    def __init__(self, p, x_root, y_root, x_marks, y_marks, x_edges, y_edges, vertical,
+                 partitions=(), memo=None):
+        self.p = p
+        self.x_root = x_root
+        self.y_root = y_root
+        self.x_marks = x_marks  # name -> tuple of (label, multiplicity), upstairs
+        self.y_marks = y_marks  # name -> tuple of labels, downstairs
+        self.x_edges = x_edges  # (parent, child, Fraction thickness), directed away from root
+        self.y_edges = y_edges
+        self.vertical = vertical  # x name -> VerticalMap
+        self.partitions = partitions  # ((pair_labels, groups), ...) canonical nested tuples
+        self.memo = memo  # Memo of rendered components and edges, or None
 
     # -- structure ------------------------------------------------------
 
@@ -243,8 +248,8 @@ class DualGraphPair:
 
     def canonical_key(self):
         """Each subtree encoded once, thicknesses as (numerator, denominator)
-        pairs; built on every call, as a model is a mutable dataclass, by
-        module-level encoders, so its scratch maps die with the call."""
+        pairs.  Models are not mutated after construction, but a verify keys
+        each once, so module-level encoders build the key anew on every call."""
         y_order = {}  # name -> children in the order of their encodings
         y_form = _y_enc(self.y_root, _children(self.y_marks, self.y_edges), self.y_marks, y_order)
         # canonical ids in the order of a DFS that visits children by their

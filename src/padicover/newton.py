@@ -22,27 +22,30 @@ Whether a cover is integral is one scan over its coefficient valuations, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kpoly
 from .kpoly import ZeroPolynomial
 
 
-@dataclass(frozen=True)
 class Segment:
-    slope: Fraction
-    length: int
+    __slots__ = ("slope", "length")
+
+    def __init__(self, slope, length):
+        self.slope = slope  # Fraction
+        self.length = length  # int
 
 
-@dataclass(frozen=True)
 class NewtonPolygon:
     """Lower hull data: vertices (i, v(a_i)) and segments (slope, length)."""
 
-    vertices: tuple  # ((i, Fraction), ...)
-    segments: tuple  # (Segment, ...)
-    x_order: int  # multiplicity of the root 0 (= lowest index with a_i != 0)
-    degree: int
+    __slots__ = ("vertices", "segments", "x_order", "degree")
+
+    def __init__(self, vertices, segments, x_order, degree):
+        self.vertices = vertices  # ((i, Fraction), ...)
+        self.segments = segments  # (Segment, ...)
+        self.x_order = x_order  # multiplicity of the root 0 (= lowest index with a_i != 0)
+        self.degree = degree
 
     def to_json(self):
         return {

@@ -57,7 +57,6 @@ way, every one for a shared root; a repeated one has not been observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -144,18 +143,20 @@ class _Node:
         self.kind = None  # "inseparable" | "etale", set while processing
 
 
-@dataclass(frozen=True)
 class Stage:
     """Trace record of one blow-up (raw history, before contraction)."""
 
-    node: str  # child disc created
-    parent: str
-    residue: int
-    nu: Fraction  # radius increment upstairs
-    m: int  # local degree carried into the child
-    k: int  # distinct fiber points inside the child disc
-    participants: tuple  # track labels with points in the child
-    residuals: dict  # label -> residual polynomial at the parent (string)
+    __slots__ = ("node", "parent", "residue", "nu", "m", "k", "participants", "residuals")
+
+    def __init__(self, node, parent, residue, nu, m, k, participants, residuals):
+        self.node = node  # child disc created
+        self.parent = parent
+        self.residue = residue  # int
+        self.nu = nu  # Fraction, radius increment upstairs
+        self.m = m  # local degree carried into the child
+        self.k = k  # distinct fiber points inside the child disc
+        self.participants = participants  # track labels with points in the child
+        self.residuals = residuals  # label -> residual polynomial at the parent (string)
 
     def to_json(self):
         return {
@@ -181,14 +182,16 @@ class ModelState:
         self.stages = []
 
 
-@dataclass(frozen=True)
 class OracleResult:
     """Everything a verification run produces."""
 
-    model: DualGraphPair
-    stages: tuple  # one Stage per blow-up
-    e: int  # lcm of the cover's e and the denominators of the stage radii
-    labels: tuple
+    __slots__ = ("model", "stages", "e", "labels")
+
+    def __init__(self, model, stages, e, labels):
+        self.model = model  # DualGraphPair
+        self.stages = stages  # one Stage per blow-up
+        self.e = e  # lcm of the cover's e and the denominators of the stage radii
+        self.labels = labels
 
     def trace_json(self):
         return [s.to_json() for s in self.stages]

@@ -22,22 +22,23 @@ v(delta) instead, where every group is anchored by a rational critical point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kpoly
 from .classifier import classify_cover
-from .cover import Cover, from_critical_divisor
+from .cover import from_critical_divisor
 from .field import FieldContext
 
 
-@dataclass(frozen=True)
 class PlantedInstance:
     """A cover plus the regimes its colliding pairs are planted to realize."""
 
-    name: str
-    cover: Cover
-    regimes: tuple  # sorted regime names; () means no colliding pairs at all
+    __slots__ = ("name", "cover", "regimes")
+
+    def __init__(self, name, cover, regimes):
+        self.name = name
+        self.cover = cover  # Cover
+        self.regimes = regimes  # sorted regime names; () means no colliding pairs at all
 
 
 def _point(ctx, spec):

@@ -367,6 +367,21 @@ def test_pair_and_epsilon_flags(doc, flags, epsilon, regime, tmp_path, capsys):
     assert (tail["pair"], tail["epsilon"], tail["regime"]) == (["0", "lam"], epsilon, regime)
 
 
+def test_pair_flags_keep_the_files_other_tails(tmp_path, capsys):
+    # --pair a,b replaces only the pairs that name a or b
+    doc = formula(
+        ("a", [2, 1, 1, 1], {"tail_with": "b", "epsilon": "3"}),
+        ("b", [2, 1, 1, 1], {}),
+        ("c", [2, 1, 1, 1], {"tail_with": "d", "epsilon": "1"}),
+        ("d", [2, 1, 1, 1], {}),
+    )
+    assert run_main(tmp_path, "classify", "--profiles", doc, "--pair", "b,a", "--epsilon", "2") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ordinary"] == []
+    tails = [(t["pair"], t["epsilon"]) for t in out["tails"]]
+    assert tails == [(["a", "b"], "2"), (["c", "d"], "1")]
+
+
 # every SchemaError path of the flags: argv, with {cover}, {profiles},
 # {nopair} and {dups} standing for input files, and a part of the message
 FLAG_ERRORS = {

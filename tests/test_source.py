@@ -1,6 +1,9 @@
 """Rules the package source keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +81,43 @@ def test_the_two_routes_import_nothing_from_each_other():
 def test_the_import_rule_sees_each_kind_of_import():
     source = "import a.b\nfrom .c import x\nfrom . import d\ndef f():\n    from .e import y\n"
     assert sorted(_imported_modules(ast.parse(source))) == ["b", "c", "d", "e"]
+
+
+def _imports_dataclasses(tree):
+    return "dataclasses" in set(_imported_modules(tree))
+
+
+def test_no_package_module_imports_dataclasses():
+    # a dataclass execs its generated methods and reads inspect.signature
+    # when its module is imported; records are __slots__ classes instead
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _imports_dataclasses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_dataclasses_rule_sees_each_kind_of_import():
+    for source in (
+        "import dataclasses\n",
+        "from dataclasses import dataclass\n",
+        "def f():\n    from dataclasses import field\n",
+    ):
+        assert _imports_dataclasses(ast.parse(source)), source
+    assert not _imports_dataclasses(ast.parse("from .records import dataclass\n"))
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
+    # what one command pays before it reads its input: a fresh interpreter
+    # importing the command line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, padicover.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _val_calls(tree):
