@@ -11,7 +11,8 @@ compares it, and no coefficient is stored as a field element.
 The workloads decide which operations are row kernels: those that building a
 cover, ``branch_data`` and the blow-up engine call.
 
-* ``from_roots`` and ``antiderivative`` build beta, one pass each.
+* ``from_roots`` makes one pass over the rows per linear factor, and
+  ``antiderivative`` one pass in all; together they build beta.
 * ``eval_at`` at a rational point is a homogeneous integer Horner per row;
   at any other point (planted covers, e > 1) it is Horner over field
   elements, so multiplication in Z[p**(1/n)] has the one definition in
@@ -163,26 +164,39 @@ def mul(f, g):
 def from_roots(ctx, roots_with_mult):
     """Monic polynomial prod (X - x)**m from [(x, m), ...].
 
-    With x = U / d, each factor is (d*X - U) / d: the rows shift up one place
-    times d, and each term of U subtracts a multiple of every row from the
-    row it lands in.  One canonical form at the end.
+    With x = U / d, each factor is (d*X - U) / d, one pass over the rows.  A
+    rational U = a keeps every row in place: entry i becomes
+    d*row[i-1] - a*row[i], so the large entries are multiplied only by the
+    small d and a.  Any other U shifts the rows up one place times d, and
+    each term of U subtracts a multiple of every row from the row it lands
+    in.  One canonical form at the end; the row of rational roots alone is
+    canonical already, a product of primitive d*X - U being primitive (Gauss).
     """
     p, n, den, rows = ctx.p, 1, 1, {0: [1]}
     for x, m in roots_with_mult:
+        d, den = x.den, den * x.den**m
+        if x.n == 1:
+            a = x.terms[0][1] if x.terms else 0
+            for k, row in rows.items():
+                for _ in range(m):
+                    row = [d * b - a * c for b, c in zip([0] + row, row + [0])]
+                rows[k] = row
+            continue
         big = lcm(n, x.n)
         s, t = big // n, big // x.n
         n, rows = big, {k * s: row for k, row in rows.items()}
         for _ in range(m):
             out = {}
             for k, row in rows.items():
-                _add_row(out, k, [0] + [x.den * a for a in row])
+                _add_row(out, k, [0] + [d * a for a in row])
                 for j, a in x.terms:
                     idx, c = k + j * t, -a
                     if idx >= n:
                         idx, c = idx - n, c * p
                     _add_row(out, idx, [c * b for b in row] + [0])
             rows = out
-        den *= x.den**m
+    if n == 1:
+        return Poly(ctx, 1, ((0, tuple(rows[0])),), den)
     return _poly(ctx, n, rows.items(), den)
 
 

@@ -9,9 +9,11 @@ from collections import Counter
 from fractions import Fraction
 
 from padicover import fppoly, kpoly
+from padicover.cover import from_critical_divisor
 from padicover.dualgraph import group_key
-from padicover.field import _vp_int
+from padicover.field import FieldContext, _vp_int
 from padicover.newton import newton_polygon
+from padicover.planted import _random_composition
 
 
 def vp(q, p):
@@ -124,3 +126,24 @@ def partitions_by_groups(p, profile1, profile2):
     fibers = [tuple(sorted(Counter(pr).items(), reverse=True)) for pr in (profile1, profile2)]
     found = sorted(tuple(sorted(entries)) for _, entries in _splits(*fibers, {}))
     return tuple(tuple(group for _, group in entries) for entries in found)
+
+
+def random_integral_cover_by_evaluation(rng, p, e=1):
+    """``planted.random_integral_cover`` the obvious way: every draw is
+    built, and kept when beta evaluated at some critical point is a unit."""
+    ctx = FieldContext(p, e)
+    denominators = [b for b in (1, 1, 1, 2, 3, 7) if b % p]
+    while True:
+        mults = [k + 1 for k in _random_composition(rng, p - 1)]
+        locations = set()
+        while len(locations) < len(mults):
+            locations.add(
+                Fraction(rng.randint(-3 * p, 3 * p), rng.choice(denominators))
+            )
+        points = [
+            (ctx.from_rational(x), m) for x, m in zip(sorted(locations), mults)
+        ]
+        cover = from_critical_divisor(points, ctx)
+        values = {kpoly.eval_at(cover.beta, x).scaled_val() for x, _ in points}
+        if 0 in values:
+            return cover

@@ -267,6 +267,21 @@ def test_from_roots():
             for _ in range(rng.randint(0, 3))
         ]
         same(kpoly.from_roots(ctx, roots), ref_from_roots(ctx, roots))
+    # rational roots only, the pass that keeps each row in place: multiplicities
+    # up to p - 1, as in a critical divisor, and denominators both prime to p
+    # and divisible by p
+    for p in (5, 7, 31, 101):
+        ctx, dens = FieldContext(p, 1), set()
+        for _ in range(12):
+            roots = []
+            for _ in range(rng.randint(1, 3)):
+                d = rng.choice([1, 2, 3, p, 2 * p, p * p])
+                a = rng.choice([0, rng.randint(-3 * p, 3 * p), rng.randint(1, 9) * d + 1])
+                x = ctx.from_rational(Fraction(a, d))
+                dens.add(x.den % p == 0)
+                roots.append((x, rng.randint(1, p - 1)))
+            same(kpoly.from_roots(ctx, roots), ref_from_roots(ctx, roots))
+        assert dens == {True, False}
 
 
 def reading(f):

@@ -258,6 +258,9 @@ def test_stage_budget_is_a_loud_failure(monkeypatch):
     cover = rational_cover(5, [(0, 3), (1, 2), (2, 2)], e=6)
     monkeypatch.setattr(oracle, "MAX_BLOWUPS", 3)  # exactly the three arms
     assert len(separate_fibers(cover).stages) == 3
+    monkeypatch.setattr(oracle, "MAX_BLOWUPS", 2)  # one short: the third must fail
+    with pytest.raises(NonTermination, match="exceeded 2 blow-ups"):
+        separate_fibers(cover)
     monkeypatch.setattr(oracle, "MAX_BLOWUPS", 1)
     with pytest.raises(NonTermination, match="exceeded 1 blow-ups"):
         separate_fibers(cover)

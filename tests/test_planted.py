@@ -6,6 +6,7 @@ import pytest
 
 from padicover import kpoly
 from padicover.planted import PlantedInstance, build_cover, random_integral_cover, suite
+from reference import random_integral_cover_by_evaluation
 
 
 def test_suite_is_big_enough_and_covers_every_regime():
@@ -43,3 +44,17 @@ def test_random_covers_are_reproducible_and_integral():
         assert all(not b or b.val() > 0 for b in beta[:-1])
         values = [kpoly.eval_at(one.beta, x) for x, _ in one.critical.points]
         assert any(v.val() == 0 for v in values)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31])
+def test_random_covers_match_the_generator_that_evaluates_beta(p):
+    # deciding by the residue of x makes the same draws and keeps the same ones
+    for e in (1, 2, 3):
+        new, old = random.Random(100 * p + e), random.Random(100 * p + e)
+        for _ in range(200):
+            a = random_integral_cover(new, p, e)
+            b = random_integral_cover_by_evaluation(old, p, e)
+            assert (a.beta.n, a.beta.rows, a.beta.den) == (b.beta.n, b.beta.rows, b.beta.den)
+            assert a.critical.points == b.critical.points
+            assert any(kpoly.eval_at(a.beta, x).scaled_val() == 0 for x, _ in a.critical.points)
+        assert new.random() == old.random()
