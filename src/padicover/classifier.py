@@ -20,9 +20,12 @@ that make groups, padded with groups of ones; the splits of each remainder
 are found once per call, in a memo that a module-level recursion takes as an
 argument, so no closure holds it in a cycle.  The rigid part of a
 classification's models (root, ordinary arms, tails and the whole downstairs
-tree) is built once; each partition choice adds only its leaves, each
-distinct leaf built once.  The models share one dualgraph.Memo, so each
-distinct component and edge of their JSON is rendered once.
+tree) is built once; each partition choice adds only its leaves.  The
+models share one dict of rendered upstairs components, so each distinct
+upstairs component of their JSON is rendered once per classification; edges
+and downstairs components are rendered afresh per call, since measured table
+by table only the upstairs table saves much time (the dualgraph docstring
+gives the numbers).
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 from . import branchtree
 from .cover import branch_data
-from .dualgraph import DualGraphPair, Memo, VerticalMap, group_key, groups_json
+from .dualgraph import DualGraphPair, VerticalMap, group_key, groups_json
 
 
 class ClassifierError(ValueError):
@@ -277,8 +280,9 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
 
 class _Builder:
     """Accumulates the rigid components of both trees (marks as tuples) and
-    emits one DualGraphPair per choice of near-tail leaves.  An upstairs
-    component C<tag> maps onto D<tag>; the roots have the tag ""."""
+    emits one DualGraphPair per choice of near-tail leaves, all sharing one
+    dict of rendered upstairs components.  An upstairs component C<tag> maps
+    onto D<tag>; the roots have the tag ""."""
 
     def __init__(self, p):
         self.p = p
@@ -287,6 +291,7 @@ class _Builder:
         self.x_edges = []
         self.y_edges = []
         self.vertical = {"C": VerticalMap("D", p, "inseparable")}
+        self.rendered = {}  # upstairs components, as DualGraphPair.to_json keys them
 
     def hang(self, over, tag, t, x_marks, y_marks, kind="etale", notes=()):
         """C<tag> over D<tag> by a degree-p map of this kind, hung below C<over>
@@ -330,7 +335,7 @@ class _Builder:
             self.y_marks[f"D_1({a},{b})"] = (a, b)
             self.y_edges.append(("D" + tag, f"D_1({a},{b})", eps - report.threshold))
 
-    def build(self, choices, memo):
+    def build(self, choices):
         """The model with the leaves of each (leaves, entry) choice."""
         x_marks, x_edges, vertical = dict(self.x_marks), list(self.x_edges), dict(self.vertical)
         for leaves, _ in choices:
@@ -341,32 +346,27 @@ class _Builder:
         return DualGraphPair(
             p=self.p, x_root="C", y_root="D", x_marks=x_marks, y_marks=dict(self.y_marks),
             x_edges=x_edges, y_edges=list(self.y_edges), vertical=vertical,
-            partitions=tuple(sorted(entry for _, entry in choices)), memo=memo,
+            partitions=tuple(sorted(entry for _, entry in choices)), memo=self.rendered,
         ).validate()
 
 
 def _near_leaves(report):
     """Per partition pair of a near tail, the leaves C_i it adds, as
-    ((name, marks, edge, map), ...) and its entry (pair, groups).  Each
-    distinct group at each position is built once, and each leaf of degree
-    d hangs at thickness epsilon_1 / d, computed once per d."""
+    ((name, marks, edge, map), ...) and its entry (pair, groups).  Each leaf
+    of degree d hangs at thickness epsilon_1 / d, computed once per d."""
     a, b = report.pair
     cx, d1y = f"C'({a},{b})", f"D_1({a},{b})"
     eps1 = report.epsilon - report.threshold
-    by_degree, built = {}, {}
+    by_degree = {}
     for groups in report.partitions:
         leaves = []
-        for i, group in enumerate(groups, start=1):
-            leaf = built.get((i, group))
-            if leaf is None:
-                d, g1, g2 = group
-                if d not in by_degree:
-                    by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
-                thickness, vm = by_degree[d]
-                name = f"C_{i}({a},{b})"
-                marks = tuple([(a, m) for m in g1] + [(b, m) for m in g2])
-                leaf = built[i, group] = name, marks, (cx, name, thickness), vm
-            leaves.append(leaf)
+        for i, (d, g1, g2) in enumerate(groups, start=1):
+            if d not in by_degree:
+                by_degree[d] = eps1 / d, VerticalMap(d1y, d, "etale", notes=("tame",))
+            thickness, vm = by_degree[d]
+            name = f"C_{i}({a},{b})"
+            marks = tuple([(a, m) for m in g1] + [(b, m) for m in g2])
+            leaves.append((name, marks, (cx, name, thickness), vm))
         yield leaves, ((a, b), groups)
 
 
@@ -385,9 +385,8 @@ def assemble(p, ordinary, tail_reports, tree=None):
     """All candidate full models: one per choice of a partition pair for
     each near-threshold tail (other regimes are rigid).  The rigid part is
     built once; each choice adds only the leaves of its near tails.  The
-    models share one Memo of rendered components and edges, which lives as
-    long as they do."""
-    memo = Memo()
+    models share the skeleton's dict of rendered upstairs components, which
+    lives as long as they do."""
     skeleton = _Builder(p)
     for label, prof in ordinary:
         skeleton.add_arm(label, prof, p)
@@ -399,7 +398,7 @@ def assemble(p, ordinary, tail_reports, tree=None):
         ordinary=tuple((lbl, tuple(prof)) for lbl, prof in ordinary),
         tails=tuple(tail_reports),
         models=tuple(
-            skeleton.build(combo, memo) for combo in itertools.product(*choice_sets)
+            skeleton.build(combo) for combo in itertools.product(*choice_sets)
         ),
         tree=tree,
     )

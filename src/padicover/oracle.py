@@ -144,7 +144,9 @@ class _Node:
 
 
 class Stage:
-    """Trace record of one blow-up (raw history, before contraction)."""
+    """Trace record of one blow-up (raw history, before contraction).  The
+    residual reductions stay F_p lists; only to_json, which a trace asks
+    for, spells them out."""
 
     __slots__ = ("node", "parent", "residue", "nu", "m", "k", "participants", "residuals")
 
@@ -156,7 +158,7 @@ class Stage:
         self.m = m  # local degree carried into the child
         self.k = k  # distinct fiber points inside the child disc
         self.participants = participants  # track labels with points in the child
-        self.residuals = residuals  # label -> residual polynomial at the parent (string)
+        self.residuals = residuals  # label -> residual polynomial at the parent, F_p list
 
     def to_json(self):
         return {
@@ -168,7 +170,7 @@ class Stage:
             "m": self.m,
             "k": self.k,
             "participants": list(self.participants),
-            "residuals": dict(self.residuals),
+            "residuals": {label: fppoly.fmt(f) for label, f in self.residuals.items()},
         }
 
 
@@ -425,7 +427,7 @@ def separate_fibers(cover):
                     m=child.m,
                     k=k,
                     participants=participants,
-                    residuals={la: fppoly.fmt(reductions[la]) for la in participants},
+                    residuals={la: reductions[la] for la in participants},
                 )
             )
             stack.append(child.name)

@@ -52,6 +52,7 @@ def test_medians_quartiles_and_wins_per_workload():
         "change_quartiles": [1.725, 2.0, 2.225],
         "change_wins": "2/4",
         "verdict": "within bound",
+        "gain": False,
     }
     throughput = summary["w"]["throughput_per_s"]
     assert throughput["better"] == "higher"
@@ -85,6 +86,47 @@ def test_medians_quartiles_and_wins_per_workload():
 )
 def test_verdict_against_the_bound(better, parent, change, expected):
     assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, expected",
+    [
+        # 10/10 wins, medians 100 -> 110 against a parent IQR of 4.5
+        ("higher", list(range(95, 105)), list(range(105, 115)), True),
+        # 9/10 wins is enough: one pair is lost
+        ("higher", list(range(95, 105)), [90, *range(106, 115)], True),
+        # ... but 8/10 is not, however far the medians move
+        ("higher", list(range(95, 105)), [90, 91, *range(120, 128)], False),
+        # a tie counts for neither side: 9 wins and a tie are 9/10, 8 and two ties 8/10
+        ("higher", list(range(95, 105)), [95, *range(106, 115)], True),
+        ("higher", list(range(95, 105)), [95, 96, *range(107, 115)], False),
+        # every pair won, but by a median move inside the parent's IQR (4.5)
+        ("higher", list(range(95, 105)), [p + 4 for p in range(95, 105)], False),
+        # lower better: 1.0 -> 0.8 ms on every pair, parent IQR 0.075
+        ("lower", [0.95, 1.0, 1.05] * 3 + [1.0], [0.75, 0.8, 0.85] * 3 + [0.8], True),
+        # ... and the same numbers read the other way round are a loss
+        ("higher", [0.95, 1.0, 1.05] * 3 + [1.0], [0.75, 0.8, 0.85] * 3 + [0.8], False),
+        # with fewer pairs, 9 of every 10 means all of them
+        ("higher", [10, 11, 12], [20, 21, 22], True),
+        ("higher", [10, 11, 12], [20, 21, 11], False),
+    ],
+)
+def test_gain_needs_nine_of_ten_pairs_and_a_median_beyond_the_parents_iqr(
+    better, parent, change, expected
+):
+    assert bench_pairs.gain(parent, change, better) is expected
+
+
+def test_every_metric_gets_a_gain_reading():
+    runs = [pair("w", result(2.0, 100 + i), result(1.0, 200 + i)) for i in range(10)]
+    runs[0]["change"] = result(2.5, 50)
+    summary = bench_pairs.summarize(runs, END_TO_END)["w"]
+    assert summary["throughput_per_s"]["change_wins"] == "9/10"
+    assert summary["throughput_per_s"]["gain"] is True
+    assert summary["latency_ms_tail"]["change_wins"] == "9/10"
+    assert summary["latency_ms_tail"]["gain"] is True
+    # every pair ties on answered_share
+    assert summary["answered_share"]["gain"] is False
 
 
 def test_every_workload_and_metric_gets_a_verdict():

@@ -12,7 +12,9 @@ even pairs and the change first in odd ones, each run in its own process.
 Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
 won; a tie counts for neither side.  Each metric also gets a verdict against
-its bound in ``BENCHMARK.json``, the no-regression reading (``verdict``).  It
+its bound in ``BENCHMARK.json``, the no-regression reading (``verdict``), and
+a ``gain`` reading: true when the change won at least 9 of every 10 pairs and
+its median is better than the parent's by more than the parent's IQR.  It
 also gives each side's median count of attempted requests, since
 ``peak_rss_mb`` grows with the passes a run keeps, so a faster side can read a
 higher peak.  The file ``BENCH_<label>.json`` is
@@ -75,8 +77,9 @@ def run_once(side, tree, workload, seed, seconds):
 
 def summarize(runs, end_to_end):
     """Per workload: per metric, each side's median and quartiles, the
-    change's wins over the pairs and the verdict against the metric's bound;
-    each side's median `attempted`; `correct` is true when every run was.
+    change's wins over the pairs, the verdict against the metric's bound and
+    the gain reading; each side's median `attempted`; `correct` is true when
+    every run was.
 
     `runs` are {"workload", "parent": result, "change": result} records and
     `end_to_end` is the "end_to_end" list of BENCHMARK.json.
@@ -90,10 +93,6 @@ def summarize(runs, end_to_end):
             values = {
                 side: [r[side]["metrics"][name]["value"] for r in pairs] for side in SIDES
             }
-            sign = 1 if better == "higher" else -1
-            wins = sum(
-                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
-            )
             entry[name] = {"better": better}
             for side in SIDES:
                 entry[name][f"{side}_median"] = round(statistics.median(values[side]), 4)
@@ -101,10 +100,12 @@ def summarize(runs, end_to_end):
                 entry[name][f"{side}_quartiles"] = [
                     round(q, 4) for q in quartiles(values[side])
                 ]
-            entry[name]["change_wins"] = f"{wins}/{len(pairs)}"
+            won = wins(values["parent"], values["change"], better)
+            entry[name]["change_wins"] = f"{won}/{len(pairs)}"
             entry[name]["verdict"] = verdict(
                 values["parent"], values["change"], better, metric["bound"]
             )
+            entry[name]["gain"] = gain(values["parent"], values["change"], better)
         entry["attempted"] = {
             f"{side}_median": statistics.median(r[side]["attempted"] for r in pairs)
             for side in SIDES
@@ -112,6 +113,24 @@ def summarize(runs, end_to_end):
         entry["correct"] = all(r[side]["correct"] for r in pairs for side in SIDES)
         summary[workload] = entry
     return summary
+
+
+def wins(parent, change, better):
+    """The pairs in which the change's value is better; a tie counts for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def gain(parent, change, better):
+    """Whether the runs show a gain: the change wins at least 9 of every 10
+    pairs, and its median is better than the parent's by more than the
+    parent's IQR."""
+    sign = 1 if better == "higher" else -1
+    low, _, high = quartiles(parent)
+    return (
+        10 * wins(parent, change, better) >= 9 * len(parent)
+        and sign * (statistics.median(change) - statistics.median(parent)) > high - low
+    )
 
 
 def verdict(parent, change, better, bound):
