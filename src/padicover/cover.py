@@ -32,10 +32,10 @@ class InvalidDivisor(ValueError):
 
 
 # Exact mode builds beta densely, so its cost grows about as p**3.  On a
-# shared 2-vCPU Xeon, verify of the random covers of seeds 1-3 took 0.5-1.2 s
-# at p = 401, 0.8-1.6 s at p = 503 and 1.8-5.8 s at p = 809; at p = 1009 two
-# took 5-9 s and the third failed writing a branch value over Python's
-# 4,300-digit limit (exit 3).
+# shared 2-vCPU Xeon, verify of the random covers of seeds 1-3 took 0.3-0.5 s
+# at p = 401, 0.7-0.9 s at p = 503 and 1.1-2.5 s at p = 809 (least of two
+# runs each); at p = 1009, measured before this bound, two took 5-9 s and the
+# third failed writing a branch value over Python's 4,300-digit limit (exit 3).
 EXACT_P_BOUND = 1000
 
 # The input's e only sets the dense format, but every label is written in it:

@@ -31,8 +31,9 @@ components 2.7 vs 3.9 and 2.5 vs 2.3, edges 10.0 vs 10.0 and 5.5 vs 4.4.
 The upstairs table saves the most where it saves at all; the downstairs one
 saves about 1 % of a near-regime formula request and edges save nothing, so
 only the upstairs table is kept.  A model without the dict (every oracle
-model) is told by `memo is None`, never by truth value: the shared dict is
-empty until the first render.
+model) renders its upstairs components directly, as a dict of its own
+would never hit; it is told by `memo is None`, never by truth value: the
+shared dict is empty until the first render.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ _ENDS = itemgetter(0, 1)
 def _edges_json(edges):
     """[a, b, "t"] per edge, sorted by (a, b)."""
     return [[a, b, str(t)] for a, b, t in sorted(edges, key=_ENDS)]
+
+
+def _x_component(name, marks, vm):
+    """An upstairs component as JSON: its marks and its vertical map."""
+    entry = {
+        "name": name,
+        "marks": [[lbl, m] for lbl, m in sorted(marks)],
+        "map": {"to": vm.target, "degree": vm.degree, "kind": vm.kind},
+    }
+    if vm.notes:
+        entry["map"]["notes"] = list(vm.notes)
+    return entry
 
 
 def _tree_parents(side, comps, edges, root):
@@ -238,25 +251,21 @@ class DualGraphPair:
 
     def to_json(self):
         """The model as a JSON document, components and edges sorted by name.
-        Each upstairs component is keyed by the values it is rendered from,
-        never by identity, into `memo` (a fresh dict when that is None), so
-        the documents of one classification's models may share upstairs
-        entries: copy a document before changing it.  Edges and downstairs
-        components are rendered afresh on every call."""
-        rendered = {} if self.memo is None else self.memo
-        x_comps, x_marks, vertical = [], self.x_marks, self.vertical
+        With a `memo`, each upstairs component is keyed by the values it is
+        rendered from, never by identity, so the documents of one
+        classification's models may share upstairs entries: copy a document
+        before changing it.  Without one, and for edges and downstairs
+        components always, everything is rendered afresh on every call."""
+        x_comps, x_marks, vertical, rendered = [], self.x_marks, self.vertical, self.memo
         for name in sorted(x_marks):
             marks, vm = x_marks[name], vertical[name]
+            if rendered is None:
+                x_comps.append(_x_component(name, marks, vm))
+                continue
             key = name, marks, vm.target, vm.degree, vm.kind, vm.notes
             entry = rendered.get(key)
             if entry is None:
-                entry = rendered[key] = {
-                    "name": name,
-                    "marks": [[lbl, m] for lbl, m in sorted(marks)],
-                    "map": {"to": vm.target, "degree": vm.degree, "kind": vm.kind},
-                }
-                if vm.notes:
-                    entry["map"]["notes"] = list(vm.notes)
+                entry = rendered[key] = _x_component(name, marks, vm)
             x_comps.append(entry)
         y_marks = self.y_marks
         return {

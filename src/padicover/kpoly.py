@@ -21,7 +21,10 @@ cover, ``branch_data`` and the blow-up engine call.
   (the classical in-place Horner scheme; von zur Gathen and Gerhard, ISSAC
   1997).  It keeps the layout canonical: the shift is unimodular over Z.
 * ``rescale``, the blow-up's change of chart, finds each entry's row and
-  power of p from its exponent index, in one pass.
+  power of p from its exponent index, in one pass.  The blow-up engine runs
+  it only on a disc it blows up again, when it reads that disc's core; every
+  child disc's reduction is read off the translated parent by
+  ``unit_residue``, the residue of a coefficient's unit part.
 * ``reduction`` reads the k = 0 row mod p: the other rows lie in the maximal
   ideal, and p divides den exactly when some coefficient is not integral.
 * ``scaled_valuations`` gives n times the valuation of each coefficient as an
@@ -305,6 +308,24 @@ def scaled_valuations(f):
         shift = _vp_int(f.den, p) * n
         out = [None if w is None else w - shift for w in out]
     return out
+
+
+def unit_residue(f, i):
+    """The residue of c / p**v(c) for the coefficient c of X**i, which must
+    be nonzero: its least entry (row k, p-adic order q, least q * n + k as
+    in ``scaled_valuations``) less its powers of p, over the unit part of den.
+    """
+    p, n, least = f.ctx.p, f.n, None
+    for k, row in f.rows:
+        a = row[i]
+        if a:
+            q = 0 if a % p else _vp_int(a, p)
+            if least is None or q * n + k < least[0]:
+                least = q * n + k, a // p**q
+    den = f.den
+    while den % p == 0:
+        den //= p
+    return least[1] * pow(den, -1, p) % p
 
 
 def primitive(f):

@@ -15,19 +15,26 @@ different mathematics.
 
 A disc's fiber polynomials differ only in their constant terms, so a disc
 holds one ``kpoly.Poly`` and each fiber a constant (Conventions).  A blow-up
-translates it once, an integer Taylor shift of each row, reads its
+translates it once, an integer Taylor shift of each row, and reads its
 coefficient valuations once for every fiber's Newton polygon
-(``newton.positive_roots``, no convex hull) and rescales it in one pass
-(``kpoly.rescale``).  Its valuations stay ints over one denominator N, so
-nu = rise / N: the unit powers p**-nu and p**(-m * nu), the rescaling and
-the image radius are all built from those ints, and the one ``Fraction`` of
-a blow-up is nu itself, the stage's thickness.  An image radius is a pair
-(num, den) in lowest terms, and the downstairs tree orders its discs by
-exact ints, the numerators over the lcm of the denominators.  A residual
-polynomial, one per distinct offset residue, is evaluated at every residue
-by Horner's rule and divided by synthetic division only at a root, until its
-cofactor is constant (``fppoly.rational_roots``).  Branch values, labels and
-critical points come from ``cover.branch_data``.  A disc maps onto its
+(``newton.positive_roots``, no convex hull).  Its valuations stay ints over
+one denominator N, so nu = rise / N: the unit powers p**-nu and
+p**(-m * nu), the rescaling and the image radius are all built from those
+ints, and the one ``Fraction`` of a blow-up is nu itself, the stage's
+thickness.  The child's reduction is read off the same ints: coefficient i
+of its core is a unit exactly when the translated coefficient's valuation
+plus i * nu is m * nu, and its residue is then the translated coefficient's
+unit residue (``kpoly.unit_residue``).  So the child's core, the one-pass
+rescaling ``kpoly.rescale``, is built only when the child is blown up in
+turn; most child discs are leaves and never need it.  An image radius is a
+pair (num, den) in lowest terms, and the downstairs tree orders its discs
+by exact ints, the numerators over the lcm of the denominators.  A residual
+polynomial, one per distinct offset residue, has its F_p roots found in one
+of two ways.  On an inseparable disc its one root is read off directly (see
+Conventions).  On an etale disc it is evaluated at successive residues by
+Horner's rule and divided by synthetic division only at a root, until its
+cofactor is constant (``fppoly.rational_roots``).  Branch values, labels
+and critical points come from ``cover.branch_data``.  A disc maps onto its
 image, so the image holds exactly the branch values whose tracks the disc
 carries: an image disc is named by its radius and those labels, and the
 downstairs tree needs no valuation test.
@@ -46,13 +53,29 @@ divides a - b.  A disc keeps its fibers' critical points inside it, in its
 coordinate, by residue: a fiber point of multiplicity m >= 2 is exactly a
 critical point of index m, so the distinct points at a residue are the
 Newton root count less the sum of (m - 1) over the critical points there.
-Radii are arbitrary rationals (the field layer has no fixed e), so one pass
-separates everything.  Every blow-up is centered at an F_p-rational
-residue; a residual root outside F_p that is repeated, or shared by two
-fibers, is reported as an error (ResidualRootOutsideFp).  Rational critical
-points do not rule this out: among the 450 seeded random covers of the
-differential test, all with rational critical points, 29 are refused this
-way, every one for a shared root; a repeated one has not been observed.
+An inseparable disc (the core's reduction has derivative 0) has core
+reduction c * X**p, since the local degree is at most p, so a fiber of
+offset residue a reduces to c * (X + a / c)**p: its one root is -a / c, of
+multiplicity p.  Radii are arbitrary rationals (the field layer has no
+fixed e), so one pass separates everything.  Every blow-up is centered at an
+F_p-rational residue; a residual root outside F_p that is repeated, or
+shared by two fibers, is reported as an error (ResidualRootOutsideFp).
+
+A repeated residual root outside F_p cannot occur on the discs the engine
+builds.  The derivative of beta is a constant times the product of
+(X - x)**(m - 1) over the critical points, all K-rational, and in a disc's
+chart so is the core's.  On an etale disc the core's derivative reduces to
+a nonzero polynomial, and by Gauss's lemma (the reduction of a product of
+primitive polynomials is the product of their reductions) it is c times the
+product of (X - xbar)**(m - 1) over the critical points inside the disc:
+the factor of a point outside the closed disc reduces to a constant.  A
+repeated root of a residual polynomial is a root of its derivative, the
+core's, so it is the residue of a critical point, in F_p.  The engine
+checks this identity in degree, deg of the reduced derivative against the
+sum of (m - 1) over the disc's critical points, and runs the squarefree
+gcd only where it fails (``_residual_table``).  A shared root is not ruled
+out: among the 450 seeded random covers of the differential test, all with
+rational critical points, 29 are refused, every one for a shared root.
 """
 
 from __future__ import annotations
@@ -92,12 +115,17 @@ class ResidualRootOutsideFp(OracleError):
     require an unramified extension of the base to continue, so the run
     stops loudly instead.  Residual polynomials of one disc differ by
     constants, so two fibers share such a root exactly when their offsets
-    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  A
-    repeated root is looked for only in a rootless cofactor of degree >= 4:
-    the minimal polynomial over F_p of a root outside F_p has degree >= 2
-    and is separable, so a repeated root squares it.  The shared kind
-    refuses 29 of the 450 seeded random covers in the differential test;
-    the repeated kind has not been seen.
+    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  The
+    shared kind refuses 29 of the 450 seeded random covers in the
+    differential test.  The repeated kind cannot occur on a disc whose
+    critical points are all carried: by Gauss's lemma the reduced derivative
+    of an etale disc's core is c times the product of (X - xbar)**(m - 1)
+    over the critical points inside the disc, so a repeated residual root,
+    a root of that derivative, lies in F_p.  Where the degree of the reduced
+    derivative is not that sum of (m - 1), as on a disc given without its
+    critical points, a repeated root is looked for in a rootless cofactor of
+    degree >= 4: the minimal polynomial over F_p of a root outside F_p has
+    degree >= 2 and is separable, so a repeated root squares it.
     """
 
 
@@ -113,13 +141,23 @@ MAX_BLOWUPS = 2048
 
 
 class _Node:
-    """One upstairs disc: its core, its fibers' offsets, and bookkeeping."""
+    """One upstairs disc: its core, its fibers' offsets, and bookkeeping.
+
+    A child disc is made with ``core`` None and ``chart`` (g, rise, mrise, N),
+    the parent's core translated to the center and the blow-up's Newton
+    reading; the core, ``kpoly.rescale`` of those, is built when first read,
+    which only a blow-up of this disc does.  ``reduction``, the core's
+    reduction, is read off that data by ``blow_up``; on a disc made with a
+    core it is that core's reduction.
+    """
 
     __slots__ = (
         "name",
         "parent",
         "thickness",
-        "core",
+        "_core",
+        "chart",
+        "reduction",
         "tracks",
         "points",
         "m",
@@ -129,11 +167,16 @@ class _Node:
         "kind",
     )
 
-    def __init__(self, name, parent, thickness, core, tracks, points, m, down_radius):
+    def __init__(
+        self, name, parent, thickness, core, tracks, points, m, down_radius,
+        chart=None, reduction=None,
+    ):
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
-        self.core = core  # kpoly.Poly, beta in the disc's chart less its constant
+        self._core = core  # kpoly.Poly, beta in the disc's chart less its constant
+        self.chart = chart  # (g, rise, mrise, N) until the core is built, else None
+        self.reduction = kpoly.reduction(core) if reduction is None else reduction
         self.tracks = tracks  # label -> offset: the fiber's polynomial is core + offset
         self.points = points  # residue -> label -> [(x, m), ...] critical points
         self.m = m  # local degree of the cover on this disc
@@ -141,6 +184,13 @@ class _Node:
         self.marks = []
         self.children = []
         self.kind = None  # "inseparable" | "etale", set while processing
+
+    @property
+    def core(self):
+        """The core, built from ``chart`` on the first read."""
+        if self._core is None:
+            self._core, self.chart = kpoly.rescale(*self.chart), None
+        return self._core
 
 
 class Stage:
@@ -265,9 +315,11 @@ def blow_up(ctx, node, wbar, mults):
     count in the open disc must be the multiplicity, and nu is the least
     positive root valuation over all fibers.  Each fiber's content in the
     child's chart, the least of the core's and its offset's, must be m * nu;
-    one ``kpoly.rescale`` moves the core there and the offsets are divided
-    by p**(m * nu).  The child carries the fibers in ``mults`` and the
-    critical points inside it.
+    the offsets are divided by p**(m * nu).  The child carries the fibers in
+    ``mults``, the critical points inside it, and its core's reduction, read
+    coefficient by coefficient from the same valuations.  It keeps the
+    translated core g with the reading, and ``kpoly.rescale`` moves the core
+    to its chart only when the child's core is read.
     """
     if not mults:
         raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber on {node.name}")
@@ -324,12 +376,20 @@ def blow_up(ctx, node, wbar, mults):
             # inside the child exactly when v(x - lift) >= nu
             if not (d := x - lift) or d.scaled_val() * N >= rise * d.n:
                 inside.append((label, d * unscale, mx))
-    core, points = kpoly.rescale(g, rise, mrise, N), _by_residue(inside)
+    # coefficient i >= 1 of the core is g's times p**((i * rise - mrise) / N):
+    # a unit exactly when its valuation times N is 0
+    reduction = [0] * len(vals)
+    for i in range(1, len(vals)):
+        if vals[i] is not None and vals[i] * run + i * rise == mrise:
+            reduction[i] = kpoly.unit_residue(g, i)
     # the image radius grows by m * nu
     a, b = node.down_radius
     a, b = a * N + mrise * b, b * N
     h = gcd(a, b)
-    return _Node(f"{node.name}.{wbar}", node.name, nu, core, offsets, points, m, (a // h, b // h))
+    return _Node(
+        f"{node.name}.{wbar}", node.name, nu, None, offsets, _by_residue(inside), m,
+        (a // h, b // h), chart=(g, rise, mrise, N), reduction=fppoly.trim(reduction),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +400,30 @@ def _residual_table(node, core, p):
     """Residual roots per fiber, with irrational residues handled honestly.
 
     ``core`` is the reduction of the node's core; a fiber's is that plus its
-    offset's residue, and is read once per distinct residue.  Returns
+    offset's residue a, and is read once per distinct residue.  Returns
     (table, extra_marks, reductions): a rational residue -> {label:
     multiplicity}, simple marks outside F_p, and label -> reduction.  A
     repeated irrational root, or one of two fibers with equal offset
     residues, raises ResidualRootOutsideFp.
+
+    An inseparable disc (core' = 0) has core c * X**p, so each fiber's one
+    root is -a / c, of multiplicity p.  On an etale disc core' is nonzero,
+    so the derivative of the core over K, a constant times the product of
+    (X - x)**(m - 1) over the critical points x, is primitive, and by
+    Gauss's lemma core' is c times the product of (X - xbar)**(m - 1) over
+    the points inside the closed disc: the factor of a point outside it
+    reduces to a constant.  When deg core' is that sum of (m - 1), every
+    repeated residual root is a root of core', hence in F_p, and the
+    rootless cofactor is squarefree without a gcd.  Otherwise (a disc given
+    without its critical points) the gcd runs, but only on a cofactor of
+    degree >= 4.
     """
     table, extra_marks, reductions = {}, [], {}
     readings, shared = {}, {}
+    slope = fppoly.deriv(core, p)
+    inverse = pow(core[-1], -1, p) if core and not slope else None
+    critical = sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
+    rational_repeats = fppoly.degree(slope) == critical
     for label in sorted(node.tracks):
         a = node.tracks[label].residue()
         if a not in readings:
@@ -357,18 +433,21 @@ def _residual_table(node, core, p):
                     f"residual degree {fppoly.degree(hbar)} on {node.name} "
                     f"differs from local degree {node.m}"
                 )
-            roots, cofactor = fppoly.rational_roots(hbar, p)
-            # the cofactor has no root in F_p, so a repeated root of it lies
-            # outside F_p and its minimal polynomial, of degree >= 2 and
-            # separable (F_p is perfect), divides it twice: a cofactor of
-            # degree < 4 is squarefree and needs no gcd
-            outside = fppoly.degree(cofactor)
-            if outside >= 4 and not fppoly.is_squarefree(cofactor, p):
-                raise ResidualRootOutsideFp(
-                    f"repeated residual root outside F_{p} on {node.name} "
-                    f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
-                )
-            readings[a] = hbar, roots, outside
+            if inverse is not None:
+                readings[a] = hbar, {-a * inverse % p: node.m}, 0
+            else:
+                roots, cofactor = fppoly.rational_roots(hbar, p)
+                # the cofactor has no root in F_p, so a repeated root of it
+                # lies outside F_p and its minimal polynomial, of degree >= 2
+                # and separable (F_p is perfect), divides it twice: a
+                # cofactor of degree < 4 is squarefree and needs no gcd
+                outside = fppoly.degree(cofactor)
+                if outside >= 4 and not rational_repeats and not fppoly.is_squarefree(cofactor, p):
+                    raise ResidualRootOutsideFp(
+                        f"repeated residual root outside F_{p} on {node.name} "
+                        f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
+                    )
+                readings[a] = hbar, roots, outside
         reductions[label], roots, outside = readings[a]
         for wbar, mult in roots.items():
             table.setdefault(wbar, {})[label] = mult
@@ -387,8 +466,8 @@ def _residual_table(node, core, p):
 def separate_fibers(cover):
     """Blow up until every fiber point sits alone, and return the full state.
 
-    The core is reduced once per node: the node's kind, its residual table
-    and the stage records all read that reduction.  The count k of distinct
+    Each node carries its core's reduction: the node's kind, its residual
+    table and the stage records all read it.  The count k of distinct
     fiber points at a residue decides between a mark (k = 1) and a blow-up,
     and is the stage's k.  Raises NonTermination after MAX_BLOWUPS blow-ups.
     """
@@ -397,7 +476,7 @@ def separate_fibers(cover):
     stack = ["C"]
     while stack:
         node = state.nodes[stack.pop()]
-        core = kpoly.reduction(node.core)
+        core = node.reduction
         node.kind = "etale" if fppoly.deriv(core, ctx.p) else "inseparable"
         table, extra_marks, reductions = _residual_table(node, core, ctx.p)
         node.marks.extend(extra_marks)

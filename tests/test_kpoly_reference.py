@@ -248,6 +248,25 @@ def test_primitive_and_reduction():
     assert negative > 20
 
 
+def test_unit_residue():
+    # every nonzero coefficient against the residue of c / p**v(c), built by
+    # field arithmetic; the seeded inputs reach a den divisible by p and a
+    # den whose unit part is not 1 mod p
+    seen = {"coefficients": 0, "p | den": 0, "den unit not 1": 0}
+    for _, ctx, coeffs, f in cases(13, 300):
+        p, den = ctx.p, f.den
+        while den % p == 0:
+            den //= p
+        for i, c in enumerate(coeffs):
+            if c:
+                unit = c * ctx.uniformizer_power(-c.val())
+                assert kpoly.unit_residue(f, i) == unit.residue() != 0
+                seen["coefficients"] += 1
+                seen["p | den"] += f.den % p == 0
+                seen["den unit not 1"] += den % p != 1
+    assert seen == {"coefficients": 876, "p | den": 717, "den unit not 1": 519}
+
+
 def test_eval_at():
     for rng, ctx, coeffs, f in cases(5, 200):
         for x in (

@@ -1,9 +1,11 @@
 """The oracle's int readings against plain references.
 
 ``_residual_table`` runs the squarefree gcd only on a rootless cofactor of
-degree >= 4, and the downstairs tree keys its image discs by int pairs; the
-references here always run the gcd and key the discs by ``Fraction`` radii
-summed along the upstairs path.
+degree >= 4 of a disc whose reduced derivative does not have the degree its
+critical points give, ``blow_up`` reads a child's reduction without building
+its core, and the downstairs tree keys its image discs by int pairs; the
+references here always run the gcd, reduce the core ``kpoly.rescale`` builds
+and key the discs by ``Fraction`` radii summed along the upstairs path.
 """
 
 import random
@@ -96,6 +98,72 @@ def test_residual_table_matches_the_reading_that_always_runs_the_gcd(monkeypatch
         except ResidualRootOutsideFp:
             seen["refused"] += 1
     assert seen == {"nodes": 433, "gcd": 56, "refused": 8}
+
+
+def critical_count(node):
+    """The sum of (m - 1) over the critical points a node carries."""
+    return sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
+
+
+def test_a_disc_reads_its_reduction_and_builds_its_core_only_to_blow_it_up(monkeypatch):
+    # the reduction blow_up reads off the translated parent, against the
+    # reduction of the core kpoly.rescale builds; the core is built once for
+    # each child disc that is blown up in turn, and never for a leaf
+    built = []
+    rescale = kpoly.rescale
+
+    def counted(f, j, c, d):
+        built.append(f)
+        return rescale(f, j, c, d)
+
+    monkeypatch.setattr(kpoly, "rescale", counted)
+    seen = {"covers": 0, "blown up": 0, "leaves": 0}
+    for cover in covers((3, 5, 7, 11, 13), (1, 2), 6, 19):
+        built.clear()
+        try:
+            state = separate_fibers(cover)
+        except ResidualRootOutsideFp:
+            continue
+        discs = [node for node in state.nodes.values() if node.parent is not None]
+        blown_up = [node for node in discs if node.children]
+        assert len(built) == len(blown_up)
+        assert all(node.chart is None for node in blown_up)
+        assert all(node.chart is not None for node in discs if not node.children)
+        for node in discs:
+            assert node.reduction == kpoly.reduction(node.core)
+        seen["covers"] += 1
+        seen["blown up"] += len(blown_up)
+        seen["leaves"] += len(discs) - len(blown_up)
+    assert seen == {"covers": 108, "blown up": 58, "leaves": 239}
+
+
+def test_no_squarefree_gcd_runs_where_critical_points_are_carried(monkeypatch):
+    # on every etale disc the reduced derivative of the core has degree the
+    # sum of (m - 1) over the critical points inside (Gauss's lemma), so the
+    # residual table never needs the gcd, refused covers included
+    calls = []
+    is_squarefree = fppoly.is_squarefree
+
+    def counted(f, p):
+        calls.append(f)
+        return is_squarefree(f, p)
+
+    monkeypatch.setattr(fppoly, "is_squarefree", counted)
+    seen = {"etale": 0, "inseparable": 0, "refused": 0}
+    for cover in covers((3, 5, 7, 11, 13), (1, 2), 6, 19):
+        try:
+            state = separate_fibers(cover)
+        except ResidualRootOutsideFp:
+            seen["refused"] += 1
+            continue
+        p = state.ctx.p
+        for node in state.nodes.values():
+            seen[node.kind] += 1
+            if node.kind == "etale":
+                slope = fppoly.deriv(node.reduction, p)
+                assert slope and fppoly.degree(slope) == critical_count(node)
+    assert calls == []
+    assert seen == {"etale": 286, "inseparable": 119, "refused": 8}
 
 
 def residual_node(p, residual):
