@@ -20,12 +20,9 @@ that make groups, padded with groups of ones; the splits of each remainder
 are found once per call, in a memo that a module-level recursion takes as an
 argument, so no closure holds it in a cycle.  The rigid part of a
 classification's models (root, ordinary arms, tails and the whole downstairs
-tree) is built once; each partition choice adds only its leaves.  The
-models share one dict of rendered upstairs components, so each distinct
-upstairs component of their JSON is rendered once per classification; edges
-and downstairs components are rendered afresh per call, since measured table
-by table only the upstairs table saves much time (the dualgraph docstring
-gives the numbers).
+tree) is built once; each partition choice adds only its leaves, and the
+models share one dict of rendered upstairs components (the dualgraph
+docstring says why only that table is kept).
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -472,14 +469,10 @@ def classify_cover(cover):
         return assemble(p, [(branch[0].label, branch[0].profile)], [])
     if len(branch) == 2:
         a, b = sorted(branch, key=lambda bp: bp.label)
-        d = a.value - b.value
-        if (w := d.scaled_val()) > 0:
+        if (a.value - b.value).scaled_val() > 0:
             # two finite branch values force sum(n) = p + 1, so u = 0 and
-            # analyze_tail reports the trichotomy as undefined
-            gap = Fraction(w, d.n)
-            return assemble(
-                p, [], [analyze_tail(p, (a.label, b.label), a.profile, b.profile, gap)]
-            )
+            # the trichotomy is undefined
+            raise ThresholdUndefined((a.label, b.label), len(a.profile), len(b.profile), p)
     tree = branchtree.build_branch_tree((bp.label, bp.value) for bp in branch)
     verdict = branchtree.classify_points(tree)
     if verdict.offenders:

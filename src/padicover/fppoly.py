@@ -2,9 +2,10 @@
 
 A polynomial is a plain list of ints ``[c0, c1, ...]`` (coefficients mod p,
 constant term first) with no trailing zeros; ``[]`` is the zero polynomial.
-Just enough of the usual toolbox lives here — gcd, squarefree tests, root
-multiplicities — for deciding when residual polynomials separate points and
-for reading ramification off reductions.  Everything is exact mod p.
+Just enough of the usual toolbox lives here — derivatives, rational roots
+with their multiplicities, gcd — for deciding when residual polynomials
+separate points and for reading ramification off reductions.  Everything is
+exact mod p.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ def gcd(f, g, p):
 
 def deriv(f, p):
     return normalize([(i * c) % p for i, c in enumerate(f)][1:], p)
-
-
-def is_squarefree(f, p):
-    return degree(gcd(f, deriv(f, p), p)) == 0
 
 
 def _strip_root(f, w, p):

@@ -22,9 +22,10 @@ cover, ``branch_data`` and the blow-up engine call.
   1997).  It keeps the layout canonical: the shift is unimodular over Z.
 * ``rescale``, the blow-up's change of chart, finds each entry's row and
   power of p from its exponent index, in one pass.  The blow-up engine runs
-  it only on a disc it blows up again, when it reads that disc's core; every
-  child disc's reduction is read off the translated parent by
-  ``unit_residue``, the residue of a coefficient's unit part.
+  it once on each non-root disc it blows up, on the chart the disc keeps,
+  just before the disc's first blow-up, and never on a leaf; every child
+  disc's reduction is read off the translated parent by ``unit_residue``,
+  the residue of a coefficient's unit part.
 * ``reduction`` reads the k = 0 row mod p: the other rows lie in the maximal
   ideal, and p divides den exactly when some coefficient is not integral.
 * ``scaled_valuations`` gives n times the valuation of each coefficient as an

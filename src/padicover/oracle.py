@@ -24,8 +24,9 @@ ints, and the one ``Fraction`` of a blow-up is nu itself, the stage's
 thickness.  The child's reduction is read off the same ints: coefficient i
 of its core is a unit exactly when the translated coefficient's valuation
 plus i * nu is m * nu, and its residue is then the translated coefficient's
-unit residue (``kpoly.unit_residue``).  So the child's core, the one-pass
-rescaling ``kpoly.rescale``, is built only when the child is blown up in
+unit residue (``kpoly.unit_residue``).  The child keeps the translated
+core and the reading as its chart, and its own core, the one-pass rescaling
+``kpoly.rescale`` of the chart, is built only when the child is blown up in
 turn; most child discs are leaves and never need it.  An image radius is a
 pair (num, den) in lowest terms, and the downstairs tree orders its discs
 by exact ints, the numerators over the lcm of the denominators.  A residual
@@ -58,22 +59,23 @@ reduction c * X**p, since the local degree is at most p, so a fiber of
 offset residue a reduces to c * (X + a / c)**p: its one root is -a / c, of
 multiplicity p.  Radii are arbitrary rationals (the field layer has no
 fixed e), so one pass separates everything.  Every blow-up is centered at an
-F_p-rational residue; a residual root outside F_p that is repeated, or
-shared by two fibers, is reported as an error (ResidualRootOutsideFp).
+F_p-rational residue; a residual root outside F_p shared by two fibers is
+reported as an error (ResidualRootOutsideFp), and a repeated one cannot
+occur.
 
-A repeated residual root outside F_p cannot occur on the discs the engine
-builds.  The derivative of beta is a constant times the product of
+Gauss's lemma.  The derivative of beta is a constant times the product of
 (X - x)**(m - 1) over the critical points, all K-rational, and in a disc's
 chart so is the core's.  On an etale disc the core's derivative reduces to
 a nonzero polynomial, and by Gauss's lemma (the reduction of a product of
 primitive polynomials is the product of their reductions) it is c times the
 product of (X - xbar)**(m - 1) over the critical points inside the disc:
-the factor of a point outside the closed disc reduces to a constant.  A
-repeated root of a residual polynomial is a root of its derivative, the
-core's, so it is the residue of a critical point, in F_p.  The engine
-checks this identity in degree, deg of the reduced derivative against the
-sum of (m - 1) over the disc's critical points, and runs the squarefree
-gcd only where it fails (``_residual_table``).  A shared root is not ruled
+the factor of a point outside the closed disc reduces to a constant.  So
+the degree of the reduced derivative is the sum of (m - 1) over the
+critical points the disc carries, and ``_residual_table`` checks this on
+every etale disc, raising OracleError where it fails.  A repeated root of a
+residual polynomial is a root of its derivative, the core's, so it is the
+residue of a critical point, in F_p, and the rootless cofactor of a
+residual polynomial is squarefree without a gcd.  A shared root is not ruled
 out: among the 450 seeded random covers of the differential test, all with
 rational critical points, 29 are refused, every one for a shared root.
 """
@@ -108,24 +110,15 @@ class CenterNotRoot(OracleError):
 
 
 class ResidualRootOutsideFp(OracleError):
-    """A repeated or shared residual root is not F_p-rational.
+    """Two fibers share a residual root outside F_p.
 
-    The engine only lifts rational centers; a multiple root of a residual
-    polynomial outside the prime field, or one shared by two fibers, would
-    require an unramified extension of the base to continue, so the run
-    stops loudly instead.  Residual polynomials of one disc differ by
-    constants, so two fibers share such a root exactly when their offsets
-    agree mod the maximal ideal (gcd(B + a, B + b) divides a - b).  The
-    shared kind refuses 29 of the 450 seeded random covers in the
-    differential test.  The repeated kind cannot occur on a disc whose
-    critical points are all carried: by Gauss's lemma the reduced derivative
-    of an etale disc's core is c times the product of (X - xbar)**(m - 1)
-    over the critical points inside the disc, so a repeated residual root,
-    a root of that derivative, lies in F_p.  Where the degree of the reduced
-    derivative is not that sum of (m - 1), as on a disc given without its
-    critical points, a repeated root is looked for in a rootless cofactor of
-    degree >= 4: the minimal polynomial over F_p of a root outside F_p has
-    degree >= 2 and is separable, so a repeated root squares it.
+    The engine only lifts rational centers; a root outside the prime field
+    shared by two fibers would require an unramified extension of the base
+    to continue, so the run stops loudly instead.  Residual polynomials of
+    one disc differ by constants, so two fibers share such a root exactly
+    when their offsets agree mod the maximal ideal (gcd(B + a, B + b)
+    divides a - b).  A repeated root outside F_p cannot occur (Gauss's
+    lemma, in the module docstring).
     """
 
 
@@ -141,21 +134,19 @@ MAX_BLOWUPS = 2048
 
 
 class _Node:
-    """One upstairs disc: its core, its fibers' offsets, and bookkeeping.
+    """One upstairs disc: its chart, its core's reduction, its fibers'
+    offsets, and bookkeeping.
 
-    A child disc is made with ``core`` None and ``chart`` (g, rise, mrise, N),
-    the parent's core translated to the center and the blow-up's Newton
-    reading; the core, ``kpoly.rescale`` of those, is built when first read,
-    which only a blow-up of this disc does.  ``reduction``, the core's
-    reduction, is read off that data by ``blow_up``; on a disc made with a
-    core it is that core's reduction.
+    ``chart`` is (g, rise, mrise, N), the parent's core translated to the
+    center and the blow-up's Newton reading; the disc's core is
+    ``kpoly.rescale(*chart)``, which ``separate_fibers`` builds only to blow
+    the disc up.  The root has no chart: its core is beta.
     """
 
     __slots__ = (
         "name",
         "parent",
         "thickness",
-        "_core",
         "chart",
         "reduction",
         "tracks",
@@ -167,30 +158,19 @@ class _Node:
         "kind",
     )
 
-    def __init__(
-        self, name, parent, thickness, core, tracks, points, m, down_radius,
-        chart=None, reduction=None,
-    ):
+    def __init__(self, name, parent, thickness, chart, reduction, tracks, points, m, down_radius):
         self.name = name
         self.parent = parent
         self.thickness = thickness  # Fraction; None on the root
-        self._core = core  # kpoly.Poly, beta in the disc's chart less its constant
-        self.chart = chart  # (g, rise, mrise, N) until the core is built, else None
-        self.reduction = kpoly.reduction(core) if reduction is None else reduction
+        self.chart = chart  # (g, rise, mrise, N); None on the root
+        self.reduction = reduction  # F_p list, of the core: beta in the chart less its constant
         self.tracks = tracks  # label -> offset: the fiber's polynomial is core + offset
         self.points = points  # residue -> label -> [(x, m), ...] critical points
         self.m = m  # local degree of the cover on this disc
         self.down_radius = down_radius  # (num, den) in lowest terms, radius of the image disc
         self.marks = []
         self.children = []
-        self.kind = None  # "inseparable" | "etale", set while processing
-
-    @property
-    def core(self):
-        """The core, built from ``chart`` on the first read."""
-        if self._core is None:
-            self._core, self.chart = kpoly.rescale(*self.chart), None
-        return self._core
+        self.kind = None  # "inseparable" | "etale", set by _residual_table
 
 
 class Stage:
@@ -263,7 +243,8 @@ def fundamental_model(cover):
     the first coefficient of negative valuation or else by the reduction.
     The chart at infinity then needs no test (X**p * beta(1/X) reduces to 1),
     which is why only finite fibers need work, and each track beta - lambda
-    (core beta, offset -lambda) of an integral lambda has content 0.
+    (core beta, offset -lambda) of an integral lambda has content 0.  The
+    scan has proved that beta reduces to X**p, the root's reduction.
     """
     ctx = cover.ctx
     unit = False
@@ -285,7 +266,7 @@ def fundamental_model(cover):
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         offsets[bp.label] = -bp.value
     points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
-    root = _Node("C", None, None, cover.beta, offsets, points, ctx.p, (0, 1))
+    root = _Node("C", None, None, None, [0] * ctx.p + [1], offsets, points, ctx.p, (0, 1))
     root.marks.append(("inf", ctx.p))
     state.nodes["C"] = root
     return state
@@ -305,26 +286,26 @@ def _by_residue(points):
     return out
 
 
-def blow_up(ctx, node, wbar, mults):
+def blow_up(ctx, node, core, wbar, mults):
     """Blow up the node's unit disc at an F_p-rational residue; return the child.
 
     ``mults`` maps each label whose reduction has the residue wbar as a root
-    to its multiplicity; none raises CenterNotRoot.  The core is translated
-    once and its new constant moves into the offsets.  A fiber's Newton
-    reading is the core's valuation list with its offset's at index 0: its
-    count in the open disc must be the multiplicity, and nu is the least
-    positive root valuation over all fibers.  Each fiber's content in the
+    to its multiplicity; none raises CenterNotRoot.  The node's core,
+    ``core``, is translated once and its new constant moves into the
+    offsets.  A fiber's Newton reading is the core's valuation list with
+    its offset's at index 0: its count in the open disc must be the
+    multiplicity, and nu is the least positive root valuation over all
+    fibers.  Each fiber's content in the
     child's chart, the least of the core's and its offset's, must be m * nu;
     the offsets are divided by p**(m * nu).  The child carries the fibers in
     ``mults``, the critical points inside it, and its core's reduction, read
-    coefficient by coefficient from the same valuations.  It keeps the
-    translated core g with the reading, and ``kpoly.rescale`` moves the core
-    to its chart only when the child's core is read.
+    coefficient by coefficient from the same valuations, and its chart: the
+    translated core g with the reading.
     """
     if not mults:
         raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber on {node.name}")
     lift = ctx.from_rational(wbar)
-    g = kpoly.translate(node.core, lift)
+    g = kpoly.translate(core, lift)
     shift = kpoly.coefficient(g, 0)
     offsets = {label: node.tracks[label] + shift for label in sorted(mults)}
     # every valuation below is an int over one n: n * v, and nu = rise / (n * run)
@@ -387,8 +368,8 @@ def blow_up(ctx, node, wbar, mults):
     a, b = a * N + mrise * b, b * N
     h = gcd(a, b)
     return _Node(
-        f"{node.name}.{wbar}", node.name, nu, None, offsets, _by_residue(inside), m,
-        (a // h, b // h), chart=(g, rise, mrise, N), reduction=fppoly.trim(reduction),
+        f"{node.name}.{wbar}", node.name, nu, (g, rise, mrise, N), fppoly.trim(reduction),
+        offsets, _by_residue(inside), m, (a // h, b // h),
     )
 
 
@@ -396,58 +377,49 @@ def blow_up(ctx, node, wbar, mults):
 # the separation loop
 
 
-def _residual_table(node, core, p):
+def _residual_table(node, p):
     """Residual roots per fiber, with irrational residues handled honestly.
 
-    ``core`` is the reduction of the node's core; a fiber's is that plus its
-    offset's residue a, and is read once per distinct residue.  Returns
-    (table, extra_marks, reductions): a rational residue -> {label:
-    multiplicity}, simple marks outside F_p, and label -> reduction.  A
-    repeated irrational root, or one of two fibers with equal offset
-    residues, raises ResidualRootOutsideFp.
+    A fiber's reduction is the node's core reduction plus its offset's
+    residue a, and is read once per distinct residue.  Sets ``node.kind``
+    and returns (table, extra_marks, reductions): a rational residue ->
+    {label: multiplicity}, simple marks outside F_p, and label -> reduction.
+    Two fibers with equal offset residues and roots outside F_p raise
+    ResidualRootOutsideFp.
 
     An inseparable disc (core' = 0) has core c * X**p, so each fiber's one
-    root is -a / c, of multiplicity p.  On an etale disc core' is nonzero,
-    so the derivative of the core over K, a constant times the product of
-    (X - x)**(m - 1) over the critical points x, is primitive, and by
-    Gauss's lemma core' is c times the product of (X - xbar)**(m - 1) over
-    the points inside the closed disc: the factor of a point outside it
-    reduces to a constant.  When deg core' is that sum of (m - 1), every
-    repeated residual root is a root of core', hence in F_p, and the
-    rootless cofactor is squarefree without a gcd.  Otherwise (a disc given
-    without its critical points) the gcd runs, but only on a cofactor of
-    degree >= 4.
+    root is -a / c, of multiplicity p.  On an etale disc the degree of
+    core' must be the sum of (m - 1) over the critical points the disc
+    carries (Gauss's lemma, in the module docstring), else OracleError; so
+    every repeated residual root is in F_p and each rootless cofactor is a
+    set of simple marks.
     """
+    core = node.reduction
+    if fppoly.degree(core) != node.m:
+        raise OracleError(
+            f"residual degree {fppoly.degree(core)} on {node.name} "
+            f"differs from local degree {node.m}"
+        )
+    slope = fppoly.deriv(core, p)
+    node.kind = "etale" if slope else "inseparable"
+    critical = sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
+    if slope and fppoly.degree(slope) != critical:
+        raise OracleError(
+            f"etale disc {node.name}: the reduced derivative of its core has degree "
+            f"{fppoly.degree(slope)}, its critical points give {critical}"
+        )
+    inverse = None if slope else pow(core[-1], -1, p)
     table, extra_marks, reductions = {}, [], {}
     readings, shared = {}, {}
-    slope = fppoly.deriv(core, p)
-    inverse = pow(core[-1], -1, p) if core and not slope else None
-    critical = sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
-    rational_repeats = fppoly.degree(slope) == critical
     for label in sorted(node.tracks):
         a = node.tracks[label].residue()
         if a not in readings:
             hbar = fppoly.normalize([a] + core[1:], p)
-            if fppoly.degree(hbar) != node.m:
-                raise OracleError(
-                    f"residual degree {fppoly.degree(hbar)} on {node.name} "
-                    f"differs from local degree {node.m}"
-                )
             if inverse is not None:
                 readings[a] = hbar, {-a * inverse % p: node.m}, 0
             else:
                 roots, cofactor = fppoly.rational_roots(hbar, p)
-                # the cofactor has no root in F_p, so a repeated root of it
-                # lies outside F_p and its minimal polynomial, of degree >= 2
-                # and separable (F_p is perfect), divides it twice: a
-                # cofactor of degree < 4 is squarefree and needs no gcd
-                outside = fppoly.degree(cofactor)
-                if outside >= 4 and not rational_repeats and not fppoly.is_squarefree(cofactor, p):
-                    raise ResidualRootOutsideFp(
-                        f"repeated residual root outside F_{p} on {node.name} "
-                        f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
-                    )
-                readings[a] = hbar, roots, outside
+                readings[a] = hbar, roots, fppoly.degree(cofactor)
         reductions[label], roots, outside = readings[a]
         for wbar, mult in roots.items():
             table.setdefault(wbar, {})[label] = mult
@@ -469,17 +441,18 @@ def separate_fibers(cover):
     Each node carries its core's reduction: the node's kind, its residual
     table and the stage records all read it.  The count k of distinct
     fiber points at a residue decides between a mark (k = 1) and a blow-up,
-    and is the stage's k.  Raises NonTermination after MAX_BLOWUPS blow-ups.
+    and is the stage's k.  A node's core, beta at the root and
+    ``kpoly.rescale`` of its chart elsewhere, is built once, before its
+    first blow-up.  Raises NonTermination after MAX_BLOWUPS blow-ups.
     """
     state = fundamental_model(cover)
     ctx = state.ctx
     stack = ["C"]
     while stack:
         node = state.nodes[stack.pop()]
-        core = node.reduction
-        node.kind = "etale" if fppoly.deriv(core, ctx.p) else "inseparable"
-        table, extra_marks, reductions = _residual_table(node, core, ctx.p)
+        table, extra_marks, reductions = _residual_table(node, ctx.p)
         node.marks.extend(extra_marks)
+        core = None
         for wbar in sorted(table):
             parts = table[wbar]
             # t fiber points per residual root of multiplicity t, m - 1 too many per critical point
@@ -489,7 +462,9 @@ def separate_fibers(cover):
                 (label,) = parts
                 node.marks.append((label, parts[label]))
                 continue
-            child = blow_up(ctx, node, wbar, parts)
+            if core is None:
+                core = cover.beta if node.chart is None else kpoly.rescale(*node.chart)
+            child = blow_up(ctx, node, core, wbar, parts)
             if len(state.stages) >= MAX_BLOWUPS:
                 raise NonTermination(
                     f"exceeded {MAX_BLOWUPS} blow-ups; the model is not separating"

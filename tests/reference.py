@@ -37,6 +37,11 @@ def fp_mul(f, g, p):
     return fppoly.normalize(out, p)
 
 
+def is_squarefree(f, p):
+    """True when f over F_p has no repeated factor: gcd(f, f') is constant."""
+    return fppoly.degree(fppoly.gcd(f, fppoly.deriv(f, p), p)) == 0
+
+
 def from_rationals(ctx, qs):
     """The polynomial sum of qs[i] * X**i over K, from ints or Fractions."""
     return kpoly.from_elements(ctx, [ctx.from_rational(q) for q in qs])

@@ -26,7 +26,7 @@ from padicover.oracle import (
     run_oracle,
     separate_fibers,
 )
-from reference import derivative, from_rationals
+from reference import derivative
 
 
 def rational_cover(p, points, e=1):
@@ -134,9 +134,15 @@ def test_near_with_conjugate_groups_is_reported_not_fudged():
         run_oracle(cover)
 
 
-def carried(node, label):
-    """A fiber's polynomial on a node: the node's core plus the fiber's offset."""
-    return kpoly.sub(node.core, kpoly.from_elements(node.core.ctx, [-node.tracks[label]]))
+def core_of(cover, node):
+    """A node's core: beta at the root, else ``kpoly.rescale`` of its chart."""
+    return cover.beta if node.chart is None else kpoly.rescale(*node.chart)
+
+
+def carried(core, node, label):
+    """A fiber's polynomial on a node of the given core: the core plus the
+    fiber's offset."""
+    return kpoly.sub(core, kpoly.from_elements(core.ctx, [-node.tracks[label]]))
 
 
 def blow_up_root(cover, residue):
@@ -144,8 +150,8 @@ def blow_up_root(cover, residue):
     multiplicities there read off the root's residual table."""
     state = fundamental_model(cover)
     root = state.nodes["C"]
-    table, _, _ = _residual_table(root, kpoly.reduction(root.core), state.ctx.p)
-    return blow_up(state.ctx, root, residue, table.get(residue, {}))
+    table, _, _ = _residual_table(root, state.ctx.p)
+    return blow_up(state.ctx, root, cover.beta, residue, table.get(residue, {}))
 
 
 def test_blow_up_rejects_a_center_that_is_not_a_root():
@@ -211,7 +217,7 @@ def random_divisor_cover(rng, p, den):
 def test_admission_is_one_scan_over_the_lower_coefficients():
     # refused exactly when a non-leading coefficient of beta is nonzero with
     # valuation <= 0; an admitted track is beta - lambda itself, content 0:
-    # the root's core is beta and the track's offset is -lambda
+    # the root's core is beta, reducing to X**p, and the track's offset is -lambda
     rng = random.Random(11)
     seen = Counter()
     for p in (3, 5, 7):
@@ -234,24 +240,33 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
                     continue
                 assert all(v > 0 for _, v in low)
                 root = state.nodes["C"]
-                assert root.core == cover.beta
+                assert root.chart is None
+                assert root.reduction == kpoly.reduction(cover.beta) == [0] * p + [1]
                 for bp in branch_data(cover):
                     track = kpoly.sub(cover.beta, kpoly.from_elements(cover.ctx, [bp.value]))
                     assert root.tracks[bp.label] == -bp.value
-                    assert carried(root, bp.label) == track
+                    assert carried(cover.beta, root, bp.label) == track
                     assert min(c.val() for c in coefficients(track) if c) == 0
                 seen["admitted"] += 1
     assert seen == {"admitted": 128, "coefficient": 106, "reduction": 6}
 
 
 def test_repeated_residual_root_outside_fp_is_an_error():
-    # (X**2 + 3)**2 over F_5, perturbed upstairs: a repeated irrational root;
-    # the core 5X - 4X**2 + X**4 carries the fiber with offset 4
+    # (X**2 + 3)**2 over F_5: a repeated irrational root; the core X**4 + X**2
+    # carries the fiber with offset 4.  Its derivative 2X(2X**2 + 1) has
+    # roots outside F_5, so no F_5-rational critical points can match it:
+    # the Gauss's-lemma identity fails, and the disc is refused before any
+    # root is read
     ctx = FieldContext(5, 1)
-    core = from_rationals(ctx, (0, 5, -4, 0, 1))
-    node = _Node("C", None, None, core, {"a": ctx.from_rational(4)}, {}, 4, (0, 1))
-    with pytest.raises(ResidualRootOutsideFp, match="repeated residual root"):
-        _residual_table(node, kpoly.reduction(core), ctx.p)
+    offsets = {"a": ctx.from_rational(4)}
+    node = _Node("C", None, None, None, [0, 0, 1, 0, 1], offsets, {}, 4, (0, 1))
+    with pytest.raises(OracleError) as info:
+        _residual_table(node, ctx.p)
+    assert not isinstance(info.value, ResidualRootOutsideFp)
+    assert str(info.value) == (
+        "etale disc C: the reduced derivative of its core has degree 3, "
+        "its critical points give 0"
+    )
 
 
 def test_stage_budget_is_a_loud_failure(monkeypatch):
@@ -302,14 +317,14 @@ def test_critical_point_count_matches_the_squarefree_count(monkeypatch):
     expected = []
     blow_up_once = oracle.blow_up
 
-    def counted(ctx, node, wbar, mults):
+    def counted(ctx, node, core, wbar, mults):
         k = 0
         for label in mults:
-            g = kpoly.translate(carried(node, label), ctx.from_rational(wbar))
+            g = kpoly.translate(carried(core, node, label), ctx.from_rational(wbar))
             squarefree = newton.positive_root_count(kpoly.gcd_k(g, derivative(g)))
             k += newton.positive_root_count(g) - squarefree
         expected.append(k)
-        return blow_up_once(ctx, node, wbar, mults)
+        return blow_up_once(ctx, node, core, wbar, mults)
 
     monkeypatch.setattr(oracle, "blow_up", counted)
     rng = random.Random(3)
@@ -347,18 +362,19 @@ def test_each_fiber_is_the_core_plus_a_constant_offset():
         except ResidualRootOutsideFp:
             continue
         ctx = state.ctx
-        assert not kpoly.coefficient(state.nodes["C"].core, 0)
+        assert not kpoly.coefficient(cover.beta, 0)
         for stage in state.stages:
             parent, child = state.nodes[stage.parent], state.nodes[stage.node]
-            assert not kpoly.coefficient(child.core, 0)
+            parent_core, core = core_of(cover, parent), core_of(cover, child)
+            assert not kpoly.coefficient(core, 0)
             assert sorted(child.tracks) == list(stage.participants)
             lift = ctx.from_rational(stage.residue)
             for label in stage.participants:
-                g = kpoly.translate(carried(parent, label), lift)
+                g = kpoly.translate(carried(parent_core, parent, label), lift)
                 scaled = kpoly.scale_arg(g, ctx.uniformizer_power(stage.nu))
                 prim, content = kpoly.primitive(scaled)
                 assert content == stage.m * stage.nu
-                assert carried(child, label) == prim
+                assert carried(core, child, label) == prim
                 checked += 1
             shared += len(stage.participants) > 1
     assert (checked, shared) == (353, 67)
@@ -368,7 +384,9 @@ def test_seeded_random_covers_agree_or_are_refused():
     # classifier against oracle on 450 seeded covers; the exact counts pin
     # both routes, and no cover may match zero or several candidates.  The
     # agreeing covers are also counted by how many candidates they had (1, 2,
-    # 3 or more), so a change in which partition pairs exist shows here
+    # 3 or more), so a change in which partition pairs exist shows here.
+    # Every residual root outside F_p that refuses a cover is shared by two
+    # fibers: a repeated one cannot occur (Gauss's lemma)
     refusals = (ThresholdUndefined, ResidualRootOutsideFp, AllPointsCoalesce, NotSimpleReduction)
     rng = random.Random(7)
     counts, candidates = Counter(), Counter()
@@ -380,6 +398,8 @@ def test_seeded_random_covers_agree_or_are_refused():
                 result = run_oracle(cover)
             except refusals as exc:
                 counts[type(exc).__name__] += 1
+                if isinstance(exc, ResidualRootOutsideFp):
+                    assert "share a residual root" in str(exc)
                 continue
             matched = [m for m in classification.models if result.model.is_isomorphic_to(m)]
             counts["agree" if len(matched) == 1 else "disagree"] += 1

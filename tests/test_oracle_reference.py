@@ -1,11 +1,12 @@
 """The oracle's int readings against plain references.
 
-``_residual_table`` runs the squarefree gcd only on a rootless cofactor of
-degree >= 4 of a disc whose reduced derivative does not have the degree its
-critical points give, ``blow_up`` reads a child's reduction without building
-its core, and the downstairs tree keys its image discs by int pairs; the
-references here always run the gcd, reduce the core ``kpoly.rescale`` builds
-and key the discs by ``Fraction`` radii summed along the upstairs path.
+``_residual_table`` runs no squarefree gcd: it checks the Gauss's-lemma
+identity in degree on every etale disc, which makes every rootless cofactor
+squarefree; ``blow_up`` reads a child's reduction without building its core,
+and the downstairs tree keys its image discs by int pairs.  The references
+here run the gcd on every rootless cofactor, reduce the core
+``kpoly.rescale`` builds from a disc's chart and key the discs by
+``Fraction`` radii summed along the upstairs path.
 """
 
 import random
@@ -23,11 +24,13 @@ from padicover.oracle import (
     assemble_model,
     separate_fibers,
 )
-from reference import fp_mul, from_rationals
+from reference import fp_mul, is_squarefree
 
 
-def ref_residual_table(node, core, p):
-    """``_residual_table`` with the squarefree test on every cofactor."""
+def ref_residual_table(node, p):
+    """``_residual_table`` with the squarefree test on every cofactor in
+    place of the Gauss's-lemma identity."""
+    core = node.reduction
     table, extra_marks, reductions = {}, [], {}
     shared = {}
     for label in sorted(node.tracks):
@@ -39,7 +42,7 @@ def ref_residual_table(node, core, p):
                 f"differs from local degree {node.m}"
             )
         roots, cofactor = fppoly.rational_roots(hbar, p)
-        if fppoly.degree(cofactor) > 0 and not fppoly.is_squarefree(cofactor, p):
+        if fppoly.degree(cofactor) > 0 and not is_squarefree(cofactor, p):
             raise ResidualRootOutsideFp(
                 f"repeated residual root outside F_{p} on {node.name} "
                 f"(fiber {label}: cofactor {fppoly.fmt(cofactor)})"
@@ -59,10 +62,10 @@ def ref_residual_table(node, core, p):
     return table, extra_marks, reductions
 
 
-def reading(fn, node, core, p):
+def reading(fn, node, p):
     """What a residual reading returns, or the type and message it raises."""
     try:
-        return fn(node, core, p)
+        return fn(node, p)
     except OracleError as exc:
         return type(exc), str(exc)
 
@@ -79,17 +82,19 @@ def covers(primes, es, per, seed):
 
 def test_residual_table_matches_the_reading_that_always_runs_the_gcd(monkeypatch):
     # every node the separation reads, refusals included; "gcd" counts the
-    # nodes with a rootless cofactor of degree >= 4, where the test still runs
+    # nodes with a rootless cofactor of degree >= 4, the least degree at
+    # which a repeated root outside F_p can show
     seen = {"nodes": 0, "gcd": 0, "refused": 0}
 
-    def compared(node, core, p):
-        got = reading(_residual_table, node, core, p)
-        assert got == reading(ref_residual_table, node, core, p)
+    def compared(node, p):
+        got = reading(_residual_table, node, p)
+        assert got == reading(ref_residual_table, node, p)
         seen["nodes"] += 1
         residues = {track.residue() for track in node.tracks.values()}
+        core = node.reduction
         cofactors = (fppoly.rational_roots([a] + core[1:], p)[1] for a in residues)
         seen["gcd"] += any(fppoly.degree(c) >= 4 for c in cofactors)
-        return _residual_table(node, core, p)
+        return _residual_table(node, p)
 
     monkeypatch.setattr(oracle, "_residual_table", compared)
     for cover in covers((3, 5, 7, 11, 13), (1, 2), 6, 19):
@@ -107,8 +112,9 @@ def critical_count(node):
 
 def test_a_disc_reads_its_reduction_and_builds_its_core_only_to_blow_it_up(monkeypatch):
     # the reduction blow_up reads off the translated parent, against the
-    # reduction of the core kpoly.rescale builds; the core is built once for
-    # each child disc that is blown up in turn, and never for a leaf
+    # reduction of the core kpoly.rescale builds from the disc's chart; the
+    # core is built once for each non-root disc that is blown up, and never
+    # for the root (its core is beta) or for a leaf
     built = []
     rescale = kpoly.rescale
 
@@ -124,13 +130,13 @@ def test_a_disc_reads_its_reduction_and_builds_its_core_only_to_blow_it_up(monke
             state = separate_fibers(cover)
         except ResidualRootOutsideFp:
             continue
+        root = state.nodes["C"]
+        assert root.chart is None and root.reduction == kpoly.reduction(cover.beta)
         discs = [node for node in state.nodes.values() if node.parent is not None]
         blown_up = [node for node in discs if node.children]
-        assert len(built) == len(blown_up)
-        assert all(node.chart is None for node in blown_up)
-        assert all(node.chart is not None for node in discs if not node.children)
+        assert sorted(map(id, built)) == sorted(id(node.chart[0]) for node in blown_up)
         for node in discs:
-            assert node.reduction == kpoly.reduction(node.core)
+            assert node.reduction == kpoly.reduction(rescale(*node.chart))
         seen["covers"] += 1
         seen["blown up"] += len(blown_up)
         seen["leaves"] += len(discs) - len(blown_up)
@@ -142,13 +148,13 @@ def test_no_squarefree_gcd_runs_where_critical_points_are_carried(monkeypatch):
     # sum of (m - 1) over the critical points inside (Gauss's lemma), so the
     # residual table never needs the gcd, refused covers included
     calls = []
-    is_squarefree = fppoly.is_squarefree
+    fp_gcd = fppoly.gcd
 
-    def counted(f, p):
+    def counted(f, g, p):
         calls.append(f)
-        return is_squarefree(f, p)
+        return fp_gcd(f, g, p)
 
-    monkeypatch.setattr(fppoly, "is_squarefree", counted)
+    monkeypatch.setattr(fppoly, "gcd", counted)
     seen = {"etale": 0, "inseparable": 0, "refused": 0}
     for cover in covers((3, 5, 7, 11, 13), (1, 2), 6, 19):
         try:
@@ -166,35 +172,64 @@ def test_no_squarefree_gcd_runs_where_critical_points_are_carried(monkeypatch):
     assert seen == {"etale": 286, "inseparable": 119, "refused": 8}
 
 
-def residual_node(p, residual):
+def residual_node(p, residual, critical=(), name="C"):
     """A node of local degree deg(residual) whose one fiber reduces to the
-    monic ``residual`` (lowest degree first): the core is residual less its
-    constant, perturbed upstairs by p * X, and the offset is the constant."""
+    monic ``residual`` (lowest degree first): the core reduces to residual
+    less its constant, and the offset is the constant.  ``critical`` lists
+    the residues of the critical points the node carries, each of index 2."""
     ctx = FieldContext(p, 1)
-    core = from_rationals(ctx, (0, residual[1] + p, *residual[2:]))
     offsets = {"a": ctx.from_rational(residual[0])}
-    node = _Node("C", None, None, core, offsets, {}, len(residual) - 1, (0, 1))
-    return node, kpoly.reduction(core)
+    points = {w: {"a": [(ctx.from_rational(w), 2)]} for w in critical}
+    reduction = [0, *residual[1:]]
+    return _Node(name, None, None, None, reduction, offsets, points, len(residual) - 1, (0, 1))
 
 
-# X**2 + 1 and X**2 + 2 are irreducible over F_7: -1 and -2 are not squares
+# X**2 + 1 and X**2 + 2 are irreducible over F_7: -1 and -2 are not squares.
+# Q * R = X**4 + 3X**2 + 2 has derivative 2X(2X**2 + 3), with roots 0, 3
+# and 4; Q**2 and Q**2 * R have derivatives 4X(X**2 + 1) and
+# X(6X**4 + 2X**2 + 3), whose only root in F_7 is 0
 Q, R = [1, 0, 1], [2, 0, 1]
 
 
 def test_a_product_of_two_distinct_irreducible_quadratics_is_squarefree():
-    node, core = residual_node(7, fp_mul(Q, R, 7))
-    got = _residual_table(node, core, 7)
-    assert got == ref_residual_table(node, core, 7)
+    node = residual_node(7, fp_mul(Q, R, 7), critical=(0, 3, 4))
+    got = _residual_table(node, 7)
+    assert got == ref_residual_table(node, 7)
     assert got == ({}, [("a", 1)] * 4, {"a": fp_mul(Q, R, 7)})
+    assert node.kind == "etale"
 
 
 @pytest.mark.parametrize("residual", [fp_mul(Q, Q, 7), fp_mul(fp_mul(Q, Q, 7), R, 7)])
 def test_a_squared_irreducible_quadratic_is_a_repeated_root(residual):
-    node, core = residual_node(7, residual)
+    # no F_7-rational critical points match the reduced derivative, so the
+    # Gauss's-lemma identity fails and the disc is refused; the reference
+    # reading finds the repeated root by the squarefree gcd
+    node = residual_node(7, residual, critical=(0,))
     assert fppoly.rational_roots(fppoly.normalize(residual, 7), 7)[0] == {}
-    with pytest.raises(ResidualRootOutsideFp, match="repeated residual root") as info:
-        _residual_table(node, core, 7)
-    assert reading(ref_residual_table, node, core, 7) == (ResidualRootOutsideFp, str(info.value))
+    slope = fppoly.degree(residual) - 1
+    with pytest.raises(OracleError) as info:
+        _residual_table(node, 7)
+    assert str(info.value) == (
+        f"etale disc C: the reduced derivative of its core has degree {slope}, "
+        "its critical points give 1"
+    )
+    kind, message = reading(ref_residual_table, node, 7)
+    assert kind is ResidualRootOutsideFp and "repeated residual root" in message
+
+
+def test_a_disc_whose_critical_points_disagree_with_its_derivative_is_refused():
+    # Q * R with one of the three critical points its derivative needs: the
+    # residual roots are all simple, but the disc has lost a critical point,
+    # so the engine refuses it, naming the disc and both degrees
+    node = residual_node(7, fp_mul(Q, R, 7), critical=(0,), name="C.3.1")
+    with pytest.raises(OracleError) as info:
+        _residual_table(node, 7)
+    assert not isinstance(info.value, ResidualRootOutsideFp)
+    assert str(info.value) == (
+        "etale disc C.3.1: the reduced derivative of its core has degree 3, "
+        "its critical points give 1"
+    )
+    assert reading(ref_residual_table, node, 7) == ({}, [("a", 1)] * 4, {"a": fp_mul(Q, R, 7)})
 
 
 def ref_y_tree(state):
