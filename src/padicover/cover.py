@@ -11,7 +11,9 @@ fiber profiles (multiplicities of points in each ramified fiber, padded with
     sum over branch values of n_lambda  =  (r - 2) p + 1
 
 all come out of that divisor by grouping and counting alone.  beta is built
-in one pass over the integer rows of that product (``kpoly.antiderivative``).
+on first read, in one pass over the integer rows of that product
+(``kpoly.antiderivative``), so a cover that is only drawn and written out
+never builds it.
 ``branch_data`` returns the branch points and checks the degree count; it is
 the one place a branch value is computed, once per cover: each
 ``BranchPoint`` carries its display label and the critical points over it,
@@ -92,14 +94,21 @@ class BranchPoint:
 
 
 class Cover:
-    """beta monic of degree p with beta(0) = 0, plus its critical divisor."""
+    """A cover fixed by its critical divisor; beta is derived from it on first read."""
 
-    def __init__(self, beta, ctx, critical):
-        self.beta = beta  # kpoly.Poly: integer rows over one denominator
+    def __init__(self, ctx, critical):
         self.ctx = ctx  # FieldContext
         self.critical = critical  # CriticalDivisor
 
     @cached_property  # kept in the instance dict, so Cover has no __slots__
+    def beta(self):
+        """beta, monic of degree p with beta(0) = 0, as a kpoly.Poly (integer
+        rows over one denominator): the antiderivative of
+        p * prod (X - x)**(m-1), built on first read and kept."""
+        dbeta = kpoly.from_roots(self.ctx, [(x, m - 1) for x, m in self.critical.points])
+        return kpoly.antiderivative(dbeta, self.ctx.p)
+
+    @cached_property
     def branch_points(self):
         """The finite branch points, computed on first use; see branch_data."""
         groups = {}
@@ -143,6 +152,8 @@ def from_critical_divisor(points, ctx):
     degree-j coefficient by j+1 <= p, so when every x is integral the only
     denominator p sits in front of the leading term, where it cancels — this
     is why such covers are automatically integral with reduction X**p.
+    The bounds and the divisor are checked here; beta is built on first read
+    (``Cover.beta``).
     """
     if ctx.p > EXACT_P_BOUND:
         raise InvalidDivisor(
@@ -151,9 +162,7 @@ def from_critical_divisor(points, ctx):
         )
     if ctx.e > EXACT_E_BOUND:
         raise InvalidDivisor(f"exact mode takes e <= {EXACT_E_BOUND}, got e = {ctx.e}")
-    div = CriticalDivisor(tuple(points), ctx.p)
-    dbeta = kpoly.from_roots(ctx, [(x, m - 1) for x, m in div.points])
-    return Cover(kpoly.antiderivative(dbeta, ctx.p), ctx, div)
+    return Cover(ctx, CriticalDivisor(tuple(points), ctx.p))
 
 
 def branch_data(cover):

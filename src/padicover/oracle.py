@@ -277,12 +277,19 @@ def fundamental_model(cover):
 
 
 def _by_residue(points):
-    """Critical points (label, x, m) as residue -> label -> [(x, m), ...]; a
-    point outside the closed unit disc is in no child disc and is dropped."""
+    """Critical points (label, x, m) as residue -> label -> [(x, m), ...].
+
+    Every point is integral, so none is dropped.  At the root, admission has
+    shown that every non-leading coefficient of beta has v > 0, so for
+    v(x) < 0 the leading term wins: v(beta(x)) = p * v(x) < 0, and
+    ``fundamental_model`` refuses that branch value as not integral before
+    this runs.  In ``blow_up`` only points with v(d) >= nu are passed, so
+    d * p**(-nu) is integral.  Were either argument to break, ``residue``
+    would raise NegativeValuation rather than lose the point.
+    """
     out = {}
     for label, x, m in points:
-        if x.is_integral():
-            out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
+        out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
     return out
 
 

@@ -206,7 +206,8 @@ def random_integral_cover(rng, p, e=1):
 
     The test needs no cover: integral locations make beta = X**p mod the
     maximal ideal, so beta(x) = x**p = x there and beta(x) is a unit exactly
-    when x is, when p does not divide its numerator.  Only that draw is built.
+    when x is, when p does not divide its numerator.  The accepted draw's
+    beta is built only when something reads it.
     """
     ctx = FieldContext(p, e)
     denominators = [b for b in (1, 1, 1, 2, 3, 7) if b % p]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -212,3 +213,25 @@ def test_a_broken_run_names_its_workload_seed_and_side(monkeypatch, stdout, miss
     head = f"verify-random seed 1907, parent side in /tree: no {missing} (exit 5)\n"
     assert message.startswith(head)
     assert message.endswith("line 29\nValueError: boom") and "line 10\n" not in message
+
+
+def test_every_run_compiles_the_package_from_source(monkeypatch):
+    # valid __pycache__ files in the working tree would skip most of setup_s
+    seen = []
+
+    def run(argv, **kwargs):
+        env = kwargs["env"]
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert env["BENCH_PAIRS_TEST"] == "kept"  # the rest of the environment is passed on
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], cache, sorted(os.listdir(cache))))
+        line = json.dumps(result(1.0, 10))
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, stdout=f"{ENV_LINE}\n{line}\n")
+
+    monkeypatch.setenv("BENCH_PAIRS_TEST", "kept")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for side in bench_pairs.SIDES:
+        bench_pairs.run_once(side, "/tree", "w", 7, 1)
+    assert [(flag, files) for flag, _, files in seen] == [("1", []), ("1", [])]
+    # each run gets its own prefix, removed afterwards
+    assert seen[0][1] != seen[1][1]
+    assert not any(os.path.exists(cache) for _, cache, _ in seen)

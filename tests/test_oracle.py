@@ -239,6 +239,8 @@ def test_admission_is_one_scan_over_the_lower_coefficients():
                     seen["coefficient" if negative else "reduction"] += 1
                     continue
                 assert all(v > 0 for _, v in low)
+                # so _by_residue never meets a point outside the closed unit disc
+                assert all(x.is_integral() for x, _ in cover.critical.points)
                 root = state.nodes["C"]
                 assert root.chart is None
                 assert root.reduction == kpoly.reduction(cover.beta) == [0] * p + [1]

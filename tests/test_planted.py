@@ -58,3 +58,27 @@ def test_random_covers_match_the_generator_that_evaluates_beta(p):
             assert a.critical.points == b.critical.points
             assert any(kpoly.eval_at(a.beta, x).scaled_val() == 0 for x, _ in a.critical.points)
         assert new.random() == old.random()
+
+
+def test_a_cover_builds_its_beta_once_on_first_read(monkeypatch):
+    # a drawn cover builds no beta; the first read builds it, later reads share it
+    built = []
+    eager = kpoly.antiderivative
+
+    def counted(f, p):
+        built.append(p)
+        return eager(f, p)
+
+    monkeypatch.setattr(kpoly, "antiderivative", counted)
+    for p in (3, 5, 7, 11, 13, 17, 31):
+        for e in (1, 2, 3):
+            rng = random.Random(100 * p + e)
+            covers = [random_integral_cover(rng, p, e) for _ in range(20)]
+            assert built == []
+            for cover in covers:
+                beta = cover.beta
+                assert built == [p]
+                assert cover.beta is beta and built == [p]
+                built.clear()
+                roots = [(x, m - 1) for x, m in cover.critical.points]
+                assert beta == eager(kpoly.from_roots(cover.ctx, roots), p)

@@ -6,9 +6,13 @@ Usage, from the root of a checkout::
         --pairs 10 --seed 1811 --seconds 20
 
 The parent revision is exported with ``git archive`` into a temporary
-directory; the change is the working tree.  For each workload, pair i runs
-``perfbench/run.py --seed <seed + i>`` once on each side, the parent first in
-even pairs and the change first in odd ones, each run in its own process.
+directory; the change is the working tree.  Every run compiles the package
+from source, as a clean checkout does: it writes no bytecode and reads it
+from an empty cache prefix, so the working tree's ``__pycache__``, whose
+valid files would skip most of ``setup_s``, favours neither side.  For each
+workload, pair i runs ``perfbench/run.py --seed <seed + i>`` once on each
+side, the parent first in even pairs and the change first in odd ones, each
+run in its own process.
 Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
 won; a tie counts for neither side.  Each metric also gets a verdict against
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -53,12 +58,18 @@ def export(rev, into):
 def run_once(side, tree, workload, seed, seconds):
     """The result line and the environment line of one perfbench run in `tree`.
 
-    A run whose stdout lacks either raises RuntimeError naming the workload,
-    seed and side, with the run's exit code and the tail of its stderr.
+    The run reads and writes no bytecode: PYTHONPYCACHEPREFIX points at an
+    empty directory and PYTHONDONTWRITEBYTECODE keeps it empty.  A run whose
+    stdout lacks either line raises RuntimeError naming the workload, seed
+    and side, with the run's exit code and the tail of its stderr.
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        out = subprocess.run(
+            argv, cwd=tree, env=env, capture_output=True, text=True, check=False
+        )
     lines = out.stdout.strip().splitlines()
     envs = [ln for ln in lines if ln.startswith('{"environment"')]
     try:
