@@ -1,9 +1,12 @@
 """Curated covers with known reduction behavior, for dual-route testing.
 
 Every instance here is built from an explicit critical divisor and labeled
-with the regimes its colliding branch values must land in.  The labels are
-*verified at build time* against the discrete classifier, so a typo in a
-parameter table fails loudly instead of silently testing the wrong thing.
+with the regimes its colliding branch values must land in.  ``suite`` builds
+the instances and nothing else.  The labels are checked against the discrete
+classifier by the tests (``tests/test_planted.py``, every instance), and the
+benchmark's verify workload compares each request's regimes with its label, so
+a typo in a parameter table fails loudly instead of silently testing the wrong
+thing.
 The point of the suite is the independent cross-check: the blow-up engine
 re-derives each model from scratch, and the two routes must agree component
 for component, thickness for thickness.
@@ -23,10 +26,10 @@ v(delta) instead, where every group is anchored by a rational critical point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .classifier import classify_cover
 from .cover import from_critical_divisor
-from .field import FieldContext
+from .field import FieldContext, _rational
 
 
 class PlantedInstance:
@@ -50,17 +53,6 @@ def build_cover(p, e, points):
     """A cover from (location, multiplicity) pairs; ("+pi", q) means q + pi."""
     ctx = FieldContext(p, e)
     return from_critical_divisor([(_point(ctx, x), m) for x, m in points], ctx)
-
-
-def _verify(instance):
-    classification = classify_cover(instance.cover)
-    got = tuple(sorted(t.regime for t in classification.tails))
-    if got != instance.regimes:
-        raise ValueError(
-            f"planted instance {instance.name} drifted: "
-            f"expected regimes {instance.regimes}, classifier found {got}"
-        )
-    return instance
 
 
 # parameter tables ----------------------------------------------------------
@@ -126,12 +118,11 @@ _P7_GOOD = [
 
 
 def suite():
-    """The full planted suite (56 instances), verified against the classifier."""
+    """The full planted suite (56 instances), built and not classified."""
     out = []
 
     def add(name, p, e, points, regimes):
-        cover = build_cover(p, e, points)
-        out.append(_verify(PlantedInstance(name, cover, regimes)))
+        out.append(PlantedInstance(name, build_cover(p, e, points), regimes))
 
     for a, b, c in _GOOD_P5_STARS:
         add(f"good-p5-star-{a}{b}{c}", 5, 1, [(a, 3), (b, 2), (c, 2)], ())
@@ -204,6 +195,15 @@ def random_integral_cover(rng, p, e=1):
     Resamples until some branch value is a unit, so the family genuinely
     exercises the nontrivial residues, then returns the cover.
 
+    A location is drawn as a / b and kept as the reduced int pair
+    (a // g, b // g), g = gcd(a, b) > 0 as b > 0: each rational has exactly
+    one reduced pair with a positive denominator, so a set of pairs dedupes
+    exactly as a set of ``Fraction``s would, and the first entry is the
+    ``Fraction``'s numerator.  Every allowed denominator, and so every
+    reduced one, divides 42, so a * (42 // b) = 42 * a / b is an int key in
+    the rational order.  The draws, and so the covers and the generator's
+    final state, are those of drawing ``Fraction``s.
+
     The test needs no cover: integral locations make beta = X**p mod the
     maximal ideal, so beta(x) = x**p = x there and beta(x) is a unit exactly
     when x is, when p does not divide its numerator.  The accepted draw's
@@ -215,9 +215,10 @@ def random_integral_cover(rng, p, e=1):
         mults = [k + 1 for k in _random_composition(rng, p - 1)]
         locations = set()
         while len(locations) < len(mults):
-            locations.add(
-                Fraction(rng.randint(-3 * p, 3 * p), rng.choice(denominators))
-            )
-        if any(x.numerator % p for x in locations):
-            points = [(ctx.from_rational(x), m) for x, m in zip(sorted(locations), mults)]
+            a, b = rng.randint(-3 * p, 3 * p), rng.choice(denominators)
+            g = gcd(a, b)
+            locations.add((a // g, b // g))
+        if any(a % p for a, _ in locations):
+            ordered = sorted(locations, key=lambda ab: ab[0] * (42 // ab[1]))
+            points = [(_rational(ctx, a, b), m) for (a, b), m in zip(ordered, mults)]
             return from_critical_divisor(points, ctx)

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 from padicover import fppoly, kpoly
+from padicover.classifier import classify_cover
 from padicover.cover import from_critical_divisor
 from padicover.dualgraph import group_key
 from padicover.field import FieldContext, _vp_int
@@ -152,3 +153,16 @@ def random_integral_cover_by_evaluation(rng, p, e=1):
         values = {kpoly.eval_at(cover.beta, x).scaled_val() for x, _ in points}
         if 0 in values:
             return cover
+
+
+def verify_planted(instance):
+    """The planted instance, once the classifier finds exactly its labeled
+    regimes; a drifted label raises ValueError naming the instance."""
+    classification = classify_cover(instance.cover)
+    got = tuple(sorted(t.regime for t in classification.tails))
+    if got != instance.regimes:
+        raise ValueError(
+            f"planted instance {instance.name} drifted: "
+            f"expected regimes {instance.regimes}, classifier found {got}"
+        )
+    return instance

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from padicover import kpoly
+from padicover import classifier, kpoly, planted
 from padicover.planted import PlantedInstance, build_cover, random_integral_cover, suite
-from reference import random_integral_cover_by_evaluation
+from reference import random_integral_cover_by_evaluation, verify_planted
 
 
 def test_suite_is_big_enough_and_covers_every_regime():
     instances = suite()
-    assert len(instances) >= 50
+    assert len(instances) == 56
     names = [inst.name for inst in instances]
     assert len(set(names)) == len(names)
     seen = {inst.regimes for inst in instances}
@@ -23,13 +23,34 @@ def test_suite_is_big_enough_and_covers_every_regime():
     assert primes == {3, 5, 7}
 
 
-def test_build_time_verification_catches_a_drifted_label():
+def test_every_planted_label_is_what_the_classifier_finds():
+    for inst in suite():
+        assert verify_planted(inst) is inst
+
+
+def test_the_label_check_catches_a_drifted_label():
     cover = build_cover(5, 1, [(0, 3), (1, 2), (2, 2)])  # good reduction
     drifted = PlantedInstance("wrong", cover, ("near",))
-    from padicover.planted import _verify
-
     with pytest.raises(ValueError, match="drifted"):
-        _verify(drifted)
+        verify_planted(drifted)
+
+
+def test_the_suite_builds_its_covers_and_classifies_none(monkeypatch):
+    # the labels are checked above and by the benchmark's requests, so
+    # building the suite builds no beta and runs no classifier
+    calls = []
+    eager = classifier.classify_cover
+
+    def counted(cover):
+        calls.append(cover)
+        return eager(cover)
+
+    monkeypatch.setattr(classifier, "classify_cover", counted)
+    # a module that imports the classifier by name calls its own binding
+    monkeypatch.setattr(planted, "classify_cover", counted, raising=False)
+    instances = suite()
+    assert calls == []
+    assert [inst.name for inst in instances if "beta" in vars(inst.cover)] == []
 
 
 def test_random_covers_are_reproducible_and_integral():
