@@ -3,17 +3,22 @@
 The finite branch values, all integral, are grouped by the nested-disc rule:
 two points sit strictly inside a common sub-disc of radius q exactly when
 v(a - b) > q.  The root D is the unit-disc component, where the point at
-infinity also specializes (the virtual mark "inf").  One recursive walk,
-a module-level function that takes the tree built so far as an argument,
-builds the rest: at a component of depth d the points split into the classes
-of v(a - b) > d, each class found by comparing a point with the first member
-of every class so far; a class of one point is a mark of the component, and
-each larger class g becomes a child component, in order of its sorted
-labels.  The child's depth is the least v(x - g[0]) over its members:
-v(a - b) >= min(v(a - g[0]), v(b - g[0])) by the ultrametric inequality, so
-that is the least pairwise valuation.  Its edge to the parent has thickness
-= depth - parent depth.  Components are named as the walk creates them: D,
-then v1, v2, ... depth first, the order of ``MetricTree.nodes``.
+infinity also specializes (the virtual mark "inf").  Its classes, v(a - b) >
+0, are read off the residues: for integral a and b, a - b lies in the
+maximal ideal exactly when a and b have one image in F_p, so the root takes
+one residue read per point, and each member of a class of two or more is
+subtracted once, from the class's first member.  One recursive walk, a
+module-level function that takes the tree built so far as an argument,
+builds the rest: at a component of depth d > 0 the points split into the
+classes of v(a - b) > d, each class found by comparing a point with the
+first member of every class so far.  At every component, a class of one
+point is a mark of the component, and each larger class g becomes a child
+component, in order of its sorted labels.  The child's depth is the least
+v(x - g[0]) over its members: v(a - b) >= min(v(a - g[0]), v(b - g[0])) by
+the ultrametric inequality, so that is the least pairwise valuation.  Its
+edge to the parent has thickness = depth - parent depth.  Components are
+named as the walk creates them: D, then v1, v2, ... depth first, the order
+of ``MetricTree.nodes``.
 
 The walk runs on ints, each valuation read as N * v with N the lcm of the
 points' own n (``Element.scaled_val``).  A member placed in a class carries
@@ -89,17 +94,22 @@ class MetricTree:
         return {"vertices": out}
 
 
+def _scaled_distance(x, y, n):
+    """n * v(x - y), an int, for distinct x and y whose n divide n."""
+    d = x - y
+    return d.scaled_val() * (n // d.n)
+
+
 def _group(points, threshold, n):
     """Partition (label, x, w) by the equivalence v(a - b) > threshold
-    (ultrametric, so it is one), valuations scaled by n.  w is n * v(x -
-    points[0].x) when known, else None; each member comes out carrying its
-    w to its class's first member, which carries None."""
+    (ultrametric, so it is one), valuations scaled by n.  Every point after
+    the first carries w = n * v(x - points[0].x); each member comes out
+    carrying its w to its class's first member, which carries None."""
     groups = []
     for label, x, w in points:
         for i, g in enumerate(groups):
-            if i or w is None:  # the first class is headed by points[0]
-                d = x - g[0][1]
-                w = d.scaled_val() * (n // d.n)
+            if i:  # the first class is headed by points[0], whose w x carries
+                w = _scaled_distance(x, g[0][1], n)
             if w > threshold:
                 g.append((label, x, w))
                 break
@@ -119,18 +129,24 @@ def build_branch_tree(points):
     pts = [(str(label), x, None) for label, x in points]
     if len(pts) < 2:
         raise AllPointsCoalesce(ONE_POINT)
-    seen = set()
-    for label, x, _ in pts:
+    seen, by_residue = set(), {}
+    for pt in pts:
+        label, x, _ = pt
         if not x.is_integral():
             raise ValueError(f"marked point {label} has negative valuation")
         if x in seen:
             raise ValueError(f"marked points must be distinct ({label} repeats)")
         seen.add(x)
-    n = lcm(*(x.n for _, x, _ in pts))
-
-    root_groups = _group(pts, 0, n)
-    if len(root_groups) < 2:
+        by_residue.setdefault(x.residue(), []).append(pt)
+    if len(by_residue) < 2:
         raise AllPointsCoalesce("all marked points share one residue; no two specialize apart")
+    n = lcm(*(x.n for _, x, _ in pts))
+    # v(a - b) > 0 exactly when a and b have one residue; each member of a
+    # class carries its distance to the class's first member, as in _group
+    root_groups = [
+        [head] + [(label, x, _scaled_distance(x, head[1], n)) for label, x, _ in rest]
+        for head, *rest in by_residue.values()
+    ]
     root = TreeNode("D", Fraction(0), None, None, ["inf"])
     nodes = {}
     _attach(root, 0, root_groups, n, nodes)

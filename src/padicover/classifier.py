@@ -20,9 +20,10 @@ that make groups, padded with groups of ones; the splits of each remainder
 are found once per call, in a memo that a module-level recursion takes as an
 argument, so no closure holds it in a cycle.  The rigid part of a
 classification's models (root, ordinary arms, tails and the whole downstairs
-tree) is built once; each partition choice adds only its leaves, and the
-models share one dict of rendered upstairs components (the dualgraph
-docstring says why only that table is kept).
+tree) is built once; each partition choice adds only its leaves.  When there
+are two or more choices, the models share one dict of rendered upstairs
+components (the dualgraph docstring says why only that table is kept); a
+single model renders directly.
 
 Everything here is exact rational arithmetic on profiles and valuations; no
 field elements are touched.  The exact-mode entry point classify_cover pulls
@@ -277,9 +278,8 @@ def analyze_tail(p, pair, profile1, profile2, epsilon):
 
 class _Builder:
     """Accumulates the rigid components of both trees (marks as tuples) and
-    emits one DualGraphPair per choice of near-tail leaves, all sharing one
-    dict of rendered upstairs components.  An upstairs component C<tag> maps
-    onto D<tag>; the roots have the tag ""."""
+    emits one DualGraphPair per choice of near-tail leaves.  An upstairs
+    component C<tag> maps onto D<tag>; the roots have the tag ""."""
 
     def __init__(self, p):
         self.p = p
@@ -288,7 +288,6 @@ class _Builder:
         self.x_edges = []
         self.y_edges = []
         self.vertical = {"C": VerticalMap("D", p, "inseparable")}
-        self.rendered = {}  # upstairs components, as DualGraphPair.to_json keys them
 
     def hang(self, over, tag, t, x_marks, y_marks, kind="etale", notes=()):
         """C<tag> over D<tag> by a degree-p map of this kind, hung below C<over>
@@ -297,7 +296,7 @@ class _Builder:
         cx, dy = "C" + tag, "D" + tag
         self.x_marks[cx] = x_marks
         self.y_marks[dy] = y_marks
-        self.x_edges.append(("C" + over, cx, t / self.p))
+        self.x_edges.append(("C" + over, cx, Fraction(t.numerator, t.denominator * self.p)))
         self.y_edges.append(("D" + over, dy, t))
         self.vertical[cx] = VerticalMap(dy, self.p, kind, notes=notes)
 
@@ -332,8 +331,9 @@ class _Builder:
             self.y_marks[f"D_1({a},{b})"] = (a, b)
             self.y_edges.append(("D" + tag, f"D_1({a},{b})", eps - report.threshold))
 
-    def build(self, choices):
-        """The model with the leaves of each (leaves, entry) choice."""
+    def build(self, choices, memo):
+        """The model with the leaves of each (leaves, entry) choice, rendering
+        its upstairs components into `memo`, a dict or None."""
         x_marks, x_edges, vertical = dict(self.x_marks), list(self.x_edges), dict(self.vertical)
         for leaves, _ in choices:
             for name, marks, edge, vm in leaves:
@@ -343,7 +343,7 @@ class _Builder:
         return DualGraphPair(
             p=self.p, x_root="C", y_root="D", x_marks=x_marks, y_marks=dict(self.y_marks),
             x_edges=x_edges, y_edges=list(self.y_edges), vertical=vertical,
-            partitions=tuple(sorted(entry for _, entry in choices)), memo=self.rendered,
+            partitions=tuple(sorted(entry for _, entry in choices)), memo=memo,
         ).validate()
 
 
@@ -381,22 +381,23 @@ class Classification:
 def assemble(p, ordinary, tail_reports, tree=None):
     """All candidate full models: one per choice of a partition pair for
     each near-threshold tail (other regimes are rigid).  The rigid part is
-    built once; each choice adds only the leaves of its near tails.  The
-    models share the skeleton's dict of rendered upstairs components, which
-    lives as long as they do."""
+    built once; each choice adds only the leaves of its near tails.  Two or
+    more models share one dict of rendered upstairs components, which lives
+    as long as they do; a single model has none, as a dict of its own would
+    never hit."""
     skeleton = _Builder(p)
     for label, prof in ordinary:
         skeleton.add_arm(label, prof, p)
     for rep in tail_reports:
         skeleton.add_tail(rep)
     choice_sets = [_near_leaves(rep) for rep in tail_reports if rep.regime == "near"]
+    combos = list(itertools.product(*choice_sets))
+    memo = {} if len(combos) > 1 else None
     return Classification(
         p=p,
         ordinary=tuple((lbl, tuple(prof)) for lbl, prof in ordinary),
         tails=tuple(tail_reports),
-        models=tuple(
-            skeleton.build(combo) for combo in itertools.product(*choice_sets)
-        ),
+        models=tuple(skeleton.build(combo, memo) for combo in combos),
         tree=tree,
     )
 

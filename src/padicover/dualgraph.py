@@ -21,19 +21,20 @@ each component annotated by the canonical id of its image.  Equality of
 encodings is exactly label-respecting isomorphism of the pairs.
 
 The candidate models of one classification differ only in their near-tail
-leaves, so they share one dict of rendered upstairs components (the models'
-`memo`): each distinct upstairs component is rendered once per
-classification.  Edges, downstairs components and partition entries are
-rendered afresh on every call.  Measured table by table, in µs per model,
-keyed against direct, on the near-regime formula benchmark and then on small
-exact covers: upstairs components 11.4 vs 13.0 and 7.0 vs 6.6, downstairs
-components 2.7 vs 3.9 and 2.5 vs 2.3, edges 10.0 vs 10.0 and 5.5 vs 4.4.
-The upstairs table saves the most where it saves at all; the downstairs one
-saves about 1 % of a near-regime formula request and edges save nothing, so
-only the upstairs table is kept.  A model without the dict (every oracle
-model) renders its upstairs components directly, as a dict of its own
-would never hit; it is told by `memo is None`, never by truth value: the
-shared dict is empty until the first render.
+leaves, so two or more of them share one dict of rendered upstairs
+components (the models' `memo`): each distinct upstairs component is
+rendered once per classification.  Edges, downstairs components and
+partition entries are rendered afresh on every call.  Measured table by
+table, in µs per model, keyed against direct, on the near-regime formula
+benchmark and then on small exact covers: upstairs components 11.4 vs 13.0
+and 7.0 vs 6.6, downstairs components 2.7 vs 3.9 and 2.5 vs 2.3, edges 10.0
+vs 10.0 and 5.5 vs 4.4.  The upstairs table saves the most where it saves at
+all; the downstairs one saves about 1 % of a near-regime formula request and
+edges save nothing, so only the upstairs table is kept, and only where it is
+shared.  A model without the dict (every oracle model, and a
+classification's only candidate) renders its upstairs components directly,
+as a dict of its own would never hit; it is told by `memo is None`, never by
+truth value: the shared dict is empty until the first render.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  Input strings are
 parsed straight to integer pairs (a, b), with no ``Fraction`` in between.
+A rational, n = 1, is the common case and takes one gcd and no lists:
+``_reduced`` hands it to ``_rational``, and ``FieldContext.element`` reads a
+coordinate whose only nonzero coefficient is the first straight to it.
 ``Fraction`` appears only where a rational comes in whole (``parse_rat``,
 ``from_rational``, and ``uniformizer_power`` given one rational; given an int
 pair q, den it builds none), in ``Element.val`` and in the Gauss-Jordan
@@ -164,6 +167,8 @@ class FieldContext:
         cs = [_parse_pair(c) for c in coeffs]
         if len(cs) > self.e:
             raise ValueError(f"expected at most {self.e} coefficients, got {len(cs)}")
+        if cs and not any(a for a, _ in cs[1:]):
+            return _rational(self, *cs[0])
         return _from_pairs(self, self.e, [(i, a, b) for i, (a, b) in enumerate(cs)])
 
     def from_rational(self, q):
@@ -206,8 +211,11 @@ class FieldContext:
 
 def _reduced(ctx, n, terms, den):
     """Element from sorted nonzero terms (k, a) over den > 0, made canonical:
-    n least, and den least by one gcd with the numerators."""
-    g = gcd(n, *[k for k, _ in terms]) if n > 1 else 1
+    n least, and den least by one gcd with the numerators.  A rational, n = 1
+    and at most one term, goes to ``_rational``."""
+    if n == 1:
+        return _rational(ctx, terms[0][1] if terms else 0, den)
+    g = gcd(n, *[k for k, _ in terms])
     h = gcd(den, *[a for _, a in terms]) if den > 1 else 1
     if g > 1 or h > 1:
         n, den = n // g, den // h

@@ -6,7 +6,10 @@ that of FLINT's fmpq_poly (W. Hart, ICMS 2010) with the classes p**(k/n)
 added.  A :class:`Poly` keeps only its nonzero rows P_k, all of length
 deg + 1, one shared n, the least its rows need, and one positive den, the
 least with gcd(den, every entry) = 1.  So the layout is canonical, equality
-compares it, and no coefficient is stored as a field element.
+compares it, and no coefficient is stored as a field element.  A polynomial
+over Q, n = 1, is one row (0, P_0) over den; ``_poly`` makes such a row, the
+one ``antiderivative`` builds for every rational beta, canonical with one
+gcd(den, *P_0) and a trim of its trailing zeros.
 
 The workloads decide which operations are row kernels: those that building a
 cover, ``branch_data`` and the blow-up engine call.
@@ -93,14 +96,26 @@ class Poly:
 def _poly(ctx, n, rows, den):
     """Poly from pairs (k, row), rows of one length and k < n, over den != 0,
     made canonical: zero rows and trailing zero columns dropped, n least, den
-    positive and least."""
+    positive and least.  One row over n = 1 takes one gcd, with den."""
+    if n == 1 and len(rows) == 1:
+        ((_, row),) = rows
+        size = len(row)
+        while size and not row[size - 1]:
+            size -= 1
+        if not size:
+            return Poly(ctx, 1, (), 1)
+        h = gcd(den, *row)
+        if den < 0:
+            h = -h
+        row = row[:size] if h == 1 else [a // h for a in row[:size]]
+        return Poly(ctx, 1, ((0, tuple(row)),), den // h)
     live = sorted(kr for kr in rows if any(kr[1]))
     if not live:
         return Poly(ctx, 1, (), 1)
     size = len(live[0][1])
     while not any(row[size - 1] for _, row in live):
         size -= 1
-    g = gcd(n, *[k for k, _ in live]) if n > 1 else 1
+    g = gcd(n, *[k for k, _ in live])  # n > 1: over n = 1 there is at most one row
     h = den
     for _, row in live:
         if h == 1:

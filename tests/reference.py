@@ -7,12 +7,13 @@ rather than in ``padicover``.
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from padicover import fppoly, kpoly
 from padicover.classifier import classify_cover
 from padicover.cover import from_critical_divisor
 from padicover.dualgraph import group_key
-from padicover.field import FieldContext, _vp_int
+from padicover.field import Element, FieldContext, _vp_int
 from padicover.newton import newton_polygon
 from padicover.planted import _random_composition
 
@@ -166,3 +167,31 @@ def verify_planted(instance):
             f"expected regimes {instance.regimes}, classifier found {got}"
         )
     return instance
+
+
+def reduced_general(ctx, n, terms, den):
+    """field._reduced by its general route alone, for any n: sorted nonzero
+    terms (k, a) over den > 0, n and den made least by one gcd each."""
+    g = gcd(n, *[k for k, _ in terms]) if n > 1 else 1
+    h = gcd(den, *[a for _, a in terms]) if den > 1 else 1
+    if g > 1 or h > 1:
+        n, den = n // g, den // h
+        terms = [(k // g, a // h) for k, a in terms]
+    return Element(ctx, n, tuple(terms), den)
+
+
+def poly_general(ctx, n, rows, den):
+    """kpoly._poly by its general route alone, for any number of rows: zero
+    rows and trailing zero columns dropped, n least, den positive and least."""
+    live = sorted(kr for kr in rows if any(kr[1]))
+    if not live:
+        return kpoly.Poly(ctx, 1, (), 1)
+    size = len(live[0][1])
+    while not any(row[size - 1] for _, row in live):
+        size -= 1
+    g = gcd(n, *[k for k, _ in live])
+    h = gcd(den, *[a for _, row in live for a in row])
+    if den < 0:
+        h = -h
+    rows = tuple((k // g, tuple(a // h for a in row[:size])) for k, row in live)
+    return kpoly.Poly(ctx, n // g, rows, den // h)

@@ -235,3 +235,35 @@ def test_every_run_compiles_the_package_from_source(monkeypatch):
     # each run gets its own prefix, removed afterwards
     assert seen[0][1] != seen[1][1]
     assert not any(os.path.exists(cache) for _, cache, _ in seen)
+
+
+@pytest.mark.parametrize(
+    "change, correct, code, named",
+    [
+        (result(2.0, 100), True, 0, []),
+        # throughput 100 -> 60/s is worse beyond its 25 % bound
+        (result(2.0, 60), True, 1, ["w: throughput_per_s is worse beyond its bound"]),
+        (result(3.0, 100, share=0.5), True, 1, [
+            "w: latency_ms_tail is worse beyond its bound",
+            "w: answered_share is worse beyond its bound",
+        ]),
+        (result(2.0, 100, correct=False), False, 1, []),
+    ],
+)
+def test_the_exit_status_fails_on_a_regression_or_an_incorrect_run(
+    monkeypatch, tmp_path, capsys, change, correct, code, named
+):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    env = {"cpu_model": "x", "nproc": 2, "python": "3", "source_sha256": "0"}
+    sides = {"parent": result(2.0, 100), "change": change}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda side, *args: (sides[side], env))
+    argv = ["--rev", "HEAD", "--label", "t", "--workload", "w", "--pairs", "3", "--seed", "1"]
+    assert bench_pairs.main(argv) == code
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["summary"]["w"]["correct"] is correct
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "bound" in line] == named

@@ -12,7 +12,7 @@ from padicover.branchtree import (
     classify_points,
 )
 from padicover.cover import branch_data
-from padicover.field import FieldContext
+from padicover.field import Element, FieldContext
 
 K = FieldContext(5, 1)
 
@@ -273,3 +273,22 @@ def test_integer_walk_matches_the_fraction_walk_on_covers():
         irrational += any(x.n > 1 for _, x in points)
     # 256 configurations with a cluster, 7 nested, 48 coalesced, 12 off Q
     assert clustered > 200 and nested > 3 and coalesced > 20 and irrational > 10
+
+
+def test_the_root_is_split_by_residue_without_subtracting(monkeypatch):
+    """Points with pairwise distinct residues make one root class each, so the
+    root split subtracts nothing; a class of k points subtracts k - 1 times."""
+    calls, general = [], Element.__sub__
+    monkeypatch.setattr(Element, "__sub__", lambda x, y: calls.append(1) or general(x, y))
+    K7 = FieldContext(7, 2)
+    distinct = [(str(r), K7.from_rational(r) + K7.pi() * r) for r in (3, -1, 0, 1, 9, 5)]
+    tree = build_branch_tree(distinct)
+    assert calls == [] and list(tree.nodes) == ["D"]
+    assert tree.root.marks == sorted(["inf", "3", "-1", "0", "1", "9", "5"])
+    # the class of residue 1: three members, one subtraction each after the first
+    clustered = distinct + [("8", K7.from_rational(8)), ("50", K7.from_rational(50))]
+    tree = build_branch_tree(clustered)
+    assert len(calls) == 2 + 1  # the root's two, then the child's split of 8 and 50
+    assert [n.marks for n in tree.nodes.values()] == [
+        sorted(["inf", "3", "-1", "0", "9", "5"]), ["1"], ["50", "8"]
+    ]

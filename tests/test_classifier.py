@@ -990,6 +990,28 @@ def test_the_shared_memo_holds_fewer_entries_than_the_upstairs_components_render
     assert classifications == 2 * (19 + 246) + 5 + len(TWO_NEAR_TAIL_COVERS)  # all of them
 
 
+def test_a_single_candidate_renders_without_a_memo():
+    """Rigid regimes give one model, which renders directly, as an oracle
+    model does; the candidates of a near tail with two or more partition
+    pairs share one dict."""
+    ordinary = [{"name": str(i), "profile": [2, 1, 1, 1]} for i in range(4)]
+
+    def tail(eps):
+        pair = {**ordinary[0], "tail_with": "1", "epsilon": eps}
+        return classify_formula(5, [pair, *ordinary[1:]])
+
+    shapes = {}
+    for name, classification in {
+        "ordinary": classify_formula(5, ordinary), "far": tail("1"), "near": tail("7")
+    }.items():
+        models = classification.models
+        (memo,) = {id(m.memo): m.memo for m in models}.values()
+        shapes[name] = len(models), type(memo).__name__
+        for model in models:
+            assert model.to_json() == detached(model).to_json(), name
+    assert shapes == {"ordinary": (1, "NoneType"), "far": (1, "NoneType"), "near": (2, "dict")}
+
+
 def two_candidates():
     """The first two candidates of the near showcase classification, the
     first validated after the classifier built both."""

@@ -1,9 +1,12 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicover import kpoly
+from padicover import field, kpoly
 from padicover.cover import (
     EXACT_P_BOUND,
     InvalidDivisor,
@@ -165,3 +168,20 @@ def test_a_branch_value_too_long_to_write_is_an_invalid_divisor():
     }
     with pytest.raises(InvalidDivisor, match=r"critical point 0 \(m = 3\).*-digit limit"):
         branch_data(cover_from_json(doc))
+
+
+def test_the_classify_exact_points_parse_without_the_general_form(monkeypatch):
+    """Every point of the classify-exact documents is a rational (n = 1), at
+    e = 1 and e = 2 alike, so none goes through field._from_pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    docs = [req.doc for req in workloads.setup_classify_exact(random.Random(1))]
+    assert len(docs) == 2000 and {doc["e"] for doc in docs} == {1, 2}
+    calls, general = [], field._from_pairs
+    monkeypatch.setattr(field, "_from_pairs", lambda *args: calls.append(args) or general(*args))
+    points = [x for doc in docs for x, _ in cover_from_json(doc).critical.points]
+    assert len(points) > 2000 and all(x.n == 1 for x in points)
+    assert calls == []

@@ -10,9 +10,12 @@ from padicover.field import (
     DivisionByZero,
     FieldContext,
     NegativeValuation,
+    _from_pairs,
+    _parse_pair,
+    _reduced,
     parse_rat,
 )
-from reference import vp
+from reference import reduced_general, vp
 
 
 def random_element(rng, ctx, scale=3):
@@ -371,3 +374,60 @@ def test_integer_kernel_matches_the_dense_fraction_model(case):
         assert dense_mul(dx, dinv, p) == [Fraction(1)] + [Fraction(0)] * (K.e - 1)
     s = (x + y) - y
     assert s == x and hash(s) == hash(x)
+
+
+# -- the rational fast paths against the general forms ------------------------
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-(7**5), 7**5),
+    st.integers(1, 7**4),
+    st.integers(1, 60),
+    st.sampled_from([1, 2, 3, 4]),
+)
+def test_a_rational_is_reduced_as_the_general_form_reduces_it(p, a, den, common, e):
+    # a shared factor, a power of p among them, so the gcd has work to do
+    K = FieldContext(p, e)
+    a, den = a * common, den * common
+    terms = [(0, a)] if a else []
+    got = _reduced(K, 1, terms, den)
+    assert_canonical(got)
+    assert got == reduced_general(K, 1, terms, den)
+    assert got == K.from_rational(Fraction(a, den))
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([1, 2, 3, 4]),
+    st.integers(-500, 500),
+    st.integers(1, 500),
+    st.lists(st.sampled_from(["0", " 0", "0/7", "-0", 0, Fraction(0)]), max_size=3),
+)
+def test_a_leading_only_coordinate_parses_as_the_general_form(p, e, a, b, zeros):
+    K = FieldContext(p, e)
+    coeffs = [f"{a}/{b}"] + zeros[: e - 1]
+    pairs = [(i, *_parse_pair(c)) for i, c in enumerate(coeffs)]
+    got = K.element(coeffs)
+    assert_canonical(got)
+    assert got == _from_pairs(K, e, pairs)
+    assert got.n == 1 and got == K.from_rational(Fraction(a, b))
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-500, 500),
+    st.integers(1, 500),
+    st.integers(-500, 500).filter(bool),
+    st.integers(1, 500),
+)
+def test_a_later_nonzero_coefficient_still_parses_off_the_rationals(p, a, b, c, d):
+    for K, coeffs, n in (
+        (FieldContext(p, 2), ["0", f"{c}/{d}"], 2),
+        (FieldContext(p, 2), [f"{a}/{b}", f"{c}/{d}"], 2),
+        (FieldContext(p, 3), [f"{a}/{b}", "0", f"{c}/{d}"], 3),
+    ):
+        pairs = [(i, *_parse_pair(x)) for i, x in enumerate(coeffs)]
+        got = K.element(coeffs)
+        assert_canonical(got)
+        assert got.n == n and got == _from_pairs(K, K.e, pairs)

@@ -18,6 +18,7 @@ import pytest
 from padicover import fppoly, kpoly
 from padicover.field import FieldContext, NegativeValuation
 from padicover.newton import positive_roots
+from reference import poly_general
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,28 @@ def test_from_elements_round_trips():
             if hit
         )
     assert kinds == {"n > 1", "p | den", "several rows"}
+
+
+def test_one_rational_row_is_made_canonical_as_the_general_form_makes_it():
+    # the row antiderivative builds for a rational beta: trailing zeros, an
+    # all-zero row, a negative den and a content shared with den
+    rng, seen = random.Random(13), set()
+    for _ in range(400):
+        ctx = FieldContext(rng.choice([3, 5, 7]), 1)
+        p = ctx.p
+        common = rng.choice([1, 2, p, p * p, 6])
+        row = [rng.choice([0, rng.randint(-50, 50)]) * common for _ in range(rng.randint(1, 6))]
+        row += [0] * rng.randint(0, 2)
+        if rng.random() < 0.1:
+            row = [0] * len(row)
+        den = rng.choice([1, 2, 3, p, p * p, 12]) * rng.choice([1, common, -1, -common])
+        for rows in ([(0, row)], {0: list(row)}.items()):
+            got = kpoly._poly(ctx, 1, rows, den)
+            assert_canonical(got)
+            assert got == poly_general(ctx, 1, [(0, row)], den)
+            assert elements(got) == trim(ctx.from_rational(Fraction(a, den)) for a in row)
+        seen.add((not any(row), den < 0, not row[-1], gcd(den, *row) > 1))
+    assert all(any(kind[i] for kind in seen) for i in range(4))
 
 
 def test_translate():

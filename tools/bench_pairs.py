@@ -22,7 +22,9 @@ its median is better than the parent's by more than the parent's IQR.  It
 also gives each side's median count of attempted requests, since
 ``peak_rss_mb`` grows with the passes a run keeps, so a faster side can read a
 higher peak.  The file ``BENCH_<label>.json`` is
-written at the root of the working tree.  Only the standard library is used.
+written at the root of the working tree.  The exit status is 1 when a run was
+incorrect or a metric's verdict is "worse beyond bound", each such metric
+named with its workload on stderr.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -223,7 +225,17 @@ def main(argv=None):
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
-    return 0 if all(doc["summary"][w]["correct"] for w in doc["summary"]) else 1
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    worse = [
+        (w, name)
+        for w, entry in doc["summary"].items()
+        for name in names
+        if entry[name]["verdict"] == "worse beyond bound"
+    ]
+    for w, name in worse:
+        print(f"{w}: {name} is worse beyond its bound", file=sys.stderr)
+    correct = all(entry["correct"] for entry in doc["summary"].values())
+    return 0 if correct and not worse else 1
 
 
 if __name__ == "__main__":
