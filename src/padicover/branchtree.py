@@ -50,13 +50,13 @@ ONE_POINT = "need at least two marked points"
 class TreeNode:
     __slots__ = ("name", "depth", "thickness", "parent", "marks", "children")
 
-    def __init__(self, name, depth, thickness, parent, marks=None, children=None):
+    def __init__(self, name, depth, thickness, parent):
         self.name = name
         self.depth = depth  # Fraction
         self.thickness = thickness  # depth below the parent; None on the root
         self.parent = parent  # parent's name; None on the root
-        self.marks = [] if marks is None else marks  # mark labels, sorted
-        self.children = [] if children is None else children  # TreeNode, in creation order
+        self.marks = []  # mark labels, sorted
+        self.children = []  # TreeNode, in creation order
 
 
 class Tail:
@@ -147,7 +147,8 @@ def build_branch_tree(points):
         [head] + [(label, x, _scaled_distance(x, head[1], n)) for label, x, _ in rest]
         for head, *rest in by_residue.values()
     ]
-    root = TreeNode("D", Fraction(0), None, None, ["inf"])
+    root = TreeNode("D", Fraction(0), None, None)
+    root.marks.append("inf")
     nodes = {}
     _attach(root, 0, root_groups, n, nodes)
     return MetricTree(root, nodes)

@@ -15,9 +15,9 @@ on first read, in one pass over the integer rows of that product
 (``kpoly.antiderivative``), so a cover that is only drawn and written out
 never builds it.
 ``branch_data`` returns the branch points and checks the degree count; it is
-the one place a branch value is computed, once per cover: each
-``BranchPoint`` carries its display label and the critical points over it,
-and the classifier, the blow-up engine and the command line all read those.
+the one place a branch value is computed, once per cover.  A ``BranchPoint``
+is the value with its fiber profile and display label; the blow-up engine
+reads the critical points off the divisor, not off the branch points.
 """
 
 from __future__ import annotations
@@ -76,21 +76,20 @@ class CriticalDivisor:
 
 
 class BranchPoint:
-    """One finite branch value with its fiber profile, label and critical points.
+    """One finite branch value with its fiber profile and label.
 
     profile: multiplicities of the p preimages, descending, summing to p;
     label: the value's coefficient string(s), the name both routes mark
-    components with; points: the critical points (x, m) over the value, in
-    the divisor's order.
+    components with.  The critical points over the value are not kept: the
+    blow-up engine reads the points off the divisor (``Cover.critical``).
     """
 
-    __slots__ = ("value", "profile", "label", "points")
+    __slots__ = ("value", "profile", "label")
 
-    def __init__(self, value, profile, label, points):
+    def __init__(self, value, profile, label):
         self.value = value  # Element
         self.profile = profile
         self.label = label
-        self.points = points  # ((Element, int), ...)
 
 
 class Cover:
@@ -133,7 +132,7 @@ class Cover:
                 ) from exc
             label = strings[0] if len(strings) == 1 else "(" + ",".join(strings) + ")"
             profile = tuple(mults) + (1,) * (self.ctx.p - ramified)
-            keyed.append((strings, BranchPoint(lam, profile, label, tuple(points))))
+            keyed.append((strings, BranchPoint(lam, profile, label)))
         # canonical order: by value strings, purely for deterministic output
         keyed.sort(key=lambda pair: pair[0])
         branch = tuple(bp for _, bp in keyed)

@@ -14,9 +14,9 @@ parsed straight to integer pairs (a, b), with no ``Fraction`` in between.
 A rational, n = 1, is the common case and takes one gcd and no lists:
 ``_reduced`` hands it to ``_rational``, and ``FieldContext.element`` reads a
 coordinate whose only nonzero coefficient is the first straight to it.
-``Fraction`` appears only where a rational comes in whole (``parse_rat``,
-``from_rational``, and ``uniformizer_power`` given one rational; given an int
-pair q, den it builds none), in ``Element.val`` and in the Gauss-Jordan
+``Fraction`` appears only where a rational comes in whole (``parse_rat``
+and ``from_rational``; ``uniformizer_power`` takes its exponent as an int
+pair q, den and builds none), in ``Element.val`` and in the Gauss-Jordan
 inverse of an element with several terms; a rational goes out as the
 ``str()`` of its ``Fraction``.  There is no division operator: x / y is
 ``x * y.inverse()``.  The valuation is normalized so that v(p) = 1;
@@ -186,15 +186,12 @@ class FieldContext:
 
     def pi(self):
         """The uniformizer p**(1/e) of the dense format (p itself when e == 1)."""
-        return self.uniformizer_power(Fraction(1, self.e))
+        return self.uniformizer_power(1, self.e)
 
-    def uniformizer_power(self, q, den=None):
-        """The canonical element p**q of valuation q, for any rational q, or
-        p**(q/den) for ints q and den > 0, which need not be in lowest terms."""
-        if den is None:
-            q = Fraction(q)
-            q, den = q.numerator, q.denominator
-        elif (g := gcd(q, den)) > 1:
+    def uniformizer_power(self, q, den):
+        """The canonical element p**(q/den) of valuation q/den, for ints q and
+        den > 0, which need not be in lowest terms."""
+        if (g := gcd(q, den)) > 1:
             q, den = q // g, den // g
         a, k = divmod(q, den)
         if a >= 0:

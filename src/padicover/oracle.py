@@ -34,11 +34,11 @@ polynomial, one per distinct offset residue, has its F_p roots found in one
 of two ways.  On an inseparable disc its one root is read off directly (see
 Conventions).  On an etale disc it is evaluated at successive residues by
 Horner's rule and divided by synthetic division only at a root, until its
-cofactor is constant (``fppoly.rational_roots``).  Branch values, labels
-and critical points come from ``cover.branch_data``.  A disc maps onto its
-image, so the image holds exactly the branch values whose tracks the disc
-carries: an image disc is named by its radius and those labels, and the
-downstairs tree needs no valuation test.
+cofactor is constant (``fppoly.rational_roots``).  Branch values and labels
+come from ``cover.branch_data``, critical points from ``cover.critical``.  A
+disc maps onto its image, so the image holds exactly the branch values whose
+tracks the disc carries: an image disc is named by its radius and those
+labels, and the downstairs tree needs no valuation test.
 
 Conventions.  A "track" is a pair (label, branch value).  A disc holds a
 core B, beta in the disc's chart less its constant term, and each track an
@@ -50,10 +50,17 @@ polynomial over F_p whose degree is the number of fiber points (with
 multiplicity) in the closed disc.  As reductions differ by constants, the
 core's derivative alone decides separability, and fibers whose offsets
 differ mod the maximal ideal share no residual root: gcd(B + a, B + b)
-divides a - b.  A disc keeps its fibers' critical points inside it, in its
-coordinate, by residue: a fiber point of multiplicity m >= 2 is exactly a
-critical point of index m, so the distinct points at a residue are the
-Newton root count less the sum of (m - 1) over the critical points there.
+divides a - b.  A disc keeps the critical points inside it, in its
+coordinate, by residue alone: a fiber point of multiplicity m >= 2 is
+exactly a critical point of index m, so the distinct points at a residue
+are the Newton root count less the sum of (m - 1) over the points there.
+A point x at residue w lies on its fiber lambda = beta(x), V_lambda(x) = 0,
+so lambda's residual polynomial has the root w: lambda is in the residual
+table at w, and in ``mults`` when the disc is blown up there.  So a sum
+over the points at w is one over fibers in the table at w, a child gets
+only points of fibers it carries, and each point is inside the child:
+x - lift is 0 or a root of positive valuation of V_lambda translated, so
+v(x - lift) >= nu, the least such valuation over the fibers in ``mults``.
 An inseparable disc (the core's reduction has derivative 0) has core
 reduction c * X**p, since the local degree is at most p, so a fiber of
 offset residue a reduces to c * (X + a / c)**p: its one root is -a / c, of
@@ -165,7 +172,7 @@ class _Node:
         self.chart = chart  # (g, rise, mrise, N); None on the root
         self.reduction = reduction  # F_p list, of the core: beta in the chart less its constant
         self.tracks = tracks  # label -> offset: the fiber's polynomial is core + offset
-        self.points = points  # residue -> label -> [(x, m), ...] critical points
+        self.points = points  # residue -> [(x, m), ...] critical points
         self.m = m  # local degree of the cover on this disc
         self.down_radius = down_radius  # (num, den) in lowest terms, radius of the image disc
         self.marks = []
@@ -265,7 +272,7 @@ def fundamental_model(cover):
         if not bp.value.is_integral():
             raise NotIntegralCover(f"branch value {bp.label} is not integral")
         offsets[bp.label] = -bp.value
-    points = _by_residue((bp.label, x, m) for bp in branch for x, m in bp.points)
+    points = _by_residue(cover.critical.points)
     root = _Node("C", None, None, None, [0] * ctx.p + [1], offsets, points, ctx.p, (0, 1))
     root.marks.append(("inf", ctx.p))
     state.nodes["C"] = root
@@ -277,19 +284,20 @@ def fundamental_model(cover):
 
 
 def _by_residue(points):
-    """Critical points (label, x, m) as residue -> label -> [(x, m), ...].
+    """Critical points (x, m) as residue -> [(x, m), ...] (Conventions).
 
     Every point is integral, so none is dropped.  At the root, admission has
     shown that every non-leading coefficient of beta has v > 0, so for
     v(x) < 0 the leading term wins: v(beta(x)) = p * v(x) < 0, and
     ``fundamental_model`` refuses that branch value as not integral before
-    this runs.  In ``blow_up`` only points with v(d) >= nu are passed, so
-    d * p**(-nu) is integral.  Were either argument to break, ``residue``
-    would raise NegativeValuation rather than lose the point.
+    this runs.  In ``blow_up`` every point at the center's residue has
+    v(d) >= nu (Conventions), so d * p**(-nu) is integral.  Were either
+    argument to break, ``residue`` would raise NegativeValuation rather than
+    lose the point.
     """
     out = {}
-    for label, x, m in points:
-        out.setdefault(x.residue(), {}).setdefault(label, []).append((x, m))
+    for x, m in points:
+        out.setdefault(x.residue(), []).append((x, m))
     return out
 
 
@@ -302,12 +310,12 @@ def blow_up(ctx, node, core, wbar, mults):
     offsets.  A fiber's Newton reading is the core's valuation list with
     its offset's at index 0: its count in the open disc must be the
     multiplicity, and nu is the least positive root valuation over all
-    fibers.  Each fiber's content in the
-    child's chart, the least of the core's and its offset's, must be m * nu;
-    the offsets are divided by p**(m * nu).  The child carries the fibers in
-    ``mults``, the critical points inside it, and its core's reduction, read
-    coefficient by coefficient from the same valuations, and its chart: the
-    translated core g with the reading.
+    fibers.  Each fiber's content in the child's chart, the least of the
+    core's and its offset's, must be m * nu; the offsets are divided by
+    p**(m * nu).  The child carries the fibers in ``mults``, the critical
+    points at wbar, all inside it (Conventions), and its core's reduction,
+    read coefficient by coefficient from the same valuations, and its chart:
+    the translated core g with the reading.
     """
     if not mults:
         raise CenterNotRoot(f"residue {wbar} is not a root of any carried fiber on {node.name}")
@@ -349,8 +357,7 @@ def blow_up(ctx, node, core, wbar, mults):
     # v(c_i) + i * nu over i >= 1, a fiber's the least of that and its offset's
     core_content = min(w * run + i * rise for i, w in enumerate(vals) if i and w is not None)
     unscale, shrink = ctx.uniformizer_power(-rise, N), ctx.uniformizer_power(-mrise, N)
-    here = node.points.get(wbar, {})
-    inside = []
+    inside = [((x - lift) * unscale, mx) for x, mx in node.points.get(wbar, ())]
     for label, c in offsets.items():
         w = kappa_val[label]
         content = core_content if w is None else min(core_content, w * run)
@@ -360,10 +367,6 @@ def blow_up(ctx, node, core, wbar, mults):
                 f"{Fraction(content, N)}, not m * nu = {Fraction(mrise, N)}"
             )
         offsets[label] = c * shrink
-        for x, mx in here.get(label, ()):
-            # inside the child exactly when v(x - lift) >= nu
-            if not (d := x - lift) or d.scaled_val() * N >= rise * d.n:
-                inside.append((label, d * unscale, mx))
     # coefficient i >= 1 of the core is g's times p**((i * rise - mrise) / N):
     # a unit exactly when its valuation times N is 0
     reduction = [0] * len(vals)
@@ -409,7 +412,7 @@ def _residual_table(node, p):
         )
     slope = fppoly.deriv(core, p)
     node.kind = "etale" if slope else "inseparable"
-    critical = sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
+    critical = sum(m - 1 for at in node.points.values() for _, m in at)
     if slope and fppoly.degree(slope) != critical:
         raise OracleError(
             f"etale disc {node.name}: the reduced derivative of its core has degree "
@@ -463,8 +466,7 @@ def separate_fibers(cover):
         for wbar in sorted(table):
             parts = table[wbar]
             # t fiber points per residual root of multiplicity t, m - 1 too many per critical point
-            here = node.points.get(wbar, {})
-            k = sum(t - sum(m - 1 for _, m in here.get(label, ())) for label, t in parts.items())
+            k = sum(parts.values()) - sum(m - 1 for _, m in node.points.get(wbar, ()))
             if k == 1:
                 (label,) = parts
                 node.marks.append((label, parts[label]))

@@ -107,9 +107,12 @@ def test_verdict_against_the_bound(better, parent, change, expected):
         ("lower", [0.95, 1.0, 1.05] * 3 + [1.0], [0.75, 0.8, 0.85] * 3 + [0.8], True),
         # ... and the same numbers read the other way round are a loss
         ("higher", [0.95, 1.0, 1.05] * 3 + [1.0], [0.75, 0.8, 0.85] * 3 + [0.8], False),
-        # with fewer pairs, 9 of every 10 means all of them
-        ("higher", [10, 11, 12], [20, 21, 22], True),
+        # fewer than ten pairs show no gain, even when the change wins them all
+        ("higher", [10, 11, 12], [20, 21, 22], False),
         ("higher", [10, 11, 12], [20, 21, 11], False),
+        ("higher", list(range(95, 104)), list(range(105, 114)), False),
+        # at exactly ten pairs, all won far beyond the parent's IQR, it is one
+        ("higher", list(range(95, 105)), list(range(200, 210)), True),
     ],
 )
 def test_gain_needs_nine_of_ten_pairs_and_a_median_beyond_the_parents_iqr(

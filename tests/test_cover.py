@@ -31,6 +31,12 @@ def fiber(branch, value):
     return bp
 
 
+def points_over(cover, bp):
+    """The critical points (x, m) of the cover whose branch value is bp's."""
+    points = cover.critical.points
+    return tuple((x, m) for x, m in points if kpoly.eval_at(cover.beta, x) == bp.value)
+
+
 def rh_sum(branch):
     """sum of n over the finite branch values; (r - 2) p + 1 by Riemann-Hurwitz."""
     return sum(len(bp.profile) for bp in branch)
@@ -49,7 +55,7 @@ def test_pure_power_cover():
     assert c.beta == from_rationals(K, [0, 0, 0, 1])
     (bp,) = branch_data(c)  # r = 2 with infinity
     assert bp.profile == (3,)
-    assert (bp.label, bp.points) == ("0", c.critical.points)
+    assert (bp.label, points_over(c, bp)) == ("0", c.critical.points)
     assert rh_sum((bp,)) == 1
 
 
@@ -85,7 +91,7 @@ def test_shared_branch_value_grouping():
     branch = branch_data(c)
     zero_fiber = fiber(branch, K.zero())
     assert zero_fiber.profile == (2, 2, 1)
-    assert zero_fiber.points == ((K.zero(), 2), (K.from_rational(2), 2))
+    assert points_over(c, zero_fiber) == ((K.zero(), 2), (K.from_rational(2), 2))
     assert len(branch) == 3  # r = 4 with infinity
     assert rh_sum(branch) == 11
 
@@ -110,7 +116,7 @@ def test_critical_multiplicity_reappears_in_profile():
         for x, m in pts:
             lam = kpoly.eval_at(c.beta, K.from_rational(x))
             assert m in fiber(branch, lam).profile
-            assert (K.from_rational(x), m) in fiber(branch, lam).points
+            assert (K.from_rational(x), m) in points_over(c, fiber(branch, lam))
 
 
 def test_integrality_of_integral_covers():

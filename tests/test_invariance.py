@@ -45,11 +45,20 @@ def moved(cover, move):
     return from_critical_divisor(points, points[0][0].ctx)
 
 
+def label_over(cover, value):
+    """The label ``cover.branch_data`` gives the branch value `value`."""
+    (label,) = [bp.label for bp in branch_data(cover) if bp.value == value]
+    return label
+
+
 def rename_by_points(before, after):
     """Label of each branch value of `before` -> label of the value of `after`
     over the corresponding critical points; `after` lists its critical points
     in the order of `before`."""
-    old, new = ({x: bp.label for bp in branch_data(c) for x, _ in bp.points} for c in (before, after))
+    old, new = (
+        {x: label_over(c, kpoly.eval_at(c.beta, x)) for x, _ in c.critical.points}
+        for c in (before, after)
+    )
     pairs = {
         (old[x], new[y]) for (x, _), (y, _) in zip(before.critical.points, after.critical.points)
     }

@@ -373,7 +373,8 @@ def test_each_fiber_is_the_core_plus_a_constant_offset():
             lift = ctx.from_rational(stage.residue)
             for label in stage.participants:
                 g = kpoly.translate(carried(parent_core, parent, label), lift)
-                scaled = kpoly.scale_arg(g, ctx.uniformizer_power(stage.nu))
+                nu = stage.nu
+                scaled = kpoly.scale_arg(g, ctx.uniformizer_power(nu.numerator, nu.denominator))
                 prim, content = kpoly.primitive(scaled)
                 assert content == stage.m * stage.nu
                 assert carried(core, child, label) == prim

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from padicover import fppoly, kpoly, oracle, planted
+from padicover.cover import branch_data
 from padicover.field import FieldContext
 from padicover.oracle import (
     OracleError,
@@ -107,7 +108,7 @@ def test_residual_table_matches_the_reading_that_always_runs_the_gcd(monkeypatch
 
 def critical_count(node):
     """The sum of (m - 1) over the critical points a node carries."""
-    return sum(m - 1 for at in node.points.values() for xs in at.values() for _, m in xs)
+    return sum(m - 1 for at in node.points.values() for _, m in at)
 
 
 def test_a_disc_reads_its_reduction_and_builds_its_core_only_to_blow_it_up(monkeypatch):
@@ -172,6 +173,34 @@ def test_no_squarefree_gcd_runs_where_critical_points_are_carried(monkeypatch):
     assert seen == {"etale": 286, "inseparable": 119, "refused": 8}
 
 
+def test_every_critical_point_lies_on_a_fiber_the_residual_table_carries(monkeypatch):
+    # a disc indexes its critical points by residue alone: a point at residue
+    # w lies on its own fiber, whose residual polynomial then has the root w,
+    # so every residue carrying a point is a key of the disc's table; at the
+    # root the point's own fiber, the branch value beta(x), is in the table
+    seen = {"covers": 0, "discs": 0, "root points": 0, "refused": 0}
+
+    def checked(node, p):
+        table, extra_marks, reductions = _residual_table(node, p)
+        assert set(node.points) <= set(table), node.name
+        if node.parent is None:
+            label = {bp.value: bp.label for bp in branch_data(cover)}
+            for x, _ in cover.critical.points:
+                assert label[kpoly.eval_at(cover.beta, x)] in table[x.residue()]
+                seen["root points"] += 1
+        seen["discs"] += 1
+        return table, extra_marks, reductions
+
+    monkeypatch.setattr(oracle, "_residual_table", checked)
+    for cover in covers((3, 5, 7, 11, 13), (1, 2), 6, 23):
+        seen["covers"] += 1
+        try:
+            separate_fibers(cover)
+        except ResidualRootOutsideFp:
+            seen["refused"] += 1
+    assert seen == {"covers": 116, "discs": 382, "root points": 298, "refused": 8}
+
+
 def residual_node(p, residual, critical=(), name="C"):
     """A node of local degree deg(residual) whose one fiber reduces to the
     monic ``residual`` (lowest degree first): the core reduces to residual
@@ -179,7 +208,7 @@ def residual_node(p, residual, critical=(), name="C"):
     the residues of the critical points the node carries, each of index 2."""
     ctx = FieldContext(p, 1)
     offsets = {"a": ctx.from_rational(residual[0])}
-    points = {w: {"a": [(ctx.from_rational(w), 2)]} for w in critical}
+    points = {w: [(ctx.from_rational(w), 2)] for w in critical}
     reduction = [0, *residual[1:]]
     return _Node(name, None, None, None, reduction, offsets, points, len(residual) - 1, (0, 1))
 

@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from padicover.cover import BranchPoint
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "padicover"
 
 
@@ -78,6 +80,19 @@ def test_the_two_routes_import_nothing_from_each_other():
         assert other not in set(_imported_modules(tree)), f"{module}.py imports {other}"
 
 
+def test_the_oracle_reads_only_values_and_labels_off_the_branch_points():
+    # a fiber profile is the classifier's fact about a branch value; the
+    # oracle reads its critical points off the divisor instead
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert list(_attribute_uses(tree, "profile")) == []
+    assert BranchPoint.__slots__ == ("value", "profile", "label")
+
+
+def test_the_profile_rule_sees_each_read():
+    source = "a = bp.profile\nb = len(branch[0].profile)\nc = profile\nd = bp.label\n"
+    assert list(_attribute_uses(ast.parse(source), "profile")) == [1, 2]
+
+
 def test_the_import_rule_sees_each_kind_of_import():
     source = "import a.b\nfrom .c import x\nfrom . import d\ndef f():\n    from .e import y\n"
     assert sorted(_imported_modules(ast.parse(source))) == ["b", "c", "d", "e"]
@@ -146,10 +161,10 @@ def test_the_val_rule_sees_each_call():
     assert list(_val_calls(ast.parse(source))) == [1, 2]
 
 
-def _den_reads(tree):
-    """Line numbers of the ``x.den`` reads in a source."""
+def _attribute_uses(tree, attr):
+    """Line numbers of the ``x.<attr>`` uses in a source."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "den":
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             yield node.lineno
 
 
@@ -159,14 +174,14 @@ def test_integrality_is_read_through_the_field():
         f"{path.name}:{lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem not in ("field", "kpoly")
-        for lineno in _den_reads(ast.parse(path.read_text(encoding="utf-8")))
+        for lineno in _attribute_uses(ast.parse(path.read_text(encoding="utf-8")), "den")
     ]
     assert offenders == []
 
 
 def test_the_den_rule_sees_each_read():
     source = "a = x.den % p\nb = (x - y).den\nc = q.denominator\nd = den\n"
-    assert sorted(_den_reads(ast.parse(source))) == [1, 2]
+    assert sorted(_attribute_uses(ast.parse(source), "den")) == [1, 2]
 
 
 def _recursive_closures(tree):

@@ -17,9 +17,10 @@ Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
 won; a tie counts for neither side.  Each metric also gets a verdict against
 its bound in ``BENCHMARK.json``, the no-regression reading (``verdict``), and
-a ``gain`` reading: true when the change won at least 9 of every 10 pairs and
-its median is better than the parent's by more than the parent's IQR.  It
-also gives each side's median count of attempted requests, since
+a ``gain`` reading: true when there are at least 10 pairs, the change won at
+least 9 of every 10 and its median is better than the parent's by more than
+the parent's IQR.  It also gives each side's median count of attempted
+requests, since
 ``peak_rss_mb`` grows with the passes a run keeps, so a faster side can read a
 higher peak.  The file ``BENCH_<label>.json`` is
 written at the root of the working tree.  The exit status is 1 when a run was
@@ -135,13 +136,15 @@ def wins(parent, change, better):
 
 
 def gain(parent, change, better):
-    """Whether the runs show a gain: the change wins at least 9 of every 10
-    pairs, and its median is better than the parent's by more than the
-    parent's IQR."""
+    """Whether the runs show a gain: there are at least 10 pairs, the change
+    wins at least 9 of every 10, and its median is better than the parent's
+    by more than the parent's IQR.  Fewer pairs show no gain, however they
+    fall."""
     sign = 1 if better == "higher" else -1
     low, _, high = quartiles(parent)
     return (
-        10 * wins(parent, change, better) >= 9 * len(parent)
+        len(parent) >= 10
+        and 10 * wins(parent, change, better) >= 9 * len(parent)
         and sign * (statistics.median(change) - statistics.median(parent)) > high - low
     )
 
