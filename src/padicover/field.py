@@ -6,7 +6,9 @@ chosen compatibly (p**(1/N) is the M-th power of p**(1/(M*N))), so every
 rational exponent is available and no ramification index has to be fixed in
 advance.  Each element keeps its own N, the least its exponents need, only
 its nonzero terms, 0 <= k < N, and the least d, so that gcd(d, every a) = 1;
-a product folds p**(k/N) with k >= N into a factor p.  This is the layout of
+a product folds p**(k/N) with k >= N into a factor p.  Multiplication in
+Z[p**(1/N)] is defined once, in ``Element.__mul__``: ``Element.inverse`` and
+:mod:`padicover.kpoly` multiply through it.  This is the layout of
 FLINT's fmpq_poly: arithmetic runs on plain integers and each result is
 normalized by one gcd, so there is no precision to manage, no rounding
 anywhere, and no per-coefficient rational to normalize.  Input strings are
@@ -389,15 +391,14 @@ class Element:
             if k == 0:
                 return Element(self.ctx, n, ((0, num),), abs(a))
             return _reduced(self.ctx, n, ((n - k, num),), abs(a) * p)
-        # solve x * y = 1 by Gauss-Jordan; row i of the matrix of x over the
-        # basis p**(j/n) is the coefficient of p**(i/n) in x * p**(j/n)
-        a = [Fraction(0)] * n
-        for k, c in terms:
-            a[k] = Fraction(c, self.den)
-        rows = [
-            [a[i - j] if j <= i else a[i - j + n] * p for j in range(n)] + [Fraction(i == 0)]
-            for i in range(n)
-        ]
+        # solve x * y = 1 by Gauss-Jordan; column j of the matrix of x over the
+        # basis p**(i/n) holds the coordinates of x * p**(j/n), whose own n
+        # divides n
+        rows = [[Fraction(0)] * n + [Fraction(i == 0)] for i in range(n)]
+        for j in range(n):
+            z = self * self.ctx.uniformizer_power(j, n)
+            for k, c in z.terms:
+                rows[k * (n // z.n)][j] = Fraction(c, z.den)
         for col in range(n):
             # the matrix is invertible because x != 0 in a field
             pivot = next(r for r in range(col, n) if rows[r][col])

@@ -12,13 +12,16 @@ one ``antiderivative`` builds for every rational beta, canonical with one
 gcd(den, *P_0) and a trim of its trailing zeros.
 
 The workloads decide which operations are row kernels: those that building a
-cover, ``branch_data`` and the blow-up engine call.
+cover, ``branch_data`` and the blow-up engine call, and rows serve their
+rational operands.
 
-* ``from_roots`` makes one pass over the rows per linear factor, and
-  ``antiderivative`` one pass in all; together they build beta.
+* ``from_roots`` makes one pass over one integer row per rational linear
+  factor, and ``antiderivative`` one pass in all; together they build beta.
+  Any other factor X - x multiplies the coefficients as field elements.
 * ``eval_at`` at a rational point is a homogeneous integer Horner per row;
   at any other point (planted covers, e > 1) it is Horner over field
-  elements, so multiplication in Z[p**(1/n)] has the one definition in
+  elements.  So both split as rows for rational operands and the field for
+  the rest, and multiplication in Z[p**(1/n)] has the one definition in
   :mod:`padicover.field`.
 * ``translate`` by a rational integer is the integer Taylor shift of each row
   (the classical in-place Horner scheme; von zur Gathen and Gerhard, ISSAC
@@ -132,14 +135,6 @@ def _poly(ctx, n, rows, den):
     )
 
 
-def _add_row(out, k, row):
-    """out[k] += row, rows of one length."""
-    if k in out:
-        out[k] = [a + b for a, b in zip(out[k], row)]
-    else:
-        out[k] = row
-
-
 def degree(f):
     return len(f.rows[0][1]) - 1 if f.rows else -1
 
@@ -183,40 +178,30 @@ def mul(f, g):
 def from_roots(ctx, roots_with_mult):
     """Monic polynomial prod (X - x)**m from [(x, m), ...].
 
-    With x = U / d, each factor is (d*X - U) / d, one pass over the rows.  A
-    rational U = a keeps every row in place: entry i becomes
-    d*row[i-1] - a*row[i], so the large entries are multiplied only by the
-    small d and a.  Any other U shifts the rows up one place times d, and
-    each term of U subtracts a multiple of every row from the row it lands
-    in.  One canonical form at the end; the row of rational roots alone is
-    canonical already, a product of primitive d*X - U being primitive (Gauss).
+    Rational roots go first, on one integer row over den: with x = a / d
+    each factor is (d*X - a) / d, so entry i becomes d*row[i-1] - a*row[i],
+    and the large entries are multiplied only by the small d and a.  The row
+    is canonical already, a product of primitive d*X - a being primitive
+    (Gauss).  Any other root multiplies the coefficients as field elements,
+    c'_i = c_{i-1} - x*c_i, as ``eval_at`` does at such a point.
     """
-    p, n, den, rows = ctx.p, 1, 1, {0: [1]}
+    row, den, others = [1], 1, []
     for x, m in roots_with_mult:
-        d, den = x.den, den * x.den**m
-        if x.n == 1:
-            a = x.terms[0][1] if x.terms else 0
-            for k, row in rows.items():
-                for _ in range(m):
-                    row = [d * b - a * c for b, c in zip([0] + row, row + [0])]
-                rows[k] = row
+        if x.n > 1:
+            others.append((x, m))
             continue
-        big = lcm(n, x.n)
-        s, t = big // n, big // x.n
-        n, rows = big, {k * s: row for k, row in rows.items()}
+        d, a = x.den, x.terms[0][1] if x.terms else 0
+        den *= d**m
         for _ in range(m):
-            out = {}
-            for k, row in rows.items():
-                _add_row(out, k, [0] + [d * a for a in row])
-                for j, a in x.terms:
-                    idx, c = k + j * t, -a
-                    if idx >= n:
-                        idx, c = idx - n, c * p
-                    _add_row(out, idx, [c * b for b in row] + [0])
-            rows = out
-    if n == 1:
-        return Poly(ctx, 1, ((0, tuple(rows[0])),), den)
-    return _poly(ctx, n, rows.items(), den)
+            row = [d * b - a * c for b, c in zip([0] + row, row + [0])]
+    f = Poly(ctx, 1, ((0, tuple(row)),), den)
+    if not others:
+        return f
+    coeffs, zero = elements(f), ctx.zero()
+    for x, m in others:
+        for _ in range(m):
+            coeffs = [a - x * b for a, b in zip([zero] + coeffs, coeffs + [zero])]
+    return from_elements(ctx, coeffs)
 
 
 def antiderivative(f, c):
@@ -339,8 +324,8 @@ def unit_residue(f, i):
             if least is None or q * n + k < least[0]:
                 least = q * n + k, a // p**q
     den = f.den
-    while den % p == 0:
-        den //= p
+    if den % p == 0:
+        den //= p ** _vp_int(den, p)
     return least[1] * pow(den, -1, p) % p
 
 

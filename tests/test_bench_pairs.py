@@ -133,6 +133,17 @@ def test_every_metric_gets_a_gain_reading():
     assert summary["answered_share"]["gain"] is False
 
 
+def test_one_incorrect_run_takes_every_gain_away():
+    # a gain does not count where operations fail
+    runs = [pair("w", result(2.0, 100 + i), result(1.0, 200 + i)) for i in range(10)]
+    assert bench_pairs.summarize(runs, END_TO_END)["w"]["throughput_per_s"]["gain"] is True
+    runs[3]["change"] = result(1.0, 203, correct=False)
+    summary = bench_pairs.summarize(runs, END_TO_END)["w"]
+    assert summary["throughput_per_s"]["change_wins"] == "10/10"
+    assert summary["correct"] is False
+    assert [summary[m["name"]]["gain"] for m in END_TO_END] == [False, False, False]
+
+
 def test_every_workload_and_metric_gets_a_verdict():
     runs = [
         pair("w", result(2.0, 100), result(2.0, 60)),

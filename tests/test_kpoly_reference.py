@@ -7,6 +7,9 @@ It is slow and obviously right; the layout must agree with it exactly and
 come out canonical.  The operations kpoly itself writes on field elements
 (``sub``, ``mul``, ``scale_arg``) are also checked against its row kernels
 (``eval_at``, ``from_roots``, ``rescale``), which share no code with them.
+A non-rational root goes through ``from_roots`` on field elements, the way
+``ref_from_roots`` takes every root; ``kpoly.mul``, a double loop over the
+coefficients, checks that route independently.
 """
 
 import random

@@ -184,6 +184,45 @@ def test_the_den_rule_sees_each_read():
     assert sorted(_attribute_uses(ast.parse(source), "den")) == [1, 2]
 
 
+def _products_by_p(tree, module):
+    """Per function, qualified as ``module.Class.function``, the products
+    ``x * p`` or ``p * x`` with an operand the bare name p; ``x * p**q`` is
+    a product by a power and is not counted."""
+    found, stack = Counter(), [(tree, module)]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, f"{scope}.{child.name}"))
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult):
+                if any(isinstance(s, ast.Name) and s.id == "p" for s in (child.left, child.right)):
+                    found[scope] += 1
+            stack.append((child, scope))
+    return found
+
+
+def test_the_exponent_fold_is_written_once():
+    # the fold p**(k/n) * p**(j/n) = p * p**((k+j-n)/n), k + j >= n, is the
+    # product by p in Element.__mul__; the one in inverse inverts a single
+    # term, and every other product in the tower goes through __mul__
+    found = Counter()
+    for module in ("field", "kpoly"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        found += _products_by_p(tree, module)
+    assert found == {"field.Element.__mul__": 1, "field.Element.inverse": 1}
+
+
+def test_the_fold_rule_sees_each_product_by_p():
+    source = (
+        "def f(c, p):\n    return c * p\n"
+        "class C:\n"
+        "    def g(self, row, i, p, q):\n        return row[i] * p**q, p * row[i] + 1\n"
+        "    def h(self, p, q):\n        return p**q * q, p + q\n"
+    )
+    assert _products_by_p(ast.parse(source), "m") == {"m.f": 1, "m.C.g": 1}
+
+
 def _recursive_closures(tree):
     """(line, name) of each function nested in another function that calls
     itself by name."""

@@ -17,13 +17,12 @@ Every result line is kept.  The summary gives, per workload and end-to-end
 metric, each side's median and inclusive quartiles and the pairs the change
 won; a tie counts for neither side.  Each metric also gets a verdict against
 its bound in ``BENCHMARK.json``, the no-regression reading (``verdict``), and
-a ``gain`` reading: true when there are at least 10 pairs, the change won at
-least 9 of every 10 and its median is better than the parent's by more than
-the parent's IQR.  It also gives each side's median count of attempted
-requests, since
-``peak_rss_mb`` grows with the passes a run keeps, so a faster side can read a
-higher peak.  The file ``BENCH_<label>.json`` is
-written at the root of the working tree.  The exit status is 1 when a run was
+a ``gain`` reading: true when every run of the workload was correct, there
+are at least 10 pairs, the change won at least 9 of every 10 and its median
+is better than the parent's by more than the parent's IQR.  It also gives
+each side's median count of attempted requests, since ``peak_rss_mb`` grows
+with the passes a run keeps, so a faster side can read a higher peak.  The
+file ``BENCH_<label>.json`` is written at the root of the working tree.  The exit status is 1 when a run was
 incorrect or a metric's verdict is "worse beyond bound", each such metric
 named with its workload on stderr.  Only the standard library is used.
 """
@@ -93,7 +92,7 @@ def summarize(runs, end_to_end):
     """Per workload: per metric, each side's median and quartiles, the
     change's wins over the pairs, the verdict against the metric's bound and
     the gain reading; each side's median `attempted`; `correct` is true when
-    every run was.
+    every run was.  A workload with an incorrect run shows no gain.
 
     `runs` are {"workload", "parent": result, "change": result} records and
     `end_to_end` is the "end_to_end" list of BENCHMARK.json.
@@ -101,6 +100,7 @@ def summarize(runs, end_to_end):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
+        correct = all(r[side]["correct"] for r in pairs for side in SIDES)
         entry = {}
         for metric in end_to_end:
             name, better = metric["name"], metric["better"]
@@ -119,12 +119,12 @@ def summarize(runs, end_to_end):
             entry[name]["verdict"] = verdict(
                 values["parent"], values["change"], better, metric["bound"]
             )
-            entry[name]["gain"] = gain(values["parent"], values["change"], better)
+            entry[name]["gain"] = correct and gain(values["parent"], values["change"], better)
         entry["attempted"] = {
             f"{side}_median": statistics.median(r[side]["attempted"] for r in pairs)
             for side in SIDES
         }
-        entry["correct"] = all(r[side]["correct"] for r in pairs for side in SIDES)
+        entry["correct"] = correct
         summary[workload] = entry
     return summary
 
